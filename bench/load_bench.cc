@@ -461,7 +461,6 @@ int Run(const std::string& out_path) {
   obs::MetricRegistry overload_metrics;
   serving::QueryService overload_service(&index, nullptr, &overload_metrics);
   obs::AdminServerOptions overload_options;
-  overload_options.serve_workers = 1;
   overload_options.handler_threads = 1;
   overload_options.queue_high_water = 4;
   overload_options.profiler_metrics = &overload_metrics;

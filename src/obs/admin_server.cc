@@ -571,7 +571,6 @@ Status AdminServer::Start() {
   HttpServerOptions http_options;
   http_options.port = options_.port;
   http_options.bind_address = options_.bind_address;
-  http_options.num_workers = options_.serve_workers;
   http_options.handler_threads = options_.handler_threads;
   http_options.max_connections = options_.max_connections;
   http_options.queue_high_water = options_.queue_high_water;

@@ -48,9 +48,8 @@ struct AdminServerOptions {
   /// tier's transport metrics (connection gauge, queue depth, shed
   /// count) land in the same registry.
   MetricRegistry* profiler_metrics = nullptr;
-  /// Event-loop threads in the underlying HttpServer (--serve-workers).
-  int serve_workers = 2;
-  /// Handler-pool threads executing endpoint logic.
+  /// Endpoint handlers allowed to run at once; the server runs one more
+  /// thread than this (see HttpServerOptions::handler_threads).
   int handler_threads = 4;
   /// Open-connection cap (--max-connections); excess connections are
   /// answered 503 and closed.
@@ -68,14 +67,14 @@ struct AdminServerOptions {
 /// One materialized HTTP response, exposed so tests can exercise the
 /// endpoint logic without a socket. An alias for the transport's
 /// HttpResponse so handlers can attach extra headers (Deprecation,
-/// Retry-After) that the event loop writes verbatim.
+/// Retry-After) that the transport writes verbatim.
 using AdminResponse = HttpResponse;
 
 /// An application endpoint mounted on the admin server (see AddHandler).
 /// `target` is the full request target (path + query string), `body` the
-/// request body ("" for GET). Handlers run on the server's handler pool —
-/// several may execute concurrently — and must be thread-safe with
-/// respect to the application state they read.
+/// request body ("" for GET). A handler runs on the thread that read its
+/// request; several may execute concurrently, so handlers must be
+/// thread-safe with respect to the application state they read.
 using AdminHandler = std::function<AdminResponse(
     std::string_view method, std::string_view target, std::string_view body)>;
 
@@ -91,7 +90,7 @@ using StatusSection = std::function<void(JsonWriter&)>;
 using MetricsHook = std::function<void()>;
 
 /// Embedded HTTP/1.1 admin and serving plane, mounted on the epoll
-/// multi-worker HttpServer (DESIGN.md §15): the live observability
+/// HttpServer (DESIGN.md §15): the live observability
 /// state of this process plus the /v1 query API — the laptop-scale
 /// version of the per-node status pages the deployed Surveyor
 /// aggregated across 5000 machines, in the pull-based exposition style
@@ -121,11 +120,11 @@ using MetricsHook = std::function<void()>;
 /// /metrics), and — when head-sampled or over the slow-query threshold —
 /// leaves its span tree on /tracez.
 ///
-/// Requests arrive concurrently: the event loop parses them off
-/// keep-alive connections and a handler pool executes the endpoints, so
-/// every handler (and status section) must be thread-safe. Overload is
-/// explicit — past the queue high-water mark requests are shed with 429
-/// before any endpoint code runs (see HttpServerOptions).
+/// Requests arrive concurrently: each serving thread reads a request off
+/// a keep-alive connection and runs its endpoint itself, so every handler
+/// (and status section) must be thread-safe. Overload is explicit — past
+/// the queue high-water mark requests are shed with 429 before any
+/// endpoint code runs (see HttpServerOptions).
 class AdminServer {
  public:
   /// None of the dependencies are owned; all must outlive the server.
@@ -140,9 +139,8 @@ class AdminServer {
   AdminServer(const AdminServer&) = delete;
   AdminServer& operator=(const AdminServer&) = delete;
 
-  /// Binds, listens and starts the serving tier (listener, worker event
-  /// loops, handler pool). Fails with InvalidArgument/Internal when the
-  /// port cannot be bound.
+  /// Binds, listens and starts the serving tier's threads. Fails with
+  /// InvalidArgument/Internal when the port cannot be bound.
   Status Start();
 
   /// Graceful shutdown: stops accepting, drains in-flight requests (up

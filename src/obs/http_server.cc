@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstring>
 #include <system_error>
-#include <unordered_map>
 
 #if defined(__linux__)
 #include <arpa/inet.h>
@@ -143,10 +142,11 @@ std::string_view TrimOws(std::string_view s) {
 
 enum class ParseOutcome { kNeedMore, kRequest, kError };
 
+/// A parsed request; the views point into the buffer it was parsed from.
 struct ParsedRequest {
-  std::string method;
-  std::string target;
-  std::string body;
+  std::string_view method;
+  std::string_view target;
+  std::string_view body;
   bool keep_alive = true;
   bool expect_continue = false;
   /// Head parsed fine, body still streaming in — drives 100-continue and
@@ -156,13 +156,13 @@ struct ParsedRequest {
   /// Bytes of the input buffer this request consumed (kRequest only).
   size_t consumed = 0;
   int error_status = 0;
-  std::string error_message;
+  std::string_view error_message;
 };
 
 ParseOutcome ParseError(ParsedRequest* out, int status,
                         std::string_view message) {
   out->error_status = status;
-  out->error_message = std::string(message);
+  out->error_message = message;
   return ParseOutcome::kError;
 }
 
@@ -274,9 +274,9 @@ ParseOutcome ParseOne(std::string_view in, size_t max_header_bytes,
   out->expect_continue = expect_continue;
   if (in.size() < body_start + content_length) return ParseOutcome::kNeedMore;
 
-  out->method = std::string(method);
-  out->target = std::string(target);
-  out->body = std::string(in.substr(body_start, content_length));
+  out->method = method;
+  out->target = target;
+  out->body = in.substr(body_start, content_length);
   out->keep_alive = keep_alive;
   out->consumed = body_start + content_length;
   return ParseOutcome::kRequest;
@@ -284,477 +284,368 @@ ParseOutcome ParseOne(std::string_view in, size_t max_header_bytes,
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// RequestQueue
-// ---------------------------------------------------------------------------
-
-bool HttpServer::RequestQueue::TryPush(PendingRequest&& request) {
-  {
-    MutexLock lock(mutex_);
-    if (shutdown_ || queue_.size() >= high_water_) return false;
-    queue_.push_back(std::move(request));
-    if (depth_gauge_ != nullptr) {
-      depth_gauge_->Set(static_cast<double>(queue_.size()));
-    }
-  }
-  cv_.notify_one();
-  return true;
-}
-
-bool HttpServer::RequestQueue::Pop(PendingRequest* out) {
-  MutexLock lock(mutex_);
-  while (!shutdown_ && queue_.empty()) cv_.wait(mutex_);
-  if (queue_.empty()) return false;
-  *out = std::move(queue_.front());
-  queue_.pop_front();
-  if (depth_gauge_ != nullptr) {
-    depth_gauge_->Set(static_cast<double>(queue_.size()));
-  }
-  return true;
-}
-
-void HttpServer::RequestQueue::Shutdown() {
-  {
-    MutexLock lock(mutex_);
-    shutdown_ = true;
-  }
-  cv_.notify_all();
-}
-
 #ifdef SURVEYOR_HAVE_EPOLL
 
+namespace {
+
+/// How often some serving thread walks the connections for idle ones; also
+/// the longest an idle thread blocks in epoll_wait.
+constexpr std::chrono::milliseconds kSweepInterval(500);
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
-// Worker: one event loop owning a set of connections
+// Serving threads
 // ---------------------------------------------------------------------------
 
-/// One event-loop thread. All connection state is owned by the loop
-/// thread; the only cross-thread surface is the mutex-protected mailbox
-/// (adopted fds, completed responses, the stop flag) plus an eventfd
-/// that wakes epoll_wait when the mailbox has work.
-class HttpServer::Worker {
- public:
-  Worker(HttpServer* server, int index) : server_(server), index_(index) {}
-
-  ~Worker() {
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-    if (wake_fd_ >= 0) ::close(wake_fd_);
-  }
-
-  Status Start() {
-    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epoll_fd_ < 0) {
-      return Status::Internal("epoll_create1(): " +
-                              std::system_category().message(errno));
-    }
-    wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (wake_fd_ < 0) {
-      return Status::Internal("eventfd(): " +
-                              std::system_category().message(errno));
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = 0;  // id 0 is reserved for the wake eventfd
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
-      return Status::Internal("epoll_ctl(wake): " +
-                              std::system_category().message(errno));
-    }
-    thread_ = std::thread([this] { Loop(); });
-    return Status::OK();
-  }
-
-  /// Transfers ownership of an accepted (non-blocking) socket to this
-  /// worker. Thread-safe; called from the listener.
-  void Adopt(int fd) {
-    {
-      MutexLock lock(mutex_);
-      adopted_.push_back(fd);
-    }
-    Wake();
-  }
-
-  /// Delivers a serialized response for `conn_id`. Thread-safe; called
-  /// from handler threads. Responses for connections that died while the
-  /// handler ran are dropped on the floor.
-  void Complete(uint64_t conn_id, std::string bytes, bool keep_alive) {
-    {
-      MutexLock lock(mutex_);
-      completions_.push_back({conn_id, std::move(bytes), keep_alive});
-    }
-    Wake();
-  }
-
-  void RequestStop() {
-    {
-      MutexLock lock(mutex_);
-      stop_requested_ = true;
-    }
-    Wake();
-  }
-
-  void Join() {
-    if (thread_.joinable()) thread_.join();
-  }
-
- private:
-  struct Completion {
-    uint64_t conn_id = 0;
-    std::string bytes;
-    bool keep_alive = true;
-  };
-
-  struct Connection {
-    int fd = -1;
-    uint64_t id = 0;
-    /// Raw bytes read, not yet consumed by the parser.
-    std::string in;
-    /// Serialized response bytes not yet written; out_pos is the write
-    /// cursor so flushed prefixes are not re-sent.
-    std::string out;
-    size_t out_pos = 0;
-    /// A request from this connection sits in the queue or a handler;
-    /// at most one per connection — pipelined successors wait in `in`.
-    bool busy = false;
-    bool close_after_write = false;
-    bool peer_closed = false;
-    bool sent_continue = false;
-    /// Back-pressure: reads are parked when `in` is full while busy.
-    bool reads_paused = false;
-    uint32_t armed_events = EPOLLIN;
-    Clock::time_point last_activity;
-  };
-
-  void Wake() {
-    const uint64_t one = 1;
-    ssize_t ignored = ::write(wake_fd_, &one, sizeof(one));
-    (void)ignored;
-  }
-
-  void Loop() {
-    epoll_event events[64];
-    std::vector<uint64_t> idle_ids;
-    Clock::time_point last_sweep = Clock::now();
-    for (;;) {
-      const int n = ::epoll_wait(epoll_fd_, events, 64, /*timeout_ms=*/50);
-      if (n < 0 && errno != EINTR) break;
-
-      // Drain the mailbox first so adopted fds see their first bytes and
-      // completions land before the fd events that follow them.
-      std::vector<int> adopted;
-      std::vector<Completion> completions;
-      {
-        MutexLock lock(mutex_);
-        adopted.swap(adopted_);
-        completions.swap(completions_);
-        if (stop_requested_ && !stopping_) {
-          stopping_ = true;
-          flush_deadline_ = Clock::now() + std::chrono::seconds(1);
-        }
-      }
-      for (const int fd : adopted) {
-        if (stopping_) {
-          ::close(fd);
-          server_->ReleaseConnection();
-          continue;
-        }
-        AddConnection(fd);
-      }
-      for (Completion& completion : completions) {
-        ApplyCompletion(std::move(completion));
-      }
-
-      for (int i = 0; i < n; ++i) {
-        const uint64_t id = events[i].data.u64;
-        if (id == 0) {
-          uint64_t drained = 0;
-          while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
-          }
-          continue;
-        }
-        const auto it = conns_.find(id);
-        if (it == conns_.end()) continue;  // closed earlier this round
-        Connection* conn = it->second.get();
-        if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0 && !conn->busy &&
-            conn->out_pos >= conn->out.size()) {
-          Close(conn);
-          continue;
-        }
-        if ((events[i].events & EPOLLOUT) != 0) {
-          if (!FlushAndMaybeClose(conn)) continue;
-        }
-        if ((events[i].events & EPOLLIN) != 0) {
-          OnReadable(conn);
-        }
-      }
-
-      // Idle sweep: cheap enough to run twice a second over every
-      // connection this worker owns.
-      const Clock::time_point now = Clock::now();
-      const double idle_timeout = server_->options_.idle_timeout_seconds;
-      if (idle_timeout > 0 &&
-          now - last_sweep > std::chrono::milliseconds(500)) {
-        last_sweep = now;
-        idle_ids.clear();
-        for (const auto& [id, conn] : conns_) {
-          if (conn->busy) continue;
-          const double idle =
-              std::chrono::duration<double>(now - conn->last_activity)
-                  .count();
-          if (idle > idle_timeout) idle_ids.push_back(id);
-        }
-        for (const uint64_t id : idle_ids) {
-          const auto it = conns_.find(id);
-          if (it == conns_.end()) continue;
-          Connection* conn = it->second.get();
-          server_->idle_timeouts_total_->Increment();
-          if (conn->in.empty() && conn->out_pos >= conn->out.size()) {
-            // Quietly drop a keep-alive connection parked between
-            // requests.
-            Close(conn);
-          } else {
-            // A partial request held open this long is a slow loris;
-            // name the timeout before hanging up.
-            SendInline(conn, 408, "request timeout\n",
-                       /*close_after=*/true);
-          }
-        }
-      }
-
-      if (stopping_) {
-        bool pending_writes = false;
-        for (const auto& [id, conn] : conns_) {
-          if (conn->out_pos < conn->out.size()) pending_writes = true;
-        }
-        {
-          MutexLock lock(mutex_);
-          if (!completions_.empty()) continue;  // more responses to land
-        }
-        if (!pending_writes || Clock::now() > flush_deadline_) {
-          while (!conns_.empty()) Close(conns_.begin()->second.get());
-          return;
-        }
+void HttpServer::ServeLoop() {
+  const bool sweep = options_.idle_timeout_seconds > 0;
+  const int timeout_ms = sweep ? static_cast<int>(kSweepInterval.count()) : -1;
+  for (;;) {
+    epoll_event event{};
+    const int n = ::epoll_wait(epoll_fd_, &event, 1, timeout_ms);
+    if (n < 0 && errno != EINTR) return;
+    if (sweep) {
+      const Clock::rep now = Clock::now().time_since_epoch().count();
+      Clock::rep due = next_sweep_.load(std::memory_order_relaxed);
+      if (now >= due &&
+          next_sweep_.compare_exchange_strong(
+              due, now + Clock::duration(kSweepInterval).count(),
+              std::memory_order_relaxed)) {
+        SweepIdle();
       }
     }
+    if (n <= 0) continue;
+    if (event.data.ptr == &wake_fd_) return;  // Stop(): never drained
+    if (event.data.ptr == &listen_fd_) {
+      AcceptAll();
+      continue;
+    }
+    OnEvent(static_cast<Connection*>(event.data.ptr), event.events);
   }
+}
 
-  void AddConnection(int fd) {
+void HttpServer::AcceptAll() {
+  // Serialized once; every over-capacity connection gets the same bytes.
+  static const std::string at_capacity = SimpleResponseBytes(
+      503, "server at connection capacity\n", /*keep_alive=*/false,
+      "Retry-After: 1");
+  // Edge-triggered accept: drain the backlog completely, the notification
+  // will not repeat for connections already queued.
+  for (;;) {
+    const int client = ::accept4(listen_fd_, nullptr, nullptr,
+                                 SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (client < 0) {
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      return;  // EAGAIN, shut down by Stop(), or an error the next edge retries
+    }
+    const size_t open =
+        connections_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    if (open > options_.max_connections) {
+      // Over the cap: answer 503 inline and hang up.
+      rejected_connections_total_->Increment();
+      ssize_t ignored = ::send(client, at_capacity.data(),
+                               at_capacity.size(), MSG_NOSIGNAL);
+      (void)ignored;
+      ::close(client);
+      ReleaseConnection();
+      continue;
+    }
+    connections_gauge_->Set(static_cast<double>(open));
+    accepted_total_->Increment();
     const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
-    conn->id = next_id_++;
-    conn->last_activity = Clock::now();
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = conn->id;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      ::close(fd);
-      server_->ReleaseConnection();
-      return;
+    ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    auto owned = std::make_unique<Connection>();
+    Connection* conn = owned.get();
+    {
+      // Registered before it is armed, so its first owner can always
+      // unregister it.
+      MutexLock lock(registry_mutex_);
+      registry_.emplace(conn, std::move(owned));
     }
-    conns_.emplace(conn->id, std::move(conn));
-  }
-
-  void Close(Connection* conn) {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-    ::close(conn->fd);
-    conns_.erase(conn->id);
-    server_->ReleaseConnection();
-  }
-
-  /// Re-arms the connection's epoll interest to match its state: reads
-  /// unless paused or half-closed, writes only while bytes are pending
-  /// (EPOLLOUT would busy-loop a level-triggered loop otherwise).
-  void UpdateInterest(Connection* conn) {
-    uint32_t want = 0;
-    if (!conn->reads_paused && !conn->peer_closed &&
-        !conn->close_after_write) {
-      want |= EPOLLIN;
+    bool armed = false;
+    {
+      MutexLock lock(conn->mutex);
+      conn->fd = client;
+      conn->last_activity = Clock::now();
+      armed = Arm(conn, EPOLL_CTL_ADD);
+      if (!armed) Close(conn);
     }
-    if (conn->out_pos < conn->out.size()) want |= EPOLLOUT;
-    if (want == conn->armed_events) return;
-    epoll_event ev{};
-    ev.events = want;
-    ev.data.u64 = conn->id;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev) == 0) {
-      conn->armed_events = want;
-    }
+    if (!armed) Forget(conn);
   }
+}
 
-  /// Writes as much pending output as the socket accepts. Returns false
-  /// when the connection was closed (write error, or close-after-write
-  /// completing); the pointer is dead in that case.
-  bool FlushAndMaybeClose(Connection* conn) {
-    while (conn->out_pos < conn->out.size()) {
-      const ssize_t n =
-          ::send(conn->fd, conn->out.data() + conn->out_pos,
-                 conn->out.size() - conn->out_pos, MSG_NOSIGNAL);
-      if (n > 0) {
-        conn->out_pos += static_cast<size_t>(n);
-        conn->last_activity = Clock::now();
-        continue;
+void HttpServer::OnEvent(Connection* conn, uint32_t events) {
+  bool dequeued = false;
+  while (conn != nullptr) {
+    Connection* next = nullptr;
+    bool closed = false;
+    {
+      MutexLock lock(conn->mutex);
+      if (!dequeued && (events & (EPOLLERR | EPOLLHUP)) != 0) {
+        // Nothing can be written any more; no handler runs for it.
+        Close(conn);
+        closed = true;
+      } else {
+        closed = Serve(conn, dequeued, &next);
       }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        UpdateInterest(conn);
+    }
+    if (closed) Forget(conn);
+    // The slot of this thread's last handler passed to `next`, whose
+    // request waited in the FIFO; serve it here, without a wakeup.
+    conn = next;
+    dequeued = true;
+  }
+}
+
+bool HttpServer::Serve(Connection* conn, bool dequeued, Connection** next) {
+  bool run = dequeued;  // conn's request holds a slot and runs first
+  bool holding_slot = false;
+  bool alive = true;
+  if (dequeued) {
+    conn->queued = false;
+  } else {
+    conn->armed = false;
+    if (conn->timed_out && !conn->close_after_write) {
+      // The sweep found it idle. A partial request held this long is a
+      // slow loris: name the timeout before hanging up.
+      if (conn->in.empty() || conn->out_pos < conn->out.size()) {
+        Close(conn);
         return true;
       }
-      Close(conn);
-      return false;
-    }
-    conn->out.clear();
-    conn->out_pos = 0;
-    if (conn->close_after_write) {
-      Close(conn);
-      return false;
-    }
-    UpdateInterest(conn);
-    return true;
-  }
-
-  /// Queues a transport-level response (429/431/408/...) and flushes.
-  /// Returns false when the connection is gone.
-  bool SendInline(Connection* conn, int status, std::string_view body,
-                  bool close_after, std::string_view extra_header = {}) {
-    const bool keep_alive = !close_after;
-    conn->out += SimpleResponseBytes(status, body, keep_alive, extra_header);
-    if (close_after) conn->close_after_write = true;
-    return FlushAndMaybeClose(conn);
-  }
-
-  void OnReadable(Connection* conn) {
-    char buffer[4096];
-    for (;;) {
-      if (conn->in.size() >= MaxBufferedInput()) {
-        // A pipelining client ran ahead of the handler; stop reading
-        // until the in-flight request completes.
-        conn->reads_paused = true;
-        UpdateInterest(conn);
-        break;
-      }
-      const ssize_t n = ::recv(conn->fd, buffer, sizeof(buffer), 0);
-      if (n > 0) {
-        conn->in.append(buffer, static_cast<size_t>(n));
-        conn->last_activity = Clock::now();
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      // EOF or hard error: no more requests will arrive. Any response
-      // still owed (busy or buffered) may still be deliverable on the
-      // half-open socket.
-      conn->peer_closed = true;
-      UpdateInterest(conn);
-      break;
-    }
-    TryDispatch(conn);
-  }
-
-  /// Parses and dispatches as many buffered requests as admission
-  /// control allows: at most one in flight per connection; shed requests
-  /// (429) do not occupy the connection, so parsing continues behind
-  /// them.
-  void TryDispatch(Connection* conn) {
-    while (!conn->busy && !conn->close_after_write) {
-      if (server_->draining_.load(std::memory_order_relaxed)) {
-        if (!conn->in.empty()) {
-          SendInline(conn, 503, "shutting down\n", /*close_after=*/true);
-        }
-        return;
-      }
-      ParsedRequest request;
-      const ParseOutcome outcome =
-          ParseOne(conn->in, server_->options_.max_header_bytes,
-                   server_->options_.max_body_bytes, &request);
-      if (outcome == ParseOutcome::kNeedMore) {
-        if (request.head_complete && request.expect_continue &&
-            !conn->sent_continue) {
-          conn->sent_continue = true;
-          conn->out += "HTTP/1.1 100 Continue\r\n\r\n";
-          FlushAndMaybeClose(conn);
-          return;
-        }
-        if (conn->peer_closed && conn->out_pos >= conn->out.size()) {
-          // Half a request and the peer hung up: nothing left to do.
-          Close(conn);
-        }
-        return;
-      }
-      if (outcome == ParseOutcome::kError) {
-        server_->parse_errors_total_->Increment();
-        SendInline(conn, request.error_status, request.error_message,
-                   /*close_after=*/true);
-        return;
-      }
-      conn->in.erase(0, request.consumed);
-      conn->sent_continue = false;
-      server_->requests_total_->Increment();
-      PendingRequest pending;
-      pending.worker_index = index_;
-      pending.connection_id = conn->id;
-      pending.method = std::move(request.method);
-      pending.target = std::move(request.target);
-      pending.body = std::move(request.body);
-      pending.keep_alive = request.keep_alive;
-      server_->inflight_.fetch_add(1, std::memory_order_acq_rel);
-      if (!server_->queue_->TryPush(std::move(pending))) {
-        server_->inflight_.fetch_sub(1, std::memory_order_acq_rel);
-        server_->shed_total_->Increment();
-        if (!SendInline(conn, 429, "overloaded, backing off helps\n",
-                        /*close_after=*/false, "Retry-After: 1")) {
-          return;
-        }
-        continue;  // the next pipelined request may still be admitted
-      }
-      conn->busy = true;
-    }
-  }
-
-  void ApplyCompletion(Completion completion) {
-    const auto it = conns_.find(completion.conn_id);
-    if (it == conns_.end()) return;
-    Connection* conn = it->second.get();
-    conn->busy = false;
-    conn->last_activity = Clock::now();
-    if (conn->out.empty()) {
-      conn->out = std::move(completion.bytes);
-    } else {
-      conn->out += completion.bytes;
-    }
-    if (!completion.keep_alive || conn->peer_closed) {
+      conn->out = SimpleResponseBytes(408, "request timeout\n",
+                                      /*keep_alive=*/false);
       conn->close_after_write = true;
     }
-    if (conn->reads_paused) {
-      conn->reads_paused = false;
+    alive = Flush(conn);
+    if (alive && conn->out.empty() && !conn->close_after_write &&
+        !conn->peer_closed) {
+      Read(conn);
     }
-    if (!FlushAndMaybeClose(conn)) return;
-    TryDispatch(conn);  // a pipelined successor may already be buffered
   }
 
-  size_t MaxBufferedInput() const {
-    return server_->options_.max_header_bytes +
-           server_->options_.max_body_bytes + 1;
+  // Serve buffered requests in order, one at a time, until one waits for
+  // bytes, for a handler slot, or for its predecessor's response to drain.
+  while (alive) {
+    if (run) {
+      run = false;
+      holding_slot = true;
+      const HttpResponse response =
+          handler_(conn->method, conn->target, conn->body);
+      const bool keep_alive =
+          conn->keep_alive && !draining_.load(std::memory_order_relaxed);
+      // Requests are only parsed once `out` has drained.
+      conn->out =
+          SerializeResponse(response, keep_alive, conn->method == "HEAD");
+      conn->in.erase(0, conn->consumed);  // the request views die here
+      conn->method = conn->target = conn->body = {};
+      if (!keep_alive) conn->close_after_write = true;
+      conn->last_activity = Clock::now();
+      alive = Flush(conn);
+      continue;
+    }
+    if (conn->close_after_write || conn->out_pos < conn->out.size()) break;
+    if (draining_.load(std::memory_order_relaxed)) {
+      if (!conn->in.empty()) {
+        conn->out = SimpleResponseBytes(503, "shutting down\n",
+                                        /*keep_alive=*/false);
+        conn->close_after_write = true;
+        alive = Flush(conn);
+      }
+      break;
+    }
+    ParsedRequest request;
+    const ParseOutcome outcome =
+        ParseOne(conn->in, options_.max_header_bytes,
+                 options_.max_body_bytes, &request);
+    if (outcome == ParseOutcome::kNeedMore) {
+      if (request.head_complete && request.expect_continue &&
+          !conn->sent_continue) {
+        conn->sent_continue = true;
+        conn->out = "HTTP/1.1 100 Continue\r\n\r\n";
+        alive = Flush(conn);
+      }
+      break;
+    }
+    if (outcome == ParseOutcome::kError) {
+      parse_errors_total_->Increment();
+      conn->out = SimpleResponseBytes(request.error_status,
+                                      request.error_message,
+                                      /*keep_alive=*/false);
+      conn->close_after_write = true;
+      alive = Flush(conn);
+      break;
+    }
+    requests_total_->Increment();
+    conn->sent_continue = false;
+    conn->method = request.method;
+    conn->target = request.target;
+    conn->body = request.body;
+    conn->consumed = request.consumed;
+    conn->keep_alive = request.keep_alive;
+    const Admission admission = Admit(conn, holding_slot, next);
+    if (admission == Admission::kQueued) {
+      // A finishing handler takes it from the FIFO; any slot this thread
+      // held went to the FIFO head in `*next`.
+      conn->queued = true;
+      return false;
+    }
+    if (admission == Admission::kRun) {
+      run = true;
+      continue;
+    }
+    shed_total_->Increment();
+    conn->in.erase(0, conn->consumed);
+    conn->method = conn->target = conn->body = {};
+    conn->out = SimpleResponseBytes(429, "overloaded, backing off helps\n",
+                                    /*keep_alive=*/true, "Retry-After: 1");
+    alive = Flush(conn);  // the next pipelined request may still be admitted
   }
 
-  HttpServer* const server_;
-  const int index_;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;
-  std::thread thread_;
+  if (holding_slot) *next = ReleaseSlot();
+  const bool flushed = conn->out_pos >= conn->out.size();
+  // Nothing left to say, or no one left to say it to: once a peer has
+  // hung up, what `in` still holds is a request that cannot complete.
+  if (!alive ||
+      (flushed && (conn->close_after_write || conn->peer_closed)) ||
+      !Arm(conn, EPOLL_CTL_MOD)) {
+    Close(conn);
+    return true;
+  }
+  return false;
+}
 
-  Mutex mutex_;
-  std::vector<int> adopted_ SURVEYOR_GUARDED_BY(mutex_);
-  std::vector<Completion> completions_ SURVEYOR_GUARDED_BY(mutex_);
-  bool stop_requested_ SURVEYOR_GUARDED_BY(mutex_) = false;
+HttpServer::Admission HttpServer::Admit(Connection* conn, bool holding_slot,
+                                        Connection** next) {
+  MutexLock lock(admit_mutex_);
+  if (waiting_.empty() &&
+      (holding_slot || running_ < options_.handler_threads)) {
+    if (!holding_slot) ++running_;
+    return Admission::kRun;
+  }
+  if (waiting_.size() >= options_.queue_high_water) return Admission::kShed;
+  waiting_.push_back(conn);
+  if (holding_slot) {
+    *next = waiting_.front();
+    waiting_.pop_front();
+  }
+  queue_depth_gauge_->Set(static_cast<double>(waiting_.size()));
+  return Admission::kQueued;
+}
 
-  /// Loop-thread-only state.
-  std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns_;
-  uint64_t next_id_ = 1;  // 0 is the wake eventfd's id
-  bool stopping_ = false;
-  Clock::time_point flush_deadline_;
-};
+HttpServer::Connection* HttpServer::ReleaseSlot() {
+  MutexLock lock(admit_mutex_);
+  if (waiting_.empty()) {
+    --running_;
+    return nullptr;
+  }
+  Connection* head = waiting_.front();
+  waiting_.pop_front();
+  queue_depth_gauge_->Set(static_cast<double>(waiting_.size()));
+  return head;
+}
 
 // ---------------------------------------------------------------------------
-// HttpServer
+// Connection I/O
+// ---------------------------------------------------------------------------
+
+void HttpServer::Read(Connection* conn) {
+  char buffer[4096];
+  while (conn->in.size() < options_.max_header_bytes +
+                               options_.max_body_bytes + 1) {
+    const ssize_t n = ::recv(conn->fd, buffer, sizeof(buffer), 0);
+    if (n > 0) {
+      conn->in.append(buffer, static_cast<size_t>(n));
+      conn->last_activity = Clock::now();
+      // A short read drained the socket; more bytes re-arm the event.
+      if (static_cast<size_t>(n) < sizeof(buffer)) return;
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    // EOF or hard error: no more requests will arrive, but a response
+    // may still be deliverable on the half-open socket.
+    conn->peer_closed = true;
+    return;
+  }
+}
+
+bool HttpServer::Flush(Connection* conn) {
+  while (conn->out_pos < conn->out.size()) {
+    const ssize_t n =
+        ::send(conn->fd, conn->out.data() + conn->out_pos,
+               conn->out.size() - conn->out_pos, MSG_NOSIGNAL);
+    if (n > 0) {
+      conn->out_pos += static_cast<size_t>(n);
+      conn->last_activity = Clock::now();
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
+  conn->out.clear();
+  conn->out_pos = 0;
+  return true;
+}
+
+bool HttpServer::Arm(Connection* conn, int op) {
+  const bool writing = conn->out_pos < conn->out.size();
+  if (writing != conn->unflushed) {
+    conn->unflushed = writing;
+    unflushed_.fetch_add(writing ? 1 : -1, std::memory_order_acq_rel);
+  }
+  // Reads wait while a response drains: a client that pipelines without
+  // reading cannot grow `out` without bound.
+  epoll_event event{};
+  event.events = (writing ? EPOLLOUT : EPOLLIN) | EPOLLONESHOT;
+  event.data.ptr = conn;
+  conn->armed = true;
+  // From here another thread may take the event; it waits on conn->mutex
+  // until this owner is done.
+  return ::epoll_ctl(epoll_fd_, op, conn->fd, &event) == 0;
+}
+
+void HttpServer::Close(Connection* conn) {
+  if (conn->unflushed) {
+    conn->unflushed = false;
+    unflushed_.fetch_sub(1, std::memory_order_acq_rel);
+  }
+  conn->armed = false;
+  ReleaseConnection();
+  ::close(conn->fd);  // also drops it from the epoll set
+  conn->fd = -1;
+}
+
+void HttpServer::Forget(Connection* conn) {
+  MutexLock lock(registry_mutex_);
+  registry_.erase(conn);
+}
+
+void HttpServer::SweepIdle() {
+  const Clock::time_point now = Clock::now();
+  const auto timeout = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(options_.idle_timeout_seconds));
+  MutexLock lock(registry_mutex_);
+  for (const auto& entry : registry_) {
+    Connection* conn = entry.second.get();
+    if (!conn->mutex.TryLock()) continue;  // its owner is serving it
+    if (conn->armed && !conn->timed_out &&
+        now - conn->last_activity > timeout) {
+      // Only the owner closes a connection and frees it: a thread may
+      // already hold this connection's event. Shutting the socket down
+      // makes epoll report it, and that owner closes it (408 first for a
+      // partial request). A stalled writer needs its write side shut too.
+      conn->timed_out = true;
+      idle_timeouts_total_->Increment();
+      ::shutdown(conn->fd,
+                 conn->out_pos < conn->out.size() ? SHUT_RDWR : SHUT_RD);
+    }
+    conn->mutex.Unlock();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lifecycle
 // ---------------------------------------------------------------------------
 
 void HttpServer::ReleaseConnection() {
@@ -763,14 +654,20 @@ void HttpServer::ReleaseConnection() {
   connections_gauge_->Set(static_cast<double>(open));
 }
 
+void HttpServer::CloseFds() {
+  for (int* fd : {&listen_fd_, &epoll_fd_, &wake_fd_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
+}
+
 Status HttpServer::Start() {
-  if (listen_fd_ >= 0) {
+  if (epoll_fd_ >= 0) {
     return Status::FailedPrecondition("http server already started");
   }
   if (options_.port < 0 || options_.port > 65535) {
     return Status::InvalidArgument("http port out of range");
   }
-  options_.num_workers = std::max(1, options_.num_workers);
   options_.handler_threads = std::max(1, options_.handler_threads);
   options_.max_connections = std::max<size_t>(1, options_.max_connections);
   options_.queue_high_water = std::max<size_t>(1, options_.queue_high_water);
@@ -811,215 +708,134 @@ Status HttpServer::Start() {
                       "Requests waiting in the bounded handler queue");
   }
 
-  const int fd =
+  const auto fail = [this](const char* what) {
+    const std::string error = std::system_category().message(errno);
+    CloseFds();
+    return Status::Internal(std::string(what) + ": " + error);
+  };
+  listen_fd_ =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return Status::Internal("socket(): " +
-                            std::system_category().message(errno));
-  }
+  if (listen_fd_ < 0) return fail("socket()");
   const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(options_.port));
   if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
       1) {
-    ::close(fd);
+    CloseFds();
     return Status::InvalidArgument("bad bind address '" +
                                    options_.bind_address + "'");
   }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
     const std::string error = std::system_category().message(errno);
-    ::close(fd);
+    CloseFds();
     return Status::Internal("bind(" + options_.bind_address + ":" +
                             std::to_string(options_.port) + "): " + error);
   }
-  if (::listen(fd, /*backlog=*/128) != 0) {
-    const std::string error = std::system_category().message(errno);
-    ::close(fd);
-    return Status::Internal("listen(): " + error);
-  }
+  if (::listen(listen_fd_, /*backlog=*/128) != 0) return fail("listen()");
   sockaddr_in bound{};
   socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) ==
-      0) {
+  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
+                    &bound_len) == 0) {
     port_ = ntohs(bound.sin_port);
   }
 
-  listener_wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (listener_wake_fd_ < 0) {
-    ::close(fd);
-    return Status::Internal("eventfd(): " +
-                            std::system_category().message(errno));
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) return fail("epoll_create1()");
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) return fail("eventfd()");
+  // Tagged by the address of the member holding each fd.
+  epoll_event event{};
+  event.events = EPOLLIN | EPOLLET;
+  event.data.ptr = &listen_fd_;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &event) != 0) {
+    return fail("epoll_ctl(listen)");
+  }
+  event.events = EPOLLIN;
+  event.data.ptr = &wake_fd_;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &event) != 0) {
+    return fail("epoll_ctl(wake)");
   }
 
-  listen_fd_ = fd;
   draining_.store(false);
-  inflight_.store(0);
+  unflushed_.store(0);
   connections_.store(0);
-  next_worker_.store(0);
+  next_sweep_.store(0);
   connections_gauge_->Set(0);
   queue_depth_gauge_->Set(0);
-
-  queue_ = std::make_unique<RequestQueue>(options_.queue_high_water,
-                                          queue_depth_gauge_);
-  for (int i = 0; i < options_.num_workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>(this, i));
-    const Status status = workers_.back()->Start();
-    if (!status.ok()) {
-      Stop();
-      return status;
-    }
+  // One thread more than handler slots: a thread is always free to
+  // accept, read and shed, whatever the handlers are doing.
+  const int threads = options_.handler_threads + 1;
+  threads_.reserve(static_cast<size_t>(threads));
+  for (int i = 0; i < threads; ++i) {
+    threads_.emplace_back([this] { ServeLoop(); });
   }
-  handler_pool_.reserve(static_cast<size_t>(options_.handler_threads));
-  for (int i = 0; i < options_.handler_threads; ++i) {
-    handler_pool_.emplace_back([this] { HandlerLoop(); });
-  }
-  listener_thread_ = std::thread([this] { ListenerLoop(); });
   return Status::OK();
 }
 
-void HttpServer::ListenerLoop() {
-  const int epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd < 0) return;
-  epoll_event ev{};
-  ev.events = EPOLLIN | EPOLLET;
-  ev.data.fd = listen_fd_;
-  ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev = epoll_event{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listener_wake_fd_;
-  ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, listener_wake_fd_, &ev);
-
-  // Serialized once; every over-capacity connection gets the same bytes.
-  const std::string at_capacity = SimpleResponseBytes(
-      503, "server at connection capacity\n", /*keep_alive=*/false,
-      "Retry-After: 1");
-
-  epoll_event events[8];
-  while (!draining_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(epoll_fd, events, 8, -1);
-    if (n < 0 && errno != EINTR) break;
-    for (int i = 0; i < n; ++i) {
-      if (events[i].data.fd == listener_wake_fd_) {
-        uint64_t drained = 0;
-        while (::read(listener_wake_fd_, &drained, sizeof(drained)) > 0) {
-        }
-        continue;
-      }
-      // Edge-triggered accept: drain the backlog completely, the
-      // notification will not repeat for connections already queued.
-      for (;;) {
-        const int client = ::accept4(listen_fd_, nullptr, nullptr,
-                                     SOCK_NONBLOCK | SOCK_CLOEXEC);
-        if (client < 0) {
-          if (errno == EINTR || errno == ECONNABORTED) continue;
-          break;  // EAGAIN, or a transient error the next edge retries
-        }
-        const size_t open =
-            connections_.fetch_add(1, std::memory_order_acq_rel) + 1;
-        if (open > options_.max_connections) {
-          // Over the cap: answer 503 inline and hang up without ever
-          // involving a worker.
-          rejected_connections_total_->Increment();
-          ssize_t ignored = ::send(client, at_capacity.data(),
-                                   at_capacity.size(), MSG_NOSIGNAL);
-          (void)ignored;
-          ::close(client);
-          ReleaseConnection();
-          continue;
-        }
-        connections_gauge_->Set(static_cast<double>(open));
-        accepted_total_->Increment();
-        const size_t index =
-            next_worker_.fetch_add(1, std::memory_order_relaxed) %
-            workers_.size();
-        workers_[index]->Adopt(client);
-      }
-    }
-  }
-  ::close(epoll_fd);
-}
-
-void HttpServer::HandlerLoop() {
-  PendingRequest request;
-  while (queue_->Pop(&request)) {
-    const HttpResponse response =
-        handler_(request.method, request.target, request.body);
-    const bool keep_alive =
-        request.keep_alive && !draining_.load(std::memory_order_relaxed);
-    std::string bytes =
-        SerializeResponse(response, keep_alive, request.method == "HEAD");
-    workers_[static_cast<size_t>(request.worker_index)]->Complete(
-        request.connection_id, std::move(bytes), keep_alive);
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-  }
-}
-
 void HttpServer::Stop() {
-  if (listen_fd_ < 0) return;
-  // 1. Stop admitting: new connections are refused (listener exits), new
-  //    parsed requests answer 503.
+  if (epoll_fd_ < 0) return;
+  // 1. Stop admitting: new connections are refused, newly parsed
+  //    requests answer 503.
   draining_.store(true, std::memory_order_release);
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+  ::shutdown(listen_fd_, SHUT_RDWR);
+
+  // 2. Drain: wait (bounded) for queued and executing requests to write
+  //    their responses, then up to a second for sockets to take what is
+  //    still buffered. A non-empty FIFO implies a busy slot, so no slot
+  //    busy means nothing queued either.
+  const auto wait = [](Clock::duration budget, const auto& done) {
+    const Clock::time_point deadline = Clock::now() + budget;
+    while (!done() && Clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  const auto drain_budget = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(std::max(0.0, options_.drain_seconds)));
+  wait(drain_budget, [this] {
+    MutexLock lock(admit_mutex_);
+    return running_ == 0;
+  });
+  wait(std::chrono::seconds(1),
+       [this] { return unflushed_.load(std::memory_order_acquire) == 0; });
+
+  // 3. Wake every thread for good (the eventfd stays readable), then
+  //    close the connections left.
+  const uint64_t one = 1;
+  ssize_t ignored = ::write(wake_fd_, &one, sizeof(one));
+  (void)ignored;
+  for (std::thread& thread : threads_) thread.join();
+  threads_.clear();
   {
-    const uint64_t one = 1;
-    ssize_t ignored = ::write(listener_wake_fd_, &one, sizeof(one));
-    (void)ignored;
+    MutexLock lock(registry_mutex_);
+    for (const auto& entry : registry_) {
+      Connection* conn = entry.second.get();
+      MutexLock conn_lock(conn->mutex);
+      if (conn->fd >= 0) ::close(conn->fd);
+    }
+    registry_.clear();
   }
-  if (listener_thread_.joinable()) listener_thread_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  ::close(listener_wake_fd_);
-  listener_wake_fd_ = -1;
-
-  // 2. Drain: wait (bounded) for queued and executing requests to hand
-  //    their responses back to the workers.
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(
-                             std::max(0.0, options_.drain_seconds)));
-  while (inflight_.load(std::memory_order_acquire) > 0 &&
-         Clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  {
+    MutexLock lock(admit_mutex_);
+    waiting_.clear();
+    running_ = 0;
   }
-
-  // 3. Tear down the handler pool (Pop drains whatever is still queued
-  //    first), then the workers, which flush pending responses before
-  //    closing their connections.
-  if (queue_ != nullptr) queue_->Shutdown();
-  for (std::thread& thread : handler_pool_) {
-    if (thread.joinable()) thread.join();
-  }
-  handler_pool_.clear();
-  for (const std::unique_ptr<Worker>& worker : workers_) {
-    worker->RequestStop();
-  }
-  for (const std::unique_ptr<Worker>& worker : workers_) {
-    worker->Join();
-  }
-  workers_.clear();
-  queue_.reset();
+  CloseFds();
   connections_.store(0);
-  if (connections_gauge_ != nullptr) connections_gauge_->Set(0);
-  if (queue_depth_gauge_ != nullptr) queue_depth_gauge_->Set(0);
-  draining_.store(false);  // the server can Start() again
+  connections_gauge_->Set(0);
+  queue_depth_gauge_->Set(0);
 }
 
 #else  // !SURVEYOR_HAVE_EPOLL
-
-class HttpServer::Worker {};
 
 Status HttpServer::Start() {
   return Status::Unimplemented("http server needs Linux epoll");
 }
 
 void HttpServer::Stop() {}
-
-void HttpServer::ListenerLoop() {}
-
-void HttpServer::HandlerLoop() {}
-
-void HttpServer::ReleaseConnection() {}
 
 #endif  // SURVEYOR_HAVE_EPOLL
 

@@ -2,7 +2,7 @@
 #define SURVEYOR_OBS_HTTP_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -10,6 +10,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -32,9 +33,10 @@ struct HttpResponse {
 };
 
 /// Application request handler. `target` is the full request target
-/// (path + query string), `body` the request body ("" for GET). Handlers
-/// run on the server's handler pool — several may run concurrently, so a
-/// handler must be thread-safe with respect to the state it touches.
+/// (path + query string), `body` the request body ("" for GET). A handler
+/// runs on the thread that read its request, from entry to return; up to
+/// `handler_threads` run concurrently, so a handler must be thread-safe
+/// with respect to the state it touches.
 using HttpHandler = std::function<HttpResponse(
     std::string_view method, std::string_view target, std::string_view body)>;
 
@@ -44,19 +46,16 @@ struct HttpServerOptions {
   /// one actually bound).
   int port = 0;
   std::string bind_address = "127.0.0.1";
-  /// Event-loop threads owning connections and doing all socket I/O
-  /// (--serve-workers).
-  int num_workers = 2;
-  /// Threads executing handlers off the bounded request queue. Slow
-  /// endpoints (/profilez holds a multi-second window open) block one
-  /// handler, never an event loop.
+  /// Handlers allowed to run at once. The server runs one more thread
+  /// than this, so a thread is always free to accept, read and shed even
+  /// when every handler is slow (/profilez holds a multi-second window).
   int handler_threads = 4;
   /// Accepted-connection cap (--max-connections); connections over it are
-  /// answered 503 and closed by the listener.
+  /// answered 503 and closed.
   size_t max_connections = 512;
   /// Admission control (--queue-high-water): a parsed request arriving
-  /// while this many are already queued is shed with 429 + Retry-After
-  /// instead of being enqueued.
+  /// while this many are already waiting for a handler slot is shed with
+  /// 429 + Retry-After instead of being queued.
   size_t queue_high_water = 128;
   /// Keep-alive connections idle longer than this are closed; a
   /// connection holding a partial request this long (slow loris) is
@@ -76,19 +75,22 @@ struct HttpServerOptions {
   MetricRegistry* metrics = nullptr;
 };
 
-/// Dependency-free epoll-based multi-worker HTTP/1.1 server — the
-/// serving tier under the admin plane and the /v1 query API:
+/// Dependency-free epoll-based HTTP/1.1 server — the serving tier under
+/// the admin plane and the /v1 query API:
 ///
-///   - one listener thread doing edge-triggered accept and handing
-///     connections to workers round-robin (503 over max_connections);
-///   - N worker event loops, each owning its connections: incremental
-///     request parsing, keep-alive with an idle-timeout sweep, bounded
-///     write buffering with EPOLLOUT back-pressure, pipelined requests
-///     answered in order;
-///   - a bounded request queue feeding a handler pool, with admission
-///     control: past the high-water mark parsed requests are shed with
-///     429 + Retry-After (the connection stays alive), so overload
-///     degrades into fast, explicit rejections instead of collapse;
+///   - `handler_threads + 1` identical threads block on one epoll set
+///     that holds the listening socket and every connection. A thread
+///     takes one event at a time; connections are armed EPOLLONESHOT, so
+///     the thread that receives a connection's event owns it until it
+///     re-arms it, and reads, parses, runs the handler, and writes the
+///     response itself — a request never changes thread;
+///   - keep-alive with an idle-timeout sweep, write back-pressure through
+///     EPOLLOUT, pipelined requests answered in order;
+///   - admission control: at most `handler_threads` handlers run at once;
+///     a request that finds no free slot waits in a FIFO of at most
+///     `queue_high_water` that finishing handlers drain, and past that it
+///     is shed with 429 + Retry-After (the connection stays alive), so
+///     overload degrades into fast, explicit rejections;
 ///   - graceful shutdown: Stop() stops accepting, drains queued and
 ///     in-flight requests, flushes responses, then closes.
 ///
@@ -104,9 +106,9 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Binds, listens, and starts the listener, worker, and handler
-  /// threads. Fails with InvalidArgument/Internal when the socket cannot
-  /// be bound; Unimplemented off Linux (no epoll).
+  /// Binds, listens, and starts the serving threads. Fails with
+  /// InvalidArgument/Internal when the socket cannot be bound;
+  /// Unimplemented off Linux (no epoll).
   Status Start();
 
   /// Graceful shutdown; idempotent. See class comment.
@@ -116,7 +118,7 @@ class HttpServer {
   /// Start().
   int port() const { return port_; }
 
-  /// Live connection count across all workers (the connection gauge).
+  /// Live connection count (the connection gauge).
   size_t open_connections() const {
     return connections_.load(std::memory_order_relaxed);
   }
@@ -125,40 +127,75 @@ class HttpServer {
   int64_t shed_count() const;
 
  private:
-  class Worker;
-  struct PendingRequest {
-    int worker_index = 0;
-    uint64_t connection_id = 0;
-    std::string method;
-    std::string target;
-    std::string body;
-    bool keep_alive = true;
+  /// One accepted socket. Its owner — the thread that took the
+  /// connection's epoll event or its FIFO entry — holds `mutex` until it
+  /// re-arms or closes the connection; the idle sweep only try-locks it.
+  struct Connection {
+    Mutex mutex;
+    int fd SURVEYOR_GUARDED_BY(mutex) = -1;
+    /// Raw bytes read, not yet consumed by the parser.
+    std::string in SURVEYOR_GUARDED_BY(mutex);
+    /// Response bytes not yet written; `out_pos` is the write cursor so
+    /// flushed prefixes are not re-sent.
+    std::string out SURVEYOR_GUARDED_BY(mutex);
+    size_t out_pos SURVEYOR_GUARDED_BY(mutex) = 0;
+    /// The parsed request about to run or waiting in the FIFO: views into
+    /// `in`, which nobody reads into before the request has run.
+    std::string_view method SURVEYOR_GUARDED_BY(mutex);
+    std::string_view target SURVEYOR_GUARDED_BY(mutex);
+    std::string_view body SURVEYOR_GUARDED_BY(mutex);
+    size_t consumed SURVEYOR_GUARDED_BY(mutex) = 0;
+    bool keep_alive SURVEYOR_GUARDED_BY(mutex) = true;
+    bool queued SURVEYOR_GUARDED_BY(mutex) = false;
+    /// Parked in epoll with no owner: what the idle sweep may mark.
+    bool armed SURVEYOR_GUARDED_BY(mutex) = false;
+    /// Marked by the idle sweep, which also shut the socket down so the
+    /// owner gets an event and closes it.
+    bool timed_out SURVEYOR_GUARDED_BY(mutex) = false;
+    /// Counted in HttpServer::unflushed_.
+    bool unflushed SURVEYOR_GUARDED_BY(mutex) = false;
+    bool close_after_write SURVEYOR_GUARDED_BY(mutex) = false;
+    bool peer_closed SURVEYOR_GUARDED_BY(mutex) = false;
+    bool sent_continue SURVEYOR_GUARDED_BY(mutex) = false;
+    std::chrono::steady_clock::time_point last_activity
+        SURVEYOR_GUARDED_BY(mutex);
   };
+  /// What Admit() decided for a parsed request.
+  enum class Admission { kRun, kQueued, kShed };
 
-  /// Bounded MPMC queue between workers (producers) and the handler pool
-  /// (consumers). TryPush refuses — admission control — at the
-  /// high-water mark; Pop blocks and drains remaining items after
-  /// Shutdown() before returning false.
-  class RequestQueue {
-   public:
-    RequestQueue(size_t high_water, Gauge* depth_gauge)
-        : high_water_(high_water), depth_gauge_(depth_gauge) {}
-
-    bool TryPush(PendingRequest&& request);
-    bool Pop(PendingRequest* out);
-    void Shutdown();
-
-   private:
-    const size_t high_water_;
-    Gauge* const depth_gauge_;
-    Mutex mutex_;
-    std::condition_variable_any cv_;
-    std::deque<PendingRequest> queue_ SURVEYOR_GUARDED_BY(mutex_);
-    bool shutdown_ SURVEYOR_GUARDED_BY(mutex_) = false;
-  };
-
-  void ListenerLoop();
-  void HandlerLoop();
+  void ServeLoop();
+  void AcceptAll();
+  /// Reads, parses and serves `conn` after its epoll event, then serves
+  /// the connections whose queued requests this thread's finished
+  /// handlers took over.
+  void OnEvent(Connection* conn, uint32_t events);
+  /// Serves `conn` under its lock; returns true when it must be freed.
+  /// `dequeued`: `conn` comes off the FIFO with a handler slot, to run
+  /// its waiting request first. `*next` receives a queued connection the
+  /// slot passed to.
+  bool Serve(Connection* conn, bool dequeued, Connection** next)
+      SURVEYOR_REQUIRES(conn->mutex);
+  /// Takes a handler slot for `conn`'s parsed request, or queues or sheds
+  /// it. `holding_slot`: this thread still holds the slot of the handler
+  /// it just ran; queueing `conn` then hands that slot to the FIFO head,
+  /// returned in `*next`.
+  Admission Admit(Connection* conn, bool holding_slot, Connection** next)
+      SURVEYOR_EXCLUDES(admit_mutex_);
+  /// Gives up a handler slot: to the FIFO head, which is returned and must
+  /// be served by the caller, or back to the pool (nullptr).
+  Connection* ReleaseSlot() SURVEYOR_EXCLUDES(admit_mutex_);
+  /// Reads what the socket holds, up to the buffered-input cap.
+  void Read(Connection* conn) SURVEYOR_REQUIRES(conn->mutex);
+  /// Writes pending output; false when the socket failed.
+  bool Flush(Connection* conn) SURVEYOR_REQUIRES(conn->mutex);
+  /// Parks the connection in epoll, one-shot, for what it waits on next:
+  /// its output to drain, else its next request.
+  bool Arm(Connection* conn, int op) SURVEYOR_REQUIRES(conn->mutex);
+  void Close(Connection* conn) SURVEYOR_REQUIRES(conn->mutex);
+  void SweepIdle() SURVEYOR_EXCLUDES(registry_mutex_);
+  void CloseFds();
+  /// Unregisters and frees a connection its owner closed.
+  void Forget(Connection* conn) SURVEYOR_EXCLUDES(registry_mutex_);
   /// Drops the open-connection count and gauge by one (a connection
   /// closed or was refused at the cap).
   void ReleaseConnection();
@@ -178,22 +215,34 @@ class HttpServer {
   Gauge* connections_gauge_ = nullptr;
   Gauge* queue_depth_gauge_ = nullptr;
 
-  std::unique_ptr<RequestQueue> queue_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> handler_pool_;
-  std::thread listener_thread_;
+  /// Every open connection; the idle sweep walks it, Stop() frees what is
+  /// left. A connection is unlinked only by the thread that closed it.
+  Mutex registry_mutex_;
+  std::unordered_map<const Connection*, std::unique_ptr<Connection>>
+      registry_ SURVEYOR_GUARDED_BY(registry_mutex_);
+
+  /// Admission control: handlers running (or slots held between two
+  /// pipelined requests) and the FIFO of connections whose parsed request
+  /// waits for a slot. A non-empty FIFO implies every slot is taken, so
+  /// the next handler to finish always picks its head up.
+  Mutex admit_mutex_;
+  int running_ SURVEYOR_GUARDED_BY(admit_mutex_) = 0;
+  std::deque<Connection*> waiting_ SURVEYOR_GUARDED_BY(admit_mutex_);
 
   int listen_fd_ = -1;
-  int listener_wake_fd_ = -1;
+  int epoll_fd_ = -1;
+  /// Never drained once written: level-triggered, it wakes every thread
+  /// for shutdown.
+  int wake_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> draining_{false};
-  /// Requests admitted to the queue or executing, not yet handed back to
-  /// their worker — what Stop() waits on.
-  std::atomic<int64_t> inflight_{0};
+  /// Connections parked with response bytes the socket has not taken
+  /// yet — what Stop() flushes before closing.
+  std::atomic<int64_t> unflushed_{0};
   std::atomic<size_t> connections_{0};
-  std::atomic<size_t> next_worker_{0};
-
-  friend class Worker;
+  /// When the next idle sweep is due (steady_clock ticks).
+  std::atomic<std::chrono::steady_clock::rep> next_sweep_{0};
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace obs

@@ -11,9 +11,9 @@ namespace obs {
 namespace internal {
 namespace {
 
-/// The request being served on this thread. Requests are handled
-/// single-threaded (admin accept loop), so thread-local is the whole
-/// propagation mechanism — no cross-thread handoff exists on this path.
+/// The request being served on this thread. A handler runs on one thread
+/// from entry to return, so thread-local is the whole propagation
+/// mechanism — no cross-thread handoff exists on this path.
 thread_local RequestContext* tls_request_context = nullptr;
 
 }  // namespace

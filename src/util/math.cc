@@ -10,7 +10,10 @@ namespace surveyor {
 
 double LogFactorial(int64_t k) {
   SURVEYOR_CHECK_GE(k, 0);
-  return std::lgamma(static_cast<double>(k) + 1.0);
+  // lgamma_r, not std::lgamma: the latter writes the global `signgam`,
+  // a data race when EM fits run on several threads.
+  int sign = 0;
+  return ::lgamma_r(static_cast<double>(k) + 1.0, &sign);
 }
 
 double SafeLog(double x) {

@@ -151,7 +151,6 @@ HttpResponse EchoHandler(std::string_view method, std::string_view target,
 
 HttpServerOptions SmallOptions() {
   HttpServerOptions options;
-  options.num_workers = 2;
   options.handler_threads = 2;
   return options;
 }
@@ -346,21 +345,51 @@ TEST(HttpServerTest, ExtraResponseHeadersAreWrittenVerbatim) {
   server.Stop();
 }
 
+/// A handler latch: `Hold()` parks handlers until `Release()`, and
+/// `WaitEntered()` returns once one is parked. A hold gives up after 10 s,
+/// so a failed assertion cannot leave a handler wedged under Stop().
+class HandlerLatch {
+ public:
+  void Hold() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait_for(lock, std::chrono::seconds(10), [this] { return released_; });
+  }
+
+  bool WaitEntered() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, std::chrono::seconds(5),
+                        [this] { return entered_; });
+  }
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
 TEST(HttpServerTest, QueueOverflowIsShedWith429RetryAfter) {
-  // One handler thread wedged on a latch + a one-deep queue: the third
+  // One handler slot wedged on a latch + a one-deep queue: the third
   // concurrent request has nowhere to go and must be shed immediately.
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool release = false;
   MetricRegistry metrics;
   HttpServerOptions options = SmallOptions();
   options.handler_threads = 1;
   options.queue_high_water = 1;
   options.metrics = &metrics;
+  HandlerLatch latch;
   HttpServer server(
       [&](std::string_view, std::string_view, std::string_view) {
-        std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [&] { return release; });
+        latch.Hold();
         HttpResponse response;
         response.body = "done\n";
         return response;
@@ -368,39 +397,70 @@ TEST(HttpServerTest, QueueOverflowIsShedWith429RetryAfter) {
       options);
   ASSERT_TRUE(server.Start().ok());
 
-  RawClient blocked(server.port());   // occupies the handler thread
-  RawClient queued(server.port());    // fills the queue
+  // Each request is in place before the next one is sent, so the probe
+  // is the one that finds the queue full.
+  RawClient blocked(server.port());  // occupies the handler slot
   ASSERT_TRUE(blocked.Send("GET /a HTTP/1.1\r\nHost: t\r\n\r\n"));
+  ASSERT_TRUE(latch.WaitEntered());
+  RawClient queued(server.port());  // fills the queue
   ASSERT_TRUE(queued.Send("GET /b HTTP/1.1\r\nHost: t\r\n\r\n"));
-  // Until the first two are in place, a third could race past; poll the
-  // shed counter while retrying instead of sleeping a fixed time.
-  std::string shed_response;
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    RawClient extra(server.port());
-    ASSERT_TRUE(extra.Send("GET /c HTTP/1.1\r\nHost: t\r\n\r\n"));
-    const std::string response = extra.ReadResponse();
-    if (response.find("HTTP/1.1 429") != std::string::npos) {
-      shed_response = response;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const Gauge* depth = metrics.GetGauge("surveyor_http_queue_depth");
+  for (int i = 0; i < 5000 && depth->Value() != 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_NE(shed_response.find("HTTP/1.1 429"), std::string::npos);
+  ASSERT_EQ(depth->Value(), 1);
+
+  RawClient probe(server.port());
+  ASSERT_TRUE(probe.Send("GET /c HTTP/1.1\r\nHost: t\r\n\r\n"));
+  const std::string shed_response = probe.ReadResponse();
+  ASSERT_NE(shed_response.find("HTTP/1.1 429"), std::string::npos)
+      << shed_response;
   EXPECT_NE(shed_response.find("Retry-After:"), std::string::npos);
   // The shed connection stays usable — admission control rejects the
   // request, not the client.
   EXPECT_NE(shed_response.find("Connection: keep-alive"),
             std::string::npos);
-  EXPECT_GE(server.shed_count(), 1);
-  EXPECT_GE(metrics.GetCounter("surveyor_http_shed_total")->Value(), 1);
+  EXPECT_EQ(server.shed_count(), 1);
+  EXPECT_EQ(metrics.GetCounter("surveyor_http_shed_total")->Value(), 1);
 
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    release = true;
-  }
-  cv.notify_all();
+  latch.Release();
   EXPECT_NE(blocked.ReadResponse().find("200 OK"), std::string::npos);
   EXPECT_NE(queued.ReadResponse().find("200 OK"), std::string::npos);
+  server.Stop();
+}
+
+TEST(HttpServerTest, SlowHandlerDoesNotStallOtherConnections) {
+  // A handler wedged on one connection holds one of two slots; another
+  // connection's keep-alive requests keep flowing meanwhile.
+  HttpServerOptions options = SmallOptions();
+  options.handler_threads = 2;
+  HandlerLatch latch;
+  HttpServer server(
+      [&](std::string_view method, std::string_view target,
+          std::string_view body) {
+        if (target == "/wedge") latch.Hold();
+        return EchoHandler(method, target, body);
+      },
+      options);
+  ASSERT_TRUE(server.Start().ok());
+
+  RawClient wedged(server.port());
+  ASSERT_TRUE(wedged.Send("GET /wedge HTTP/1.1\r\nHost: t\r\n\r\n"));
+  ASSERT_TRUE(latch.WaitEntered());
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  RawClient other(server.port());
+  for (int i = 0; i < 50; ++i) {
+    const std::string target = "/fast?n=" + std::to_string(i);
+    ASSERT_TRUE(other.Send("GET " + target + " HTTP/1.1\r\nHost: t\r\n\r\n"));
+    const std::string response = other.ReadResponse(/*timeout_ms=*/1000);
+    ASSERT_NE(response.find("GET " + target), std::string::npos) << response;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now(), deadline);
+
+  latch.Release();
+  EXPECT_NE(wedged.ReadResponse().find("200 OK"), std::string::npos);
   server.Stop();
 }
 

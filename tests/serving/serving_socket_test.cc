@@ -2,9 +2,9 @@
 // index + reload + query service on the epoll AdminServer) hammered by
 // concurrent keep-alive clients while another client hot-swaps
 // generations through POST /v1/admin/reload — the TSan proof that the
-// event loop, the handler pool, and the generation swap are free of
-// data races, and that the /v1 surface plus its deprecation shims
-// answer correctly over a real wire.
+// serving threads, the connection hand-offs between them, and the
+// generation swap are free of data races, and that the /v1 surface plus
+// its deprecation shims answer correctly over a real wire.
 #include <atomic>
 #include <filesystem>
 #include <string>
@@ -186,7 +186,6 @@ class ServingSocketTest : public testing::Test {
 
   obs::AdminServerOptions AdminOptions() {
     obs::AdminServerOptions options;
-    options.serve_workers = 2;
     options.handler_threads = 3;
     // Writable alias of the scraped registry, so the transport metrics
     // (surveyor_http_*) land on /metrics.

@@ -117,8 +117,7 @@ int Usage() {
       << "  surveyor_cli serve --generations DIR [--retain N]"
          " [--admin-port N] [--trace-sample-rate R] [--slow-query-ms MS]"
          " [serving knobs]\n"
-      << "  (serving knobs: --serve-workers N --max-connections N"
-         " --queue-high-water N)\n"
+      << "  (serving knobs: --max-connections N --queue-high-water N)\n"
       << "  surveyor_cli query <dir> <type> <property> [limit]\n"
       << "  surveyor_cli profile <dir> <entity>\n"
       << "  surveyor_cli repl <dir>\n"
@@ -239,8 +238,7 @@ int RunServeSnapshot(const std::vector<std::string>& args) {
     if (flag != "--snapshot" && flag != "--generations" &&
         flag != "--retain" && flag != "--admin-port" &&
         flag != "--trace-sample-rate" && flag != "--slow-query-ms" &&
-        flag != "--serve-workers" && flag != "--max-connections" &&
-        flag != "--queue-high-water") {
+        flag != "--max-connections" && flag != "--queue-high-water") {
       std::cerr << "unknown flag '" << flag << "'\n";
       return Usage();
     }
@@ -259,8 +257,6 @@ int RunServeSnapshot(const std::vector<std::string>& args) {
       trace_sample_rate = std::atof(value.c_str());
     } else if (flag == "--slow-query-ms") {
       slow_query_ms = std::atof(value.c_str());
-    } else if (flag == "--serve-workers") {
-      admin_options.serve_workers = std::atoi(value.c_str());
     } else if (flag == "--max-connections") {
       admin_options.max_connections =
           static_cast<size_t>(std::atoll(value.c_str()));
@@ -285,9 +281,6 @@ int RunServeSnapshot(const std::vector<std::string>& args) {
   }
   if (retain == 0) {
     return Fail(Status::InvalidArgument("retain must be >= 1"));
-  }
-  if (admin_options.serve_workers < 1) {
-    return Fail(Status::InvalidArgument("serve_workers must be >= 1"));
   }
   if (admin_options.max_connections < 1 ||
       admin_options.queue_high_water < 1) {
@@ -401,7 +394,6 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
                        flag == "--faults" || flag == "--fault-seed" ||
                        flag == "--trace-sample-rate" ||
                        flag == "--slow-query-ms" || flag == "--profile" ||
-                       flag == "--serve-workers" ||
                        flag == "--max-connections" ||
                        flag == "--queue-high-water";
     if (!known) {
@@ -442,8 +434,6 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
       config.trace_sample_rate = std::atof(value.c_str());
     } else if (flag == "--slow-query-ms") {
       config.slow_query_ms = std::atof(value.c_str());
-    } else if (flag == "--serve-workers") {
-      serving_shape.serve_workers = std::atoi(value.c_str());
     } else if (flag == "--max-connections") {
       serving_shape.max_connections =
           static_cast<size_t>(std::atoll(value.c_str()));
@@ -466,9 +456,6 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
   // config) starts first.
   const Status config_status = config.Validate();
   if (!config_status.ok()) return Fail(config_status);
-  if (serving_shape.serve_workers < 1) {
-    return Fail(Status::InvalidArgument("serve_workers must be >= 1"));
-  }
   if (serving_shape.max_connections < 1 ||
       serving_shape.queue_high_water < 1) {
     return Fail(Status::InvalidArgument(
