@@ -171,7 +171,7 @@ int Run(const std::string& out_path) {
   for (int i = 0; i < kRequests; ++i) {
     SURVEYOR_CHECK(service
                        .Handle("GET",
-                               "/query?entity=" + EntityName(i % 8) +
+                               "/v1/query?entity=" + EntityName(i % 8) +
                                    "&property=prop" + std::to_string(i % 8),
                                "")
                        .status == 200);
@@ -180,8 +180,8 @@ int Run(const std::string& out_path) {
       kRequests / service_timer.ElapsedSeconds();
 
   // Request-tracing overhead on the admin request path: the same hot
-  // /query handled through AdminServer::Handle (RequestScope + access log
-  // around the dispatch) with tracing disarmed, at the default sample
+  // /v1/query handled through AdminServer::Handle (RequestScope + access
+  // log around the dispatch) with tracing disarmed, at the default sample
   // rate, and with every request sampled. The committed ratio documents
   // what observability costs; the guard below fails the bench if default
   // sampling ever eats more than half the disarmed throughput.
@@ -206,14 +206,14 @@ int Run(const std::string& out_path) {
     constexpr int kAdminRequests = 1 << 15;
     // Warm pass: fill the cache so the measured loop is steady-state.
     for (int i = 0; i < kAdminRequests / 4; ++i) {
-      (void)server.Handle("GET", "/query?entity=" + EntityName(i % 8) +
+      (void)server.Handle("GET", "/v1/query?entity=" + EntityName(i % 8) +
                                      "&property=prop" + std::to_string(i % 8));
     }
     bench::Stopwatch timer;
     for (int i = 0; i < kAdminRequests; ++i) {
       SURVEYOR_CHECK(
           server
-              .Handle("GET", "/query?entity=" + EntityName(i % 8) +
+              .Handle("GET", "/v1/query?entity=" + EntityName(i % 8) +
                                  "&property=prop" + std::to_string(i % 8))
               .status == 200);
     }
@@ -278,12 +278,12 @@ int Run(const std::string& out_path) {
     };
     constexpr int kHttpRequests = 2000;
     for (int i = 0; i < kHttpRequests / 4; ++i) {  // warm
-      (void)http_get("/query?entity=" + EntityName(i % 8) + "&property=prop" +
-                     std::to_string(i % 8));
+      (void)http_get("/v1/query?entity=" + EntityName(i % 8) +
+                     "&property=prop" + std::to_string(i % 8));
     }
     bench::Stopwatch http_timer;
     for (int i = 0; i < kHttpRequests; ++i) {
-      SURVEYOR_CHECK(http_get("/query?entity=" + EntityName(i % 8) +
+      SURVEYOR_CHECK(http_get("/v1/query?entity=" + EntityName(i % 8) +
                               "&property=prop" + std::to_string(i % 8)));
     }
     http_requests_per_second = kHttpRequests / http_timer.ElapsedSeconds();

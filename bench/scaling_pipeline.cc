@@ -9,7 +9,6 @@
 
 #include "bench/bench_util.h"
 #include "model/em.h"
-#include "surveyor/mr_pipeline.h"
 #include "surveyor/pipeline.h"
 #include "util/string_util.h"
 
@@ -73,49 +72,14 @@ void ThreadScaleSweep() {
     SurveyorConfig config;
     config.num_threads = threads;
     SurveyorPipeline pipeline(&world.kb(), &world.lexicon(), config);
-    PipelineStats stats;
-    bench::Stopwatch timer;
-    pipeline.ExtractEvidence(corpus, &stats);
-    const double seconds = timer.ElapsedSeconds();
+    auto result = pipeline.Run(corpus);
+    SURVEYOR_CHECK(result.ok());
+    const double seconds = result->stats.extraction_seconds;
     if (threads == 1) base = seconds;
     table.AddRow({StrFormat("%d", threads), TextTable::Num(seconds, 2),
                   TextTable::Num(base / seconds, 2)});
   }
   table.Print(std::cout);
-}
-
-void MapReduceComparison() {
-  bench::PrintHeader(
-      "MapReduce formulation vs sharded extraction (same output)");
-  World world = World::Generate(MakeWebScaleWorldConfig(12, 23)).value();
-  GeneratorOptions generator_options;
-  generator_options.author_population = 8000;
-  generator_options.seed = 7200;
-  const std::vector<RawDocument> corpus =
-      CorpusGenerator(&world, generator_options).Generate();
-
-  SurveyorConfig config;
-  config.min_statements = 100;
-  SurveyorPipeline pipeline(&world.kb(), &world.lexicon(), config);
-  bench::Stopwatch timer;
-  PipelineStats stats;
-  EvidenceAggregator aggregator = pipeline.ExtractEvidence(corpus, &stats);
-  const auto sharded = aggregator.GroupByType(world.kb(), 100);
-  const double sharded_seconds = timer.ElapsedSeconds();
-
-  timer.Reset();
-  const auto mapreduced = ExtractAndGroupMapReduce(
-      world.kb(), world.lexicon(), corpus, 100);
-  const double mr_seconds = timer.ElapsedSeconds();
-
-  TextTable table({"formulation", "kept pairs", "seconds"});
-  table.AddRow({"thread-sharded + group", StrFormat("%zu", sharded.size()),
-                TextTable::Num(sharded_seconds, 2)});
-  table.AddRow({"two MapReduce jobs", StrFormat("%zu", mapreduced.size()),
-                TextTable::Num(mr_seconds, 2)});
-  table.Print(std::cout);
-  std::cout << "Both formulations produce identical evidence groups; the MR\n"
-               "expression mirrors the paper's cluster deployment (Sec 7.1).\n";
 }
 
 void EmLinearitySweep() {
@@ -153,7 +117,6 @@ void EmLinearitySweep() {
 int main() {
   surveyor::CorpusScaleSweep();
   surveyor::ThreadScaleSweep();
-  surveyor::MapReduceComparison();
   surveyor::EmLinearitySweep();
   return 0;
 }

@@ -18,6 +18,11 @@ namespace obs {
 
 namespace {
 
+/// The pages Dispatch serves itself; all of them are read-only.
+constexpr std::string_view kBuiltinPages[] = {
+    "/",       "/metrics", "/metrics.json", "/healthz",  "/readyz",
+    "/statusz", "/logz",   "/tracez",       "/requestz", "/profilez"};
+
 /// Strips the query string: "/logz?n=5" -> "/logz".
 std::string_view PathOf(std::string_view target) {
   const size_t query = target.find('?');
@@ -198,9 +203,26 @@ AdminResponse AdminServer::Dispatch(std::string_view method,
   }
   if (best != nullptr) {
     // Endpoint counters aggregate under the registered prefix, not the
-    // full path, so "/query?entity=x" and "/query/batch" share a series.
+    // full path, so "/v1/query?entity=x" and "/v1/query/batch" share a
+    // series.
     scope->set_endpoint(best_prefix);
     return (*best)(method, target, body);
+  }
+  if (!path.empty() && std::find(std::begin(kBuiltinPages),
+                                 std::end(kBuiltinPages),
+                                 path) == std::end(kBuiltinPages)) {
+    // Unknown paths share one counter series — a 404 scan must not mint
+    // per-path label values — and answer in the /v1 error envelope
+    // (DESIGN.md §15) whatever the method, so a client of a removed
+    // endpoint sees the same shape as any other miss.
+    scope->set_endpoint("other");
+    AdminResponse response;
+    response.status = 404;
+    response.content_type = "application/json";
+    response.body =
+        "{\"error\":{\"code\":\"not_found\",\"message\":"
+        "\"unknown endpoint; see /\"}}\n";
+    return response;
   }
   if (method != "GET" && method != "HEAD") {
     scope->set_endpoint("other");
@@ -218,14 +240,7 @@ AdminResponse AdminServer::Dispatch(std::string_view method,
   if (path == "/tracez") return Tracez(target);
   if (path == "/requestz") return Requestz(target);
   if (path == "/profilez") return Profilez(target);
-  if (path == "/" || path.empty()) return Index();
-  // Unknown paths share one counter series — a 404 scan must not mint
-  // per-path label values.
-  scope->set_endpoint("other");
-  AdminResponse response;
-  response.status = 404;
-  response.body = "unknown endpoint; see /\n";
-  return response;
+  return Index();
 }
 
 AdminResponse AdminServer::MetricsText() const {

@@ -66,8 +66,8 @@ struct AdminServerOptions {
 
 /// One materialized HTTP response, exposed so tests can exercise the
 /// endpoint logic without a socket. An alias for the transport's
-/// HttpResponse so handlers can attach extra headers (Deprecation,
-/// Retry-After) that the transport writes verbatim.
+/// HttpResponse so handlers can attach extra headers (e.g. Retry-After)
+/// that the transport writes verbatim.
 using AdminResponse = HttpResponse;
 
 /// An application endpoint mounted on the admin server (see AddHandler).

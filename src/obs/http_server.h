@@ -23,8 +23,8 @@ namespace surveyor {
 namespace obs {
 
 /// One materialized HTTP response. `headers` carries endpoint-specific
-/// extras (Deprecation, Retry-After, Link) on top of the Content-Type /
-/// Content-Length / Connection headers the transport always writes.
+/// extras (e.g. Retry-After) on top of the Content-Type / Content-Length
+/// / Connection headers the transport always writes.
 struct HttpResponse {
   int status = 200;
   std::string content_type = "text/plain; charset=utf-8";

@@ -70,7 +70,7 @@ struct DegradedPairInfo {
 struct DegradationReport {
   /// True when anything below is non-zero or a truncation note exists.
   bool degraded = false;
-  /// Recovered transient failures (document reads, MapReduce tasks).
+  /// Recovered transient failures (document reads).
   int64_t retries = 0;
   /// Fault-point firings during the run (0 outside chaos testing).
   int64_t faults_injected = 0;

@@ -218,8 +218,9 @@ uint64_t CurrentTraceId();
 
 /// Marks the current request as sampled regardless of the head-sampling
 /// decision, so its trace is retained on /tracez. For rare,
-/// operator-significant requests (a /reloadz generation swap) whose trace
-/// should never be lost to a 1% sampling rate. No-op outside a request.
+/// operator-significant requests (a /v1/admin/reload generation swap)
+/// whose trace should never be lost to a 1% sampling rate. No-op outside
+/// a request.
 void ForceSampleCurrentRequest();
 
 /// Trace id of the current request if it was head-sampled, else 0. Metric

@@ -77,12 +77,5 @@ obs::AdminResponse ApiData(std::string_view json_value) {
   return response;
 }
 
-void MarkDeprecated(obs::AdminResponse* response,
-                    std::string_view successor_path) {
-  response->headers.emplace_back("Deprecation", "true");
-  response->headers.emplace_back(
-      "Link", "<" + std::string(successor_path) + ">; rel=\"successor-version\"");
-}
-
 }  // namespace serving
 }  // namespace surveyor

@@ -9,9 +9,8 @@
 namespace surveyor {
 namespace serving {
 
-/// The /v1 response envelope (DESIGN.md §15). Every versioned endpoint —
-/// and every legacy shim, which must answer identically — speaks exactly
-/// two shapes:
+/// The /v1 response envelope (DESIGN.md §15). Every versioned endpoint
+/// speaks exactly two shapes:
 ///
 ///   success:  {"data": <endpoint-specific JSON value>}
 ///   failure:  {"error": {"code": "<stable-slug>", "message": "<human>"}}
@@ -41,13 +40,6 @@ std::string ApiErrorJson(int status, std::string_view message);
 /// {"data": value}. The value must be exactly one JSON value (object,
 /// array, or scalar), e.g. a JsonWriter's str().
 obs::AdminResponse ApiData(std::string_view json_value);
-
-/// Stamps a legacy-path response as a one-PR deprecation shim:
-/// `Deprecation: true` plus a successor-version Link so clients can
-/// discover the /v1 path mechanically. The body is untouched — shims
-/// answer byte-identically to their successors.
-void MarkDeprecated(obs::AdminResponse* response,
-                    std::string_view successor_path);
 
 }  // namespace serving
 }  // namespace surveyor

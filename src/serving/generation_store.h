@@ -18,7 +18,7 @@ namespace serving {
 struct GenerationStoreOptions {
   /// Generations kept on disk, newest inclusive. Publishing the (N+1)-th
   /// prunes the oldest after the manifest commits. Must be >= 1; older
-  /// retained generations are the rollback targets of /reloadz.
+  /// retained generations are the rollback targets of /v1/admin/reload.
   size_t retain = 4;
   /// Publish/prune counters and the latest-generation gauge land here;
   /// nullptr records nothing.
@@ -65,8 +65,8 @@ class GenerationStore {
   Status Open() SURVEYOR_EXCLUDES(mutex_);
 
   /// Re-reads the manifest from disk, picking up generations published by
-  /// another process (the mine -> /reloadz loop). Same validation as
-  /// Open, without the sweep.
+  /// another process (the mine -> /v1/admin/reload loop). Same validation
+  /// as Open, without the sweep.
   Status Refresh() SURVEYOR_EXCLUDES(mutex_);
 
   /// Publishes `image` (a serialized snapshot) as the next generation and

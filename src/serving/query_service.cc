@@ -245,9 +245,6 @@ void QueryService::Register(obs::AdminServer* server) {
     return Handle(method, target, body);
   };
   server->AddHandler("/v1/query", handler);
-  // One-PR deprecation shim: the legacy paths answer identically (same
-  // envelope, same status) plus a Deprecation header.
-  server->AddHandler("/query", handler);
 }
 
 obs::AdminResponse QueryService::Handle(std::string_view method,
@@ -259,17 +256,6 @@ obs::AdminResponse QueryService::Handle(std::string_view method,
   const std::string_view path = query_pos == std::string_view::npos
                                     ? target
                                     : target.substr(0, query_pos);
-  // Legacy /query* paths normalize onto the /v1 surface and answer
-  // identically, plus the deprecation stamp. Unknown subpaths stay
-  // unmapped so they 404 on either surface.
-  const bool legacy = path.substr(0, 6) == "/query";
-  std::string_view canonical = path;
-  if (path == "/query") {
-    canonical = "/v1/query";
-  } else if (path == "/query/batch") {
-    canonical = "/v1/query/batch";
-  }
-
   obs::AdminResponse response;
   if (stage_ != nullptr && !stage_->ready()) {
     rejected_->Increment();
@@ -277,17 +263,13 @@ obs::AdminResponse QueryService::Handle(std::string_view method,
         503, "index not ready (stage " +
                  std::string(obs::PipelineStageName(stage_->stage())) + ")");
     response.headers.emplace_back("Retry-After", "1");
-  } else if (canonical == "/v1/query/batch") {
+  } else if (path == "/v1/query/batch") {
     response = HandleBatch(method, body);
-  } else if (canonical == "/v1/query") {
+  } else if (path == "/v1/query") {
     response = HandleQuery(method, target);
   } else {
     rejected_->Increment();
     response = ApiError(404, "unknown query endpoint");
-  }
-  if (legacy) {
-    MarkDeprecated(&response, canonical != path ? canonical
-                                                : std::string_view("/v1/query"));
   }
   // The exemplar links the latency bucket to this request's trace on
   // /tracez; only head-sampled requests qualify, so every exemplar id on

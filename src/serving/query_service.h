@@ -35,9 +35,7 @@ struct QueryServiceOptions {
 ///                                        per-entry in request order
 ///
 /// Responses use the /v1 envelope (serving/api_envelope.h): {"data":...}
-/// on success, {"error":{"code","message"}} on failure. The legacy /query
-/// and /query/batch paths stay mounted as deprecation shims — identical
-/// body and status, plus Deprecation/Link headers naming the successor.
+/// on success, {"error":{"code","message"}} on failure.
 ///
 /// Requests are refused with 503 until the stage tracker reports ready,
 /// so a process that is still mining (serve --after-mine setups) never
@@ -51,8 +49,7 @@ class QueryService {
                obs::MetricRegistry* metrics,
                QueryServiceOptions options = {});
 
-  /// Mounts /v1/query (and the legacy /query shim). Call before
-  /// server->Start().
+  /// Mounts /v1/query. Call before server->Start().
   void Register(obs::AdminServer* server);
 
   /// Pure request handling, exposed for tests (the transport-free analog

@@ -63,7 +63,7 @@ ReloadService::ReloadService(GenerationStore* store, OpinionIndex* index,
   reload_failures_ = metrics_->GetCounter("surveyor_reload_failures_total");
   age_gauge_ = metrics_->GetGauge("surveyor_generation_age_seconds");
   metrics_->SetHelp("surveyor_reloads_total",
-                    "Successful /reloadz and SIGHUP generation swaps");
+                    "Successful /v1/admin/reload and SIGHUP generation swaps");
   metrics_->SetHelp("surveyor_reload_failures_total",
                     "Reload requests that left the old generation serving");
   metrics_->SetHelp("surveyor_generation_age_seconds",
@@ -76,8 +76,6 @@ void ReloadService::Register(obs::AdminServer* server) {
     return Handle(method, target, body);
   };
   server->AddHandler("/v1/admin/reload", handler);
-  // One-PR deprecation shim: answers identically, stamped Deprecated.
-  server->AddHandler("/reloadz", handler);
   server->AddStatusSection(
       "generation", [this](obs::JsonWriter& writer) { WriteStatus(writer); });
   server->AddMetricsHook([this] { UpdateGauges(); });
@@ -86,19 +84,10 @@ void ReloadService::Register(obs::AdminServer* server) {
 obs::AdminResponse ReloadService::Handle(std::string_view method,
                                          std::string_view target,
                                          std::string_view) const {
-  SURVEYOR_SPAN("reloadz");
+  SURVEYOR_SPAN("reload_service.reload");
   // A generation swap is rare and operator-significant: always keep its
   // trace, whatever the sampling rate.
   obs::ForceSampleCurrentRequest();
-  const std::string_view path = target.substr(0, target.find('?'));
-  const bool legacy = path == "/reloadz";
-  obs::AdminResponse response = HandleReload(method, target);
-  if (legacy) MarkDeprecated(&response, "/v1/admin/reload");
-  return response;
-}
-
-obs::AdminResponse ReloadService::HandleReload(std::string_view method,
-                                               std::string_view target) const {
   if (method != "POST") {
     return ApiError(405, "POST only");
   }

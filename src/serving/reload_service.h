@@ -23,9 +23,7 @@ namespace serving {
 ///   POST /v1/admin/reload?generation=N   hot-swap to a specific committed
 ///                                        generation — rollback
 ///
-/// Responses use the /v1 envelope (serving/api_envelope.h). The legacy
-/// /reloadz path stays mounted as a deprecation shim: identical body,
-/// plus Deprecation/Link headers pointing at /v1/admin/reload.
+/// Responses use the /v1 envelope (serving/api_envelope.h).
 ///
 /// Register() also mounts a "generation" section on /statusz (serving id,
 /// age, the store's rollback menu) and a scrape-time hook keeping the
@@ -45,12 +43,11 @@ class ReloadService {
   ReloadService(GenerationStore* store, OpinionIndex* index,
                 obs::MetricRegistry* metrics);
 
-  /// Mounts /v1/admin/reload (and the /reloadz shim), the /statusz
-  /// section and the /metrics age hook. Call before server->Start().
+  /// Mounts /v1/admin/reload, the /statusz section and the /metrics age
+  /// hook. Call before server->Start().
   void Register(obs::AdminServer* server);
 
-  /// Pure request handling, exposed for tests. `target` decides shim
-  /// treatment: a /reloadz target gets the Deprecation headers.
+  /// Pure request handling, exposed for tests.
   obs::AdminResponse Handle(std::string_view method, std::string_view target,
                             std::string_view body) const;
 
@@ -70,10 +67,6 @@ class ReloadService {
   void UpdateGauges() const;
 
  private:
-  /// Path-agnostic reload handling; Handle() wraps it with shim headers.
-  obs::AdminResponse HandleReload(std::string_view method,
-                                  std::string_view target) const;
-
   GenerationStore* store_;
   OpinionIndex* index_;
   obs::MetricRegistry* metrics_;

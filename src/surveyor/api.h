@@ -20,10 +20,9 @@ namespace surveyor {
 /// `surveyor_cli serve` answers queries from.
 ///
 /// This facade plus SurveyorPipeline's three Run* methods are the entire
-/// supported surface; everything else on the pipeline (registry plumbing,
-/// partial extraction) is private or a deprecated shim on its way out.
-/// Prefer the facade: it cannot be called in a wrong order, and callers
-/// that only mine never need to name SurveyorPipeline at all.
+/// supported surface. Prefer the facade: it cannot be called in a wrong
+/// order, and callers that only mine never need to name SurveyorPipeline
+/// at all.
 ///
 /// `kb` and `lexicon` must outlive the call. `source` must be
 /// thread-safe; it is drained until exhaustion without ever materializing

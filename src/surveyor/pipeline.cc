@@ -194,9 +194,7 @@ void DegradePairToMajorityVote(const Status& why, double decision_threshold,
 }
 
 /// Counter handles of the extraction stage, resolved once per run so the
-/// per-document hot path is pure lock-free increments. Both the batch and
-/// the streaming path count through this one type, which is what keeps
-/// their PipelineStats in lockstep.
+/// per-document hot path is pure lock-free increments.
 struct ExtractionCounters {
   explicit ExtractionCounters(obs::MetricRegistry& registry) {
     documents = registry.GetCounter("surveyor_extract_documents_total");
@@ -251,7 +249,6 @@ void FillExtractionStats(const ExtractionCounters& counters,
                          PipelineStats* stats) {
   registry.GetGauge("surveyor_extract_entity_property_pairs")
       ->Set(static_cast<double>(merged.num_pairs()));
-  if (stats == nullptr) return;
   stats->num_documents = counters.documents->Value();
   stats->num_sentences = counters.sentences->Value();
   stats->num_parsed_sentences = counters.parsed_sentences->Value();
@@ -338,57 +335,48 @@ void AssembleReport(obs::MetricRegistry& registry,
                                  !report->degradation.notes.empty();
 }
 
+/// What every Run* entry point sets up and finishes the same way: the
+/// registry the run counts into (the live one when attached, else a
+/// run-local one), its trace session, its report and its fault scope.
+class RunContext {
+ public:
+  explicit RunContext(const SurveyorConfig& config)
+      : config_(config),
+        registry_(config.live_metrics != nullptr ? *config.live_metrics
+                                                 : local_registry_),
+        faults_(config, registry_) {}
+
+  obs::MetricRegistry& registry() { return registry_; }
+  obs::RunReport& report() { return report_; }
+
+  /// The shared ending: meters the run's fault injections, derives the
+  /// degradation stats, moves the assembled report into `result` and
+  /// marks the run done, carrying its degraded flag to the stage tracker.
+  void Finish(PipelineResult* result) {
+    faults_.MeterInjected();
+    FillDegradationStats(registry_, &result->stats);
+    AssembleReport(registry_, trace_, result->stats, &report_);
+    result->report = std::move(report_);
+    EnterStage(config_.stage_tracker, obs::PipelineStage::kDone);
+    if (config_.stage_tracker != nullptr) {
+      config_.stage_tracker->SetDegraded(result->report.degradation.degraded);
+    }
+  }
+
+ private:
+  const SurveyorConfig& config_;
+  obs::MetricRegistry local_registry_;
+  obs::MetricRegistry& registry_;
+  obs::TraceSession trace_;
+  obs::RunReport report_;
+  RunFaultScope faults_;
+};
+
 }  // namespace
 
-EvidenceAggregator SurveyorPipeline::ExtractEvidenceWithRegistry(
-    const std::vector<RawDocument>& corpus, obs::MetricRegistry& registry,
-    PipelineStats* stats) const {
-  const size_t num_threads = EffectiveThreads(config_.num_threads);
-  ThreadPool pool(num_threads);
-  const size_t num_shards = num_threads;
-
-  std::vector<EvidenceAggregator> shards(num_shards);
-  for (EvidenceAggregator& shard : shards) {
-    shard = EvidenceAggregator(config_.max_provenance_samples);
-  }
-
-  ExtractionCounters counters(registry);
-  TextAnnotator annotator(kb_, lexicon_, config_.tagger);
-  EvidenceExtractor extractor(config_.extraction);
-
-  // Documents are independent: shard them across workers, merge counters
-  // at the end — the paper's map-reduce at thread scale.
-  const uint64_t parent_span = obs::CurrentSpanId();
-  const size_t docs_per_shard = (corpus.size() + num_shards - 1) / num_shards;
-  for (size_t shard = 0; shard < num_shards; ++shard) {
-    const size_t begin = shard * docs_per_shard;
-    const size_t end = std::min(corpus.size(), begin + docs_per_shard);
-    if (begin >= end) continue;
-    pool.Submit([&, shard, begin, end, parent_span] {
-      obs::ScopedSpan span("extract.shard", parent_span);
-      EvidenceAggregator& aggregator = shards[shard];
-      for (size_t d = begin; d < end; ++d) {
-        const AnnotatedDocument doc =
-            annotator.AnnotateDocument(corpus[d].doc_id, corpus[d].text);
-        const std::vector<EvidenceStatement> statements =
-            extractor.ExtractFromDocument(doc);
-        counters.CountDocument(doc, statements);
-        aggregator.AddAll(statements);
-      }
-    });
-  }
-  pool.Wait();
-
-  EvidenceAggregator merged(config_.max_provenance_samples);
-  for (const EvidenceAggregator& shard : shards) merged.Merge(shard);
-  RecordPoolMetrics(registry, pool, "extract");
-  FillExtractionStats(counters, registry, merged, stats);
-  return merged;
-}
-
-EvidenceAggregator SurveyorPipeline::ExtractEvidenceStreamingWithRegistry(
-    DocumentSource& source, obs::MetricRegistry& registry,
-    PipelineStats* stats) const {
+EvidenceAggregator SurveyorPipeline::Extract(DocumentSource& source,
+                                             obs::MetricRegistry& registry,
+                                             PipelineStats* stats) const {
   const size_t num_threads = EffectiveThreads(config_.num_threads);
   ThreadPool pool(num_threads);
 
@@ -401,8 +389,8 @@ EvidenceAggregator SurveyorPipeline::ExtractEvidenceStreamingWithRegistry(
   TextAnnotator annotator(kb_, lexicon_, config_.tagger);
   EvidenceExtractor extractor(config_.extraction);
 
-  // The snapshot never fits in memory, so the operator's only window into
-  // a streaming run is this periodic progress line.
+  // The corpus need not fit in memory, so the operator's only window into
+  // a running extraction is this periodic progress line.
   std::unique_ptr<obs::ProgressReporter> reporter;
   if (config_.progress_interval_seconds > 0) {
     struct RateState {
@@ -440,8 +428,10 @@ EvidenceAggregator SurveyorPipeline::ExtractEvidenceStreamingWithRegistry(
         });
   }
 
-  // Each worker pulls documents until the source runs dry; the source is
-  // the only point of coordination.
+  // Documents are independent: each worker pulls documents until the
+  // source runs dry and counts into its own shard, and the shards merge at
+  // the end — the paper's map-reduce at thread scale. The source is the
+  // only point of coordination.
   const uint64_t parent_span = obs::CurrentSpanId();
   for (size_t shard = 0; shard < num_threads; ++shard) {
     pool.Submit([&, shard, parent_span] {
@@ -476,22 +466,11 @@ EvidenceAggregator SurveyorPipeline::ExtractEvidenceStreamingWithRegistry(
   return merged;
 }
 
-EvidenceAggregator SurveyorPipeline::ExtractEvidence(
-    const std::vector<RawDocument>& corpus, PipelineStats* stats) const {
-  obs::MetricRegistry registry;
-  return ExtractEvidenceWithRegistry(corpus, registry, stats);
-}
-
-EvidenceAggregator SurveyorPipeline::ExtractEvidenceStreaming(
-    DocumentSource& source, PipelineStats* stats) const {
-  obs::MetricRegistry registry;
-  return ExtractEvidenceStreamingWithRegistry(source, registry, stats);
-}
-
-/// Shared tail of Run/RunStreaming: group, filter, learn, merge stats.
-StatusOr<PipelineResult> SurveyorPipeline::FinishRun(
+/// Everything RunStreaming does after extraction: group, filter, learn,
+/// merge stats.
+StatusOr<PipelineResult> SurveyorPipeline::GroupAndFit(
     EvidenceAggregator aggregator, PipelineStats stats,
-    obs::MetricRegistry& registry, obs::RunReport* report) const {
+    obs::MetricRegistry& registry, obs::RunReport& report) const {
   std::vector<PropertyTypeEvidence> kept;
   {
     obs::ScopedSpan span("group");
@@ -542,52 +521,39 @@ StatusOr<PipelineResult> SurveyorPipeline::FinishRun(
 StatusOr<PipelineResult> SurveyorPipeline::RunStreaming(
     DocumentSource& source) const {
   SURVEYOR_RETURN_IF_ERROR(config_.Validate());
-  obs::MetricRegistry local_registry;
-  obs::MetricRegistry& registry =
-      config_.live_metrics != nullptr ? *config_.live_metrics : local_registry;
-  obs::TraceSession trace;
-  obs::RunReport report;
-  report.em.max_worst_fits = config_.report_worst_fits;
-  PipelineStats stats;
-  RunFaultScope faults(config_, registry);
+  RunContext run(config_);
   StatusOr<PipelineResult> result = [&]() -> StatusOr<PipelineResult> {
     obs::ScopedSpan root("pipeline.run");
+    PipelineStats stats;
     EvidenceAggregator aggregator = [&] {
       EnterStage(config_.stage_tracker, obs::PipelineStage::kExtracting);
       obs::ScopedSpan span("extract");
-      EvidenceAggregator extracted =
-          ExtractEvidenceStreamingWithRegistry(source, registry, &stats);
+      EvidenceAggregator extracted = Extract(source, run.registry(), &stats);
       span.End();
       stats.extraction_seconds = span.ElapsedSeconds();
       return extracted;
     }();
-    return FinishRun(std::move(aggregator), stats, registry, &report);
+    return GroupAndFit(std::move(aggregator), stats, run.registry(),
+                       run.report());
   }();
   if (!result.ok()) return result;
   // A source that ends with an error mid-stream means the corpus was only
   // partially read; warn rather than pretend the numbers are complete.
   const Status source_status = source.status();
   if (!source_status.ok()) {
-    registry.GetCounter("surveyor_source_truncated_total")->Increment();
+    run.registry().GetCounter("surveyor_source_truncated_total")->Increment();
     SURVEYOR_LOG(Warning) << "document source truncated: "
                           << source_status.ToString();
-    report.degradation.notes.push_back("document source truncated: " +
-                                       source_status.ToString());
+    run.report().degradation.notes.push_back("document source truncated: " +
+                                             source_status.ToString());
   }
-  faults.MeterInjected();
-  FillDegradationStats(registry, &result->stats);
-  AssembleReport(registry, trace, result->stats, &report);
-  result->report = std::move(report);
-  EnterStage(config_.stage_tracker, obs::PipelineStage::kDone);
-  if (config_.stage_tracker != nullptr) {
-    config_.stage_tracker->SetDegraded(result->report.degradation.degraded);
-  }
+  run.Finish(&*result);
   return result;
 }
 
 StatusOr<PipelineResult> SurveyorPipeline::RunFromEvidenceWithRegistry(
     std::vector<PropertyTypeEvidence> evidence, obs::MetricRegistry& registry,
-    obs::RunReport* report) const {
+    obs::RunReport& report) const {
   // A bad configuration fails every pair the same way; reject it once, up
   // front and loudly — degradation is only for per-pair failures. The
   // public entry points validate before extraction; this backstop covers
@@ -611,8 +577,7 @@ StatusOr<PipelineResult> SurveyorPipeline::RunFromEvidenceWithRegistry(
       obs::HistogramOptions{/*first_bound=*/1.0, /*growth=*/2.0,
                             /*num_finite_buckets=*/8});
 
-  const bool collect_diagnostics =
-      config_.collect_fit_diagnostics && report != nullptr;
+  const bool collect_diagnostics = config_.collect_fit_diagnostics;
   std::vector<obs::EmFitDiagnostics> fit_diagnostics(
       collect_diagnostics ? evidence.size() : 0);
 
@@ -716,17 +681,15 @@ StatusOr<PipelineResult> SurveyorPipeline::RunFromEvidenceWithRegistry(
                             << info.property
                             << ") fell back to majority vote: " << info.reason;
     }
-    if (report != nullptr) {
-      for (obs::DegradedPairInfo& info : degraded_infos) {
-        report->degradation.degraded_pairs.push_back(std::move(info));
-      }
+    for (obs::DegradedPairInfo& info : degraded_infos) {
+      report.degradation.degraded_pairs.push_back(std::move(info));
     }
   }
 
   if (collect_diagnostics) {
-    report->em.max_worst_fits = config_.report_worst_fits;
+    report.em.max_worst_fits = config_.report_worst_fits;
     for (obs::EmFitDiagnostics& diagnostics : fit_diagnostics) {
-      report->em.Add(std::move(diagnostics));
+      report.em.Add(std::move(diagnostics));
     }
   }
 
@@ -752,60 +715,18 @@ StatusOr<PipelineResult> SurveyorPipeline::RunFromEvidenceWithRegistry(
 StatusOr<PipelineResult> SurveyorPipeline::RunFromEvidence(
     std::vector<PropertyTypeEvidence> evidence) const {
   SURVEYOR_RETURN_IF_ERROR(config_.Validate());
-  obs::MetricRegistry local_registry;
-  obs::MetricRegistry& registry =
-      config_.live_metrics != nullptr ? *config_.live_metrics : local_registry;
-  obs::TraceSession trace;
-  obs::RunReport report;
-  RunFaultScope faults(config_, registry);
-  StatusOr<PipelineResult> result =
-      RunFromEvidenceWithRegistry(std::move(evidence), registry, &report);
+  RunContext run(config_);
+  StatusOr<PipelineResult> result = RunFromEvidenceWithRegistry(
+      std::move(evidence), run.registry(), run.report());
   if (!result.ok()) return result;
-  faults.MeterInjected();
-  FillDegradationStats(registry, &result->stats);
-  AssembleReport(registry, trace, result->stats, &report);
-  result->report = std::move(report);
-  EnterStage(config_.stage_tracker, obs::PipelineStage::kDone);
-  if (config_.stage_tracker != nullptr) {
-    config_.stage_tracker->SetDegraded(result->report.degradation.degraded);
-  }
+  run.Finish(&*result);
   return result;
 }
 
 StatusOr<PipelineResult> SurveyorPipeline::Run(
     const std::vector<RawDocument>& corpus) const {
-  SURVEYOR_RETURN_IF_ERROR(config_.Validate());
-  obs::MetricRegistry local_registry;
-  obs::MetricRegistry& registry =
-      config_.live_metrics != nullptr ? *config_.live_metrics : local_registry;
-  obs::TraceSession trace;
-  obs::RunReport report;
-  report.em.max_worst_fits = config_.report_worst_fits;
-  PipelineStats stats;
-  RunFaultScope faults(config_, registry);
-  StatusOr<PipelineResult> result = [&]() -> StatusOr<PipelineResult> {
-    obs::ScopedSpan root("pipeline.run");
-    EvidenceAggregator aggregator = [&] {
-      EnterStage(config_.stage_tracker, obs::PipelineStage::kExtracting);
-      obs::ScopedSpan span("extract");
-      EvidenceAggregator extracted =
-          ExtractEvidenceWithRegistry(corpus, registry, &stats);
-      span.End();
-      stats.extraction_seconds = span.ElapsedSeconds();
-      return extracted;
-    }();
-    return FinishRun(std::move(aggregator), stats, registry, &report);
-  }();
-  if (!result.ok()) return result;
-  faults.MeterInjected();
-  FillDegradationStats(registry, &result->stats);
-  AssembleReport(registry, trace, result->stats, &report);
-  result->report = std::move(report);
-  EnterStage(config_.stage_tracker, obs::PipelineStage::kDone);
-  if (config_.stage_tracker != nullptr) {
-    config_.stage_tracker->SetDegraded(result->report.degradation.degraded);
-  }
-  return result;
+  VectorDocumentSource source(&corpus);
+  return RunStreaming(source);
 }
 
 }  // namespace surveyor

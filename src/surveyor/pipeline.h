@@ -115,8 +115,7 @@ struct PairOpinion {
 
 /// Throughput and volume statistics of one pipeline run (the Section 7.1
 /// numbers at laptop scale). Every counter is derived from the run's
-/// metrics registry, so Run and RunStreaming cannot drift and the values
-/// match the run report exactly.
+/// metrics registry, so the values match the run report exactly.
 struct PipelineStats {
   int64_t num_documents = 0;
   int64_t num_sentences = 0;
@@ -172,7 +171,8 @@ class SurveyorPipeline {
   SurveyorPipeline(const KnowledgeBase* kb, const Lexicon* lexicon,
                    SurveyorConfig config = {});
 
-  /// Runs the full pipeline over a document corpus.
+  /// Runs the full pipeline over an in-memory corpus: RunStreaming over a
+  /// VectorDocumentSource.
   StatusOr<PipelineResult> Run(const std::vector<RawDocument>& corpus) const;
 
   /// Full pipeline over a document stream: workers pull documents from
@@ -188,35 +188,20 @@ class SurveyorPipeline {
 
   const SurveyorConfig& config() const { return config_; }
 
-  // --- Deprecated shims (removal next PR) --------------------------------
-  // The public API is Run/RunStreaming/RunFromEvidence (or the
-  // surveyor::Mine facade in api.h); partial-pipeline extraction was
-  // registry plumbing that leaked out. Kept one PR for callers to migrate.
-
-  /// \deprecated Use Run(); extraction-only output will move behind the
-  /// facade. Annotation + extraction, sharded across threads, against a
-  /// throwaway registry.
-  EvidenceAggregator ExtractEvidence(const std::vector<RawDocument>& corpus,
-                                     PipelineStats* stats) const;
-
-  /// \deprecated Use RunStreaming(); see ExtractEvidence.
-  EvidenceAggregator ExtractEvidenceStreaming(DocumentSource& source,
-                                              PipelineStats* stats) const;
-
  private:
-  EvidenceAggregator ExtractEvidenceWithRegistry(
-      const std::vector<RawDocument>& corpus, obs::MetricRegistry& registry,
-      PipelineStats* stats) const;
-  EvidenceAggregator ExtractEvidenceStreamingWithRegistry(
-      DocumentSource& source, obs::MetricRegistry& registry,
-      PipelineStats* stats) const;
+  /// Annotation + extraction over `source`, sharded across worker
+  /// threads; counts into `registry` and fills the extraction slice of
+  /// `stats`.
+  EvidenceAggregator Extract(DocumentSource& source,
+                             obs::MetricRegistry& registry,
+                             PipelineStats* stats) const;
   StatusOr<PipelineResult> RunFromEvidenceWithRegistry(
       std::vector<PropertyTypeEvidence> evidence,
-      obs::MetricRegistry& registry, obs::RunReport* report) const;
-  StatusOr<PipelineResult> FinishRun(EvidenceAggregator aggregator,
-                                     PipelineStats stats,
-                                     obs::MetricRegistry& registry,
-                                     obs::RunReport* report) const;
+      obs::MetricRegistry& registry, obs::RunReport& report) const;
+  StatusOr<PipelineResult> GroupAndFit(EvidenceAggregator aggregator,
+                                       PipelineStats stats,
+                                       obs::MetricRegistry& registry,
+                                       obs::RunReport& report) const;
 
   const KnowledgeBase* kb_;
   const Lexicon* lexicon_;

@@ -167,6 +167,14 @@ TEST(AdminServerHandleTest, UnknownPathIs404AndBadMethodIs405) {
   EXPECT_EQ(server.Handle("GET", "/nope").status, 404);
   EXPECT_EQ(server.Handle("POST", "/metrics").status, 405);
   EXPECT_EQ(server.Handle("GET", "/").status, 200);
+  // An unknown path is a 404 in the error envelope whatever the method;
+  // 405 is only for the read-only built-in pages.
+  const AdminResponse unknown = server.Handle("POST", "/nope");
+  EXPECT_EQ(unknown.status, 404);
+  EXPECT_EQ(unknown.content_type, "application/json");
+  EXPECT_NE(unknown.body.find("{\"error\":{\"code\":\"not_found\""),
+            std::string::npos)
+      << unknown.body;
   // Query strings are ignored for routing.
   EXPECT_EQ(server.Handle("GET", "/healthz?verbose=1").status, 200);
 }

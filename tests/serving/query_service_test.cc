@@ -75,7 +75,7 @@ class QueryServiceTest : public testing::Test {
 TEST_F(QueryServiceTest, PointQueryReturnsJson) {
   QueryService service(&index_, &stage_, &metrics_);
   const obs::AdminResponse response =
-      service.Handle("GET", "/query?entity=kitten&property=cute", "");
+      service.Handle("GET", "/v1/query?entity=kitten&property=cute", "");
   EXPECT_EQ(response.status, 200);
   EXPECT_EQ(response.content_type, "application/json");
   EXPECT_NE(response.body.find("\"entity\":\"kitten\""), std::string::npos);
@@ -86,7 +86,7 @@ TEST_F(QueryServiceTest, PointQueryReturnsJson) {
 TEST_F(QueryServiceTest, MissIs404WithJsonError) {
   QueryService service(&index_, &stage_, &metrics_);
   const obs::AdminResponse response =
-      service.Handle("GET", "/query?entity=kitten&property=haunted", "");
+      service.Handle("GET", "/v1/query?entity=kitten&property=haunted", "");
   EXPECT_EQ(response.status, 404);
   EXPECT_NE(response.body.find("\"error\""), std::string::npos);
 }
@@ -95,20 +95,20 @@ TEST_F(QueryServiceTest, NotReadyIs503) {
   obs::StageTracker cold;  // still kStarting
   QueryService service(&index_, &cold, &metrics_);
   const obs::AdminResponse response =
-      service.Handle("GET", "/query?entity=kitten&property=cute", "");
+      service.Handle("GET", "/v1/query?entity=kitten&property=cute", "");
   EXPECT_EQ(response.status, 503);
   EXPECT_NE(response.body.find("starting"), std::string::npos);
 
   cold.SetStage(obs::PipelineStage::kServing);
   EXPECT_EQ(
-      service.Handle("GET", "/query?entity=kitten&property=cute", "").status,
+      service.Handle("GET", "/v1/query?entity=kitten&property=cute", "").status,
       200);
 }
 
 TEST_F(QueryServiceTest, TypeScanAndPrefixScan) {
   QueryService service(&index_, &stage_, &metrics_);
   obs::AdminResponse response =
-      service.Handle("GET", "/query?type=animal&property=cute", "");
+      service.Handle("GET", "/v1/query?type=animal&property=cute", "");
   EXPECT_EQ(response.status, 200);
   // Strongest first: kitten (0.97) before koala (0.91); spider's opinion
   // is on a different property.
@@ -119,14 +119,14 @@ TEST_F(QueryServiceTest, TypeScanAndPrefixScan) {
   EXPECT_LT(kitten, koala);
   EXPECT_EQ(response.body.find("spider"), std::string::npos);
 
-  response = service.Handle("GET", "/query?prefix=k", "");
+  response = service.Handle("GET", "/v1/query?prefix=k", "");
   EXPECT_EQ(response.status, 200);
   EXPECT_NE(response.body.find("\"entities\":[\"kitten\",\"koala\"]"),
             std::string::npos);
 
   // limit= caps results.
-  response = service.Handle("GET", "/query?type=animal&property=cute&limit=1",
-                            "");
+  response = service.Handle(
+      "GET", "/v1/query?type=animal&property=cute&limit=1", "");
   EXPECT_NE(response.body.find("kitten"), std::string::npos);
   EXPECT_EQ(response.body.find("koala"), std::string::npos);
 }
@@ -134,22 +134,23 @@ TEST_F(QueryServiceTest, TypeScanAndPrefixScan) {
 TEST_F(QueryServiceTest, UrlEncodingIsDecoded) {
   QueryService service(&index_, &stage_, &metrics_);
   const obs::AdminResponse response =
-      service.Handle("GET", "/query?entity=%6bitten&property=cute", "");
+      service.Handle("GET", "/v1/query?entity=%6bitten&property=cute", "");
   EXPECT_EQ(response.status, 200);
 }
 
 TEST_F(QueryServiceTest, MalformedRequestsAreRejected) {
   QueryService service(&index_, &stage_, &metrics_);
   // No usable parameter combination.
-  EXPECT_EQ(service.Handle("GET", "/query?entity=kitten", "").status, 400);
-  EXPECT_EQ(service.Handle("GET", "/query", "").status, 400);
+  EXPECT_EQ(service.Handle("GET", "/v1/query?entity=kitten", "").status, 400);
+  EXPECT_EQ(service.Handle("GET", "/v1/query", "").status, 400);
   // Wrong methods.
-  EXPECT_EQ(
-      service.Handle("POST", "/query?entity=kitten&property=cute", "").status,
-      405);
-  EXPECT_EQ(service.Handle("GET", "/query/batch", "").status, 405);
+  EXPECT_EQ(service
+                .Handle("POST", "/v1/query?entity=kitten&property=cute", "")
+                .status,
+            405);
+  EXPECT_EQ(service.Handle("GET", "/v1/query/batch", "").status, 405);
   // Unknown sub-path.
-  EXPECT_EQ(service.Handle("GET", "/query/nope", "").status, 404);
+  EXPECT_EQ(service.Handle("GET", "/v1/query/nope", "").status, 404);
   // The rejected counter saw all of it.
   EXPECT_GT(metrics_.GetCounter("surveyor_query_rejected_total")->Value(), 0);
 }
@@ -160,7 +161,7 @@ TEST_F(QueryServiceTest, BatchAnswersPerEntry) {
       "{\"queries\":[{\"entity\":\"kitten\",\"property\":\"cute\"},"
       "{\"entity\":\"nobody\",\"property\":\"cute\"}]}";
   const obs::AdminResponse response =
-      service.Handle("POST", "/query/batch", body);
+      service.Handle("POST", "/v1/query/batch", body);
   EXPECT_EQ(response.status, 200);
   EXPECT_NE(response.body.find("\"entity\":\"kitten\""), std::string::npos);
   // Per-entry misses carry the same envelope error object as top-level
@@ -174,24 +175,24 @@ TEST_F(QueryServiceTest, BatchRejectsGarbageAndOversizedRequests) {
   QueryServiceOptions options;
   options.max_batch = 2;
   QueryService service(&index_, &stage_, &metrics_, options);
-  EXPECT_EQ(service.Handle("POST", "/query/batch", "not json").status, 400);
-  EXPECT_EQ(service.Handle("POST", "/query/batch", "{\"queries\":0}").status,
+  EXPECT_EQ(service.Handle("POST", "/v1/query/batch", "not json").status, 400);
+  EXPECT_EQ(service.Handle("POST", "/v1/query/batch", "{\"queries\":0}").status,
             400);
   EXPECT_EQ(
-      service.Handle("POST", "/query/batch", "{\"queries\":[]} trailing")
+      service.Handle("POST", "/v1/query/batch", "{\"queries\":[]} trailing")
           .status,
       400);
   const std::string big =
       "{\"queries\":[{\"entity\":\"a\",\"property\":\"p\"},"
       "{\"entity\":\"b\",\"property\":\"p\"},"
       "{\"entity\":\"c\",\"property\":\"p\"}]}";
-  EXPECT_EQ(service.Handle("POST", "/query/batch", big).status, 400);
+  EXPECT_EQ(service.Handle("POST", "/v1/query/batch", big).status, 400);
 }
 
 TEST_F(QueryServiceTest, LatencyHistogramSeesEveryRequest) {
   QueryService service(&index_, &stage_, &metrics_);
-  (void)service.Handle("GET", "/query?entity=kitten&property=cute", "");
-  (void)service.Handle("GET", "/query?entity=kitten", "");
+  (void)service.Handle("GET", "/v1/query?entity=kitten&property=cute", "");
+  (void)service.Handle("GET", "/v1/query?entity=kitten", "");
   EXPECT_EQ(metrics_.GetCounter("surveyor_query_requests_total")->Value(), 2);
   EXPECT_EQ(
       metrics_.GetHistogram("surveyor_query_latency_seconds", {})->Count(), 2);
@@ -216,11 +217,12 @@ TEST_F(QueryServiceTest, SampledQueryTraceShowsServingSpans) {
   service.Register(&server);
 
   // First lookup: cache miss, so the snapshot decode span appears too.
-  EXPECT_EQ(server.Handle("GET", "/query?entity=kitten&property=cute").status,
-            200);
+  EXPECT_EQ(
+      server.Handle("GET", "/v1/query?entity=kitten&property=cute").status,
+      200);
   std::vector<obs::RequestTrace> traces = server.request_tracer().Snapshot();
   ASSERT_EQ(traces.size(), 1u);
-  EXPECT_TRUE(HasSpan(traces[0], "GET /query"));
+  EXPECT_TRUE(HasSpan(traces[0], "GET /v1/query"));
   EXPECT_TRUE(HasSpan(traces[0], "query_service.point"));
   EXPECT_TRUE(HasSpan(traces[0], "opinion_index.lookup"));
   EXPECT_TRUE(HasSpan(traces[0], "snapshot.materialize"));
@@ -228,8 +230,9 @@ TEST_F(QueryServiceTest, SampledQueryTraceShowsServingSpans) {
   EXPECT_EQ(traces[0].stats.cache_hits, 0);
 
   // Second lookup: cache hit, no decode.
-  EXPECT_EQ(server.Handle("GET", "/query?entity=kitten&property=cute").status,
-            200);
+  EXPECT_EQ(
+      server.Handle("GET", "/v1/query?entity=kitten&property=cute").status,
+      200);
   traces = server.request_tracer().Snapshot();
   ASSERT_EQ(traces.size(), 2u);
   EXPECT_TRUE(HasSpan(traces[0], "opinion_index.lookup"));
@@ -248,11 +251,13 @@ TEST_F(QueryServiceTest, SlowQueryTailCaptureOnForcedCacheMiss) {
 
   // Warm the cache, then force misses: the "slow" request explains itself
   // through its stats and its snapshot.materialize span.
-  EXPECT_EQ(server.Handle("GET", "/query?entity=kitten&property=cute").status,
-            200);
+  EXPECT_EQ(
+      server.Handle("GET", "/v1/query?entity=kitten&property=cute").status,
+      200);
   ScopedFaults faults("query_cache:1");
-  EXPECT_EQ(server.Handle("GET", "/query?entity=kitten&property=cute").status,
-            200);
+  EXPECT_EQ(
+      server.Handle("GET", "/v1/query?entity=kitten&property=cute").status,
+      200);
 
   const std::vector<obs::RequestTrace> traces =
       server.request_tracer().Snapshot();
@@ -295,8 +300,9 @@ TEST_F(QueryServiceTest, LatencyExemplarResolvesToRetainedTrace) {
   obs::AdminServer server(&metrics_, &stage_, nullptr, options);
   service.Register(&server);
 
-  EXPECT_EQ(server.Handle("GET", "/query?entity=kitten&property=cute").status,
-            200);
+  EXPECT_EQ(
+      server.Handle("GET", "/v1/query?entity=kitten&property=cute").status,
+      200);
   const std::vector<obs::RequestTrace> traces =
       server.request_tracer().Snapshot();
   ASSERT_EQ(traces.size(), 1u);
@@ -317,8 +323,9 @@ TEST_F(QueryServiceTest, UnsampledRequestsLeaveNoExemplar) {
   options.slow_query_ms = 0.0;
   obs::AdminServer server(&metrics_, &stage_, nullptr, options);
   service.Register(&server);
-  EXPECT_EQ(server.Handle("GET", "/query?entity=kitten&property=cute").status,
-            200);
+  EXPECT_EQ(
+      server.Handle("GET", "/v1/query?entity=kitten&property=cute").status,
+      200);
   EXPECT_EQ(metrics_.ToPrometheusText().find("# {trace_id="),
             std::string::npos);
 }
@@ -326,7 +333,7 @@ TEST_F(QueryServiceTest, UnsampledRequestsLeaveNoExemplar) {
 // ---------------------------------------------------------------------------
 // The full loop over a real socket: mine a tiny corpus with the public
 // facade, freeze a snapshot, serve it next to the admin plane, scrape
-// /query, and check the served posterior matches the mined one.
+// /v1/query, and check the served posterior matches the mined one.
 
 #ifdef SURVEYOR_TEST_HAVE_SOCKETS
 
@@ -389,7 +396,7 @@ TEST(ServingIntegrationTest, MineSnapshotServeScrape) {
   OpinionIndex index;
   ASSERT_TRUE(index.Load(path).ok());
 
-  // Serve /query next to the admin endpoints, with the readiness gate.
+  // Serve /v1/query next to the admin endpoints, with the readiness gate.
   obs::MetricRegistry metrics;
   obs::StageTracker stage;
   QueryService service(&index, &stage, &metrics);
@@ -397,8 +404,8 @@ TEST(ServingIntegrationTest, MineSnapshotServeScrape) {
   service.Register(&server);
   ASSERT_TRUE(server.Start().ok());
 
-  // Before the stage flips, /query is refused.
-  EXPECT_NE(HttpGet(server.port(), "/query?entity=kitten&property=cute")
+  // Before the stage flips, /v1/query is refused.
+  EXPECT_NE(HttpGet(server.port(), "/v1/query?entity=kitten&property=cute")
                 .find("HTTP/1.1 503"),
             std::string::npos);
   stage.SetStage(obs::PipelineStage::kServing);
@@ -412,7 +419,7 @@ TEST(ServingIntegrationTest, MineSnapshotServeScrape) {
     encoded.replace(pos, 1, "%20");
   }
   const std::string response = HttpGet(
-      server.port(), "/query?entity=" + encoded + "&property=" +
+      server.port(), "/v1/query?entity=" + encoded + "&property=" +
                          mined.property);
   EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos) << response;
   EXPECT_NE(response.find("\"entity\":\"" + entity + "\""),
@@ -434,13 +441,13 @@ TEST(ServingIntegrationTest, MineSnapshotServeScrape) {
   const std::string body = "{\"queries\":[{\"entity\":\"" + entity +
                            "\",\"property\":\"" + mined.property + "\"}]}";
   const std::string batch = HttpRequest(
-      server.port(), "POST /query/batch HTTP/1.0\r\nHost: x\r\n"
+      server.port(), "POST /v1/query/batch HTTP/1.0\r\nHost: x\r\n"
                      "Content-Length: " + std::to_string(body.size()) +
                      "\r\n\r\n" + body);
   EXPECT_NE(batch.find("HTTP/1.1 200 OK"), std::string::npos) << batch;
   EXPECT_NE(batch.find("\"entity\":\"" + entity + "\""), std::string::npos);
 
-  // The admin plane still works next to /query.
+  // The admin plane still works next to /v1/query.
   EXPECT_NE(HttpGet(server.port(), "/metrics")
                 .find("surveyor_query_requests_total"),
             std::string::npos);

@@ -71,32 +71,33 @@ class ReloadServiceTest : public testing::Test {
 };
 
 TEST_F(ReloadServiceTest, ReloadOnEmptyStoreIs404) {
-  const auto response = admin_.Handle("POST", "/reloadz");
+  const auto response = admin_.Handle("POST", "/v1/admin/reload");
   EXPECT_EQ(response.status, 404);
   EXPECT_FALSE(index_.loaded());
 }
 
 TEST_F(ReloadServiceTest, GetIs405AndBadParamIs400) {
-  EXPECT_EQ(admin_.Handle("GET", "/reloadz").status, 405);
-  EXPECT_EQ(admin_.Handle("POST", "/reloadz?generation=abc").status, 400);
-  EXPECT_EQ(admin_.Handle("POST", "/reloadz?generation=").status, 400);
+  EXPECT_EQ(admin_.Handle("GET", "/v1/admin/reload").status, 405);
+  EXPECT_EQ(admin_.Handle("POST", "/v1/admin/reload?generation=abc").status,
+            400);
+  EXPECT_EQ(admin_.Handle("POST", "/v1/admin/reload?generation=").status, 400);
 }
 
 TEST_F(ReloadServiceTest, ReloadzSwapsToTheNewestPublish) {
   ASSERT_TRUE(store_.PublishImage(MakeImage("Kitten")).ok());
-  auto response = admin_.Handle("POST", "/reloadz");
+  auto response = admin_.Handle("POST", "/v1/admin/reload");
   EXPECT_EQ(response.status, 200) << response.body;
   EXPECT_EQ(index_.generation_id(), 1u);
   EXPECT_TRUE(index_.Lookup("kitten", "cute").ok());
 
   // A publish from *another* store handle (another process writing the
-  // same directory): /reloadz must Refresh and pick it up.
+  // same directory): /v1/admin/reload must Refresh and pick it up.
   {
     GenerationStore miner(root_);
     ASSERT_TRUE(miner.Open().ok());
     ASSERT_TRUE(miner.PublishImage(MakeImage("Koala")).ok());
   }
-  response = admin_.Handle("POST", "/reloadz");
+  response = admin_.Handle("POST", "/v1/admin/reload");
   EXPECT_EQ(response.status, 200) << response.body;
   EXPECT_EQ(index_.generation_id(), 2u);
   EXPECT_TRUE(index_.Lookup("koala", "cute").ok());
@@ -108,23 +109,23 @@ TEST_F(ReloadServiceTest, ReloadzSwapsToTheNewestPublish) {
 TEST_F(ReloadServiceTest, ExplicitGenerationRollsBack) {
   ASSERT_TRUE(store_.PublishImage(MakeImage("Kitten")).ok());
   ASSERT_TRUE(store_.PublishImage(MakeImage("Koala")).ok());
-  ASSERT_EQ(admin_.Handle("POST", "/reloadz").status, 200);
+  ASSERT_EQ(admin_.Handle("POST", "/v1/admin/reload").status, 200);
   ASSERT_EQ(index_.generation_id(), 2u);
 
-  const auto rollback = admin_.Handle("POST", "/reloadz?generation=1");
+  const auto rollback = admin_.Handle("POST", "/v1/admin/reload?generation=1");
   EXPECT_EQ(rollback.status, 200) << rollback.body;
   EXPECT_EQ(index_.generation_id(), 1u);
   EXPECT_TRUE(index_.Lookup("kitten", "cute").ok());
 
   // An id the store never had (or already pruned) is 404, not a crash.
-  EXPECT_EQ(admin_.Handle("POST", "/reloadz?generation=9").status, 404);
+  EXPECT_EQ(admin_.Handle("POST", "/v1/admin/reload?generation=9").status, 404);
   EXPECT_EQ(index_.generation_id(), 1u);
 }
 
 TEST_F(ReloadServiceTest, RepeatReloadWithoutNewPublishIsANoOp) {
   ASSERT_TRUE(store_.PublishImage(MakeImage("Kitten")).ok());
-  ASSERT_EQ(admin_.Handle("POST", "/reloadz").status, 200);
-  const auto repeat = admin_.Handle("POST", "/reloadz");
+  ASSERT_EQ(admin_.Handle("POST", "/v1/admin/reload").status, 200);
+  const auto repeat = admin_.Handle("POST", "/v1/admin/reload");
   EXPECT_EQ(repeat.status, 200);
   EXPECT_NE(repeat.body.find("\"reloaded\":false"), std::string::npos);
   EXPECT_EQ(index_.generation_id(), 1u);
@@ -132,12 +133,12 @@ TEST_F(ReloadServiceTest, RepeatReloadWithoutNewPublishIsANoOp) {
 
 TEST_F(ReloadServiceTest, FailedSwapKeepsOldGenerationAndCounts) {
   ASSERT_TRUE(store_.PublishImage(MakeImage("Kitten")).ok());
-  ASSERT_EQ(admin_.Handle("POST", "/reloadz").status, 200);
+  ASSERT_EQ(admin_.Handle("POST", "/v1/admin/reload").status, 200);
   ASSERT_TRUE(store_.PublishImage(MakeImage("Koala")).ok());
 
   {
     ScopedFaults faults("generation_swap:@1");
-    const auto response = admin_.Handle("POST", "/reloadz");
+    const auto response = admin_.Handle("POST", "/v1/admin/reload");
     EXPECT_EQ(response.status, 500);
   }
   // The old generation never stopped serving.
@@ -150,13 +151,13 @@ TEST_F(ReloadServiceTest, FailedSwapKeepsOldGenerationAndCounts) {
       1);
 
   // Disarmed, the retry lands.
-  EXPECT_EQ(admin_.Handle("POST", "/reloadz").status, 200);
+  EXPECT_EQ(admin_.Handle("POST", "/v1/admin/reload").status, 200);
   EXPECT_EQ(index_.generation_id(), 2u);
 }
 
 TEST_F(ReloadServiceTest, StatuszGrowsAGenerationSection) {
   ASSERT_TRUE(store_.PublishImage(MakeImage("Kitten")).ok());
-  ASSERT_EQ(admin_.Handle("POST", "/reloadz").status, 200);
+  ASSERT_EQ(admin_.Handle("POST", "/v1/admin/reload").status, 200);
   const auto statusz = admin_.Handle("GET", "/statusz");
   EXPECT_EQ(statusz.status, 200);
   EXPECT_NE(statusz.body.find("\"generation\""), std::string::npos);
@@ -167,7 +168,7 @@ TEST_F(ReloadServiceTest, StatuszGrowsAGenerationSection) {
 
 TEST_F(ReloadServiceTest, MetricsScrapeRefreshesGenerationGauges) {
   ASSERT_TRUE(store_.PublishImage(MakeImage("Kitten")).ok());
-  ASSERT_EQ(admin_.Handle("POST", "/reloadz").status, 200);
+  ASSERT_EQ(admin_.Handle("POST", "/v1/admin/reload").status, 200);
   const auto metrics = admin_.Handle("GET", "/metrics");
   EXPECT_EQ(metrics.status, 200);
   EXPECT_NE(metrics.body.find("surveyor_generation_age_seconds"),
@@ -183,13 +184,13 @@ TEST_F(ReloadServiceTest, MetricsScrapeRefreshesGenerationGauges) {
 
 TEST_F(ReloadServiceTest, ReloadTraceIsAlwaysRetainedOnTracez) {
   ASSERT_TRUE(store_.PublishImage(MakeImage("Kitten")).ok());
-  ASSERT_EQ(admin_.Handle("POST", "/reloadz").status, 200);
+  ASSERT_EQ(admin_.Handle("POST", "/v1/admin/reload").status, 200);
   // Default head-sampling is 1%; the forced sample must retain the
   // reload trace anyway.
   const auto traces = admin_.request_tracer().Snapshot();
   bool found = false;
   for (const auto& trace : traces) {
-    if (trace.target.rfind("/reloadz", 0) == 0) found = true;
+    if (trace.target.rfind("/v1/admin/reload", 0) == 0) found = true;
   }
   EXPECT_TRUE(found);
 }

@@ -3,8 +3,8 @@
 // concurrent keep-alive clients while another client hot-swaps
 // generations through POST /v1/admin/reload — the TSan proof that the
 // serving threads, the connection hand-offs between them, and the
-// generation swap are free of data races, and that the /v1 surface plus
-// its deprecation shims answer correctly over a real wire.
+// generation swap are free of data races, and that the /v1 surface
+// answers correctly over a real wire while the removed legacy paths 404.
 #include <atomic>
 #include <filesystem>
 #include <string>
@@ -230,23 +230,17 @@ TEST_F(ServingSocketTest, V1SurfaceAndShimsAnswerOverTheWire) {
             std::string::npos)
       << miss;
 
-  // The legacy paths answer identically, stamped as deprecation shims.
-  const std::string shim = client.Get("/query?entity=kitten&property=cute");
-  EXPECT_NE(shim.find("HTTP/1.1 200 OK"), std::string::npos) << shim;
-  EXPECT_NE(shim.find("\"data\":{\"entity\":\"kitten\""), std::string::npos);
-  EXPECT_NE(shim.find("Deprecation: true"), std::string::npos) << shim;
-  EXPECT_NE(shim.find("Link: </v1/query>; rel=\"successor-version\""),
-            std::string::npos)
-      << shim;
-
-  const std::string reload_shim = client.Post("/reloadz");
-  EXPECT_NE(reload_shim.find("HTTP/1.1 200 OK"), std::string::npos)
-      << reload_shim;
-  EXPECT_NE(reload_shim.find("Deprecation: true"), std::string::npos);
-  EXPECT_NE(
-      reload_shim.find("Link: </v1/admin/reload>; rel=\"successor-version\""),
-      std::string::npos)
-      << reload_shim;
+  // The legacy /query, /query/batch and /reloadz paths are gone: each is
+  // a 404 in the error envelope, whatever the method.
+  for (const std::string& removed :
+       {client.Get("/query?entity=kitten&property=cute"),
+        client.Post("/query/batch"), client.Post("/reloadz")}) {
+    EXPECT_NE(removed.find("HTTP/1.1 404"), std::string::npos) << removed;
+    EXPECT_NE(removed.find("\"error\":{\"code\":\"not_found\""),
+              std::string::npos)
+        << removed;
+    EXPECT_EQ(removed.find("Deprecation:"), std::string::npos) << removed;
+  }
 
   // The admin plane rides the same event loop.
   const std::string metrics = client.Get("/metrics");

@@ -181,7 +181,6 @@ LayerRules DefaultRules() {
   return LayerRules{
       {"util", {}},
       {"kb", {"util"}},
-      {"mapreduce", {"util"}},
       {"model", {"util"}},
       {"obs", {"util"}},
       {"text", {"kb", "util"}},
@@ -189,16 +188,15 @@ LayerRules DefaultRules() {
       {"extraction", {"kb", "model", "text", "util"}},
       {"baselines", {"extraction", "kb", "model", "text", "util"}},
       {"surveyor",
-       {"baselines", "extraction", "kb", "mapreduce", "model", "obs", "text",
-        "util"}},
+       {"baselines", "extraction", "kb", "model", "obs", "text", "util"}},
       {"eval",
-       {"baselines", "corpus", "extraction", "kb", "mapreduce", "model", "obs",
-        "surveyor", "text", "util"}},
+       {"baselines", "corpus", "extraction", "kb", "model", "obs", "surveyor",
+        "text", "util"}},
       // The online query engine sits on top of the mining stack; nothing
       // in src/ may depend on it (only tools and tests do).
       {"serving",
-       {"baselines", "extraction", "kb", "mapreduce", "model", "obs",
-        "surveyor", "text", "util"}},
+       {"baselines", "extraction", "kb", "model", "obs", "surveyor", "text",
+        "util"}},
   };
 }
 

@@ -45,10 +45,10 @@ struct Options {
 };
 
 /// The layering contract of this repository's src/ tree, bottom-up:
-/// util depends on nothing (in particular NOT on obs); obs/kb/
-/// mapreduce/model sit directly on util; text adds kb; corpus/extraction
-/// add model+text; baselines adds extraction; surveyor composes
-/// everything below it; eval is the top and may also use surveyor.
+/// util depends on nothing (in particular NOT on obs); obs/kb/model
+/// sit directly on util; text adds kb; corpus/extraction add model+text;
+/// baselines adds extraction; surveyor composes everything below it; eval
+/// is the top and may also use surveyor.
 LayerRules DefaultRules();
 
 /// Empty string when `rules` is well-formed (every referenced layer

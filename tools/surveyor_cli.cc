@@ -37,12 +37,12 @@
 //       First form: mines like `mine`, writes an opinion snapshot
 //       (--snapshot FILE, default <dir>/opinions.surv) and keeps the
 //       process alive answering subjective queries over HTTP:
-//       /query?entity=E&property=P, /query?type=T&property=P,
-//       /query?prefix=S and POST /query/batch, next to the admin
+//       /v1/query?entity=E&property=P, /v1/query?type=T&property=P,
+//       /v1/query?prefix=S and POST /v1/query/batch, next to the admin
 //       endpoints. Second form: skips mining and serves an existing
 //       snapshot directly. Third form: serves the newest committed
 //       generation of a crash-safe generation store (see `mine
-//       --publish`); POST /reloadz (optionally ?generation=N for a
+//       --publish`); POST /v1/admin/reload (optionally ?generation=N for a
 //       rollback) or SIGHUP hot-swaps generations without dropping a
 //       query, and /statusz grows a "generation" section (DESIGN.md
 //       §14). Admin port defaults to 8080 for serve.
@@ -218,11 +218,11 @@ StatusOr<LoadedWorkspace> LoadWorkspace(const std::string& dir) {
 
 /// `serve --snapshot FILE` / `serve --generations DIR`: no mining — load
 /// a frozen opinion snapshot (or the newest committed generation of a
-/// GenerationStore) and answer /query until stopped. The readiness gate
+/// GenerationStore) and answer /v1/query until stopped. The readiness gate
 /// stays closed (503) from bind until the index finishes loading, so a
 /// scraper that races the startup never reads from a half-built index.
-/// In generations mode POST /reloadz (or SIGHUP) hot-swaps to the newest
-/// generation — the serve side of the mine -> publish -> serve ->
+/// In generations mode POST /v1/admin/reload (or SIGHUP) hot-swaps to the
+/// newest generation — the serve side of the mine -> publish -> serve ->
 /// re-mine -> reload loop; SIGHUP in snapshot mode re-loads the same
 /// file.
 int RunServeSnapshot(const std::vector<std::string>& args) {
@@ -330,14 +330,15 @@ int RunServeSnapshot(const std::vector<std::string>& args) {
                 << index.generation()->snapshot().num_opinions()
                 << " opinions) from " << generations_dir
                 << " on http://127.0.0.1:" << admin.port()
-                << " — POST /reloadz or SIGHUP to hot-swap (Ctrl-C to "
-                   "stop)\n";
+                << " — POST /v1/admin/reload or SIGHUP to hot-swap "
+                   "(Ctrl-C to stop)\n";
     } else {
-      // An empty store is a valid start: /query answers 503 until the
-      // first publish lands and /reloadz (or SIGHUP) swaps it in.
+      // An empty store is a valid start: /v1/query answers 503 until the
+      // first publish lands and /v1/admin/reload (or SIGHUP) swaps it in.
       std::cout << "no generations in " << generations_dir
                 << " yet; waiting on http://127.0.0.1:" << admin.port()
-                << " — publish one and POST /reloadz (Ctrl-C to stop)\n";
+                << " — publish one and POST /v1/admin/reload (Ctrl-C to "
+                   "stop)\n";
     }
     ParkServing([&] {
       const Status reloaded = reload->ReloadLatest();
@@ -355,7 +356,7 @@ int RunServeSnapshot(const std::vector<std::string>& args) {
   std::cout << "serving " << index.generation()->snapshot().num_opinions()
             << " opinions from " << snapshot_path << " on http://127.0.0.1:"
             << admin.port()
-            << " — /query?entity=E&property=P (Ctrl-C to stop)\n";
+            << " — /v1/query?entity=E&property=P (Ctrl-C to stop)\n";
   ParkServing([&] {
     const Status reloaded = index.Load(snapshot_path);
     if (!reloaded.ok()) {
@@ -365,7 +366,7 @@ int RunServeSnapshot(const std::vector<std::string>& args) {
 }
 
 /// Shared implementation of `mine` and `serve` (serve = mine, write a
-/// snapshot, then stay alive answering /query with the admin plane up).
+/// snapshot, then stay alive answering /v1/query with the admin plane up).
 int RunMine(const std::vector<std::string>& args, bool serve) {
   if (args.empty()) return Usage();
   if (serve && args[0].rfind("--", 0) == 0) return RunServeSnapshot(args);
@@ -469,7 +470,7 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
   obs::StageTracker stage_tracker;
   std::unique_ptr<obs::ResourceSampler> sampler;
   std::unique_ptr<obs::AdminServer> admin;
-  // The query path: serve mounts /query on the admin server before it
+  // The query path: serve mounts /v1/query on the admin server before it
   // starts (handlers cannot be added to a live server); the index stays
   // empty — and the endpoint 503s via the readiness gate — until mining
   // finishes and the freshly written snapshot is loaded below.
@@ -561,11 +562,11 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
   if (!status.ok()) return Fail(status);
 
   // Freeze the mined opinions into the binary snapshot the serving layer
-  // reads. serve always writes one (it is what /query answers from);
+  // reads. serve always writes one (it is what /v1/query answers from);
   // mine writes one only when asked via --snapshot. With --publish DIR
   // the same image is committed as the next generation of a
   // GenerationStore — the crash-safe hand-off a running `serve
-  // --generations` picks up via /reloadz or SIGHUP.
+  // --generations` picks up via /v1/admin/reload or SIGHUP.
   if (serve && snapshot_path.empty()) snapshot_path = dir + "/opinions.surv";
   if (!snapshot_path.empty() || !publish_dir.empty()) {
     serving::SnapshotWriter writer;
@@ -650,7 +651,7 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
   if (serve) {
     // Park the process answering queries: load the snapshot just written
     // into the query index, then flip readiness to "serving" — only now
-    // does /query stop returning 503. The final counters and stage
+    // does /v1/query stop returning 503. The final counters and stage
     // history stay scrapeable, and the mined store size is exported as a
     // gauge.
     status = index.Load(snapshot_path);
@@ -662,7 +663,8 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
                           "Mined opinions held by the serving process.");
     store_size->Set(static_cast<double>(store.size()));
     std::cout << "serving; http://127.0.0.1:" << admin->port()
-              << "/query?entity=E&property=P and /metrics (Ctrl-C to stop)\n";
+              << "/v1/query?entity=E&property=P and /metrics (Ctrl-C to "
+                 "stop)\n";
     ParkServing([&] {
       const Status reloaded = index.Load(snapshot_path);
       if (!reloaded.ok()) {
