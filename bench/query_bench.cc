@@ -1,11 +1,11 @@
 // Query-throughput snapshot for the serving layer (BENCH_query.json):
-// point-lookup rates through the sharded read-through cache (hot and
-// cold), batch lookups, type scans, the in-process handler path, real
-// HTTP requests over a loopback socket, request-tracing overhead, and
-// multi-threaded scaling. Run via tools/run_bench.sh, which commits the
+// point-lookup rates (a hot working set and uniform over every pair),
+// batch lookups, type scans, the in-process handler path, request-tracing
+// overhead, and multi-threaded scaling. Wire throughput over real sockets
+// is bench/load_bench's job. Run via tools/run_bench.sh, which commits the
 // refreshed snapshot; the committed numbers are the repo's record that
-// cached point lookups sustain >= 100k/s and that default-rate tracing
-// keeps at least half the disarmed handler throughput.
+// point lookups sustain >= 100k/s and that default-rate tracing keeps at
+// least half the disarmed handler throughput.
 //
 //   query_bench [out.json]   (default: BENCH_query.json)
 #include <cstdio>
@@ -14,14 +14,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#define SURVEYOR_BENCH_HAVE_SOCKETS 1
-#endif
 
 #include "bench/bench_util.h"
 #include "obs/admin_server.h"
@@ -81,7 +73,8 @@ std::string EntityName(uint64_t i) {
 template <typename NextKey>
 double LookupsPerSecond(const serving::OpinionIndex& index, int iterations,
                         NextKey&& next_key) {
-  // Warm pass so the measured loop sees a steady-state cache.
+  // Warm pass: touch the mapped records and size the thread-local scratch
+  // before the clock starts.
   for (int i = 0; i < iterations / 4; ++i) {
     const auto [entity, property] = next_key(i);
     (void)index.Lookup(entity, property);
@@ -97,15 +90,12 @@ double LookupsPerSecond(const serving::OpinionIndex& index, int iterations,
 int Run(const std::string& out_path) {
   const std::string path = BuildSnapshot();
 
-  serving::OpinionIndexOptions options;
-  options.cache_capacity = 8192;
-  options.cache_shards = 8;
-  serving::OpinionIndex index(options);
+  serving::OpinionIndex index;
   SURVEYOR_CHECK(index.Load(path).ok());
   const size_t num_opinions = index.generation()->snapshot().num_opinions();
 
-  // Hot: a 64-pair working set that fits every shard — the acceptance
-  // number (>= 100k/s) is this one.
+  // Hot: a 64-pair working set — the acceptance number (>= 100k/s) is
+  // this one.
   const double hot_per_second =
       LookupsPerSecond(index, 1 << 18, [](int i) {
         return std::pair<std::string, std::string>(
@@ -113,27 +103,13 @@ int Run(const std::string& out_path) {
             "prop" + std::to_string(i % 8));
       });
 
-  // Cold: uniform over all 48k pairs, so most lookups decode records.
+  // Uniform over all 48k pairs, so lookups land all over the mapping.
   Rng rng(99);
-  const double cold_per_second =
+  const double uniform_per_second =
       LookupsPerSecond(index, 1 << 16, [&rng](int) {
         return std::pair<std::string, std::string>(
             EntityName(rng.UniformInt(kNumTypes * kEntitiesPerType)),
             "prop" + std::to_string(rng.UniformInt(kNumProperties)));
-      });
-
-  // Uncached: the same cold distribution with the cache disabled — the
-  // floor the cache is measured against.
-  serving::OpinionIndexOptions uncached_options;
-  uncached_options.cache_capacity = 0;
-  serving::OpinionIndex uncached(uncached_options);
-  SURVEYOR_CHECK(uncached.Load(path).ok());
-  Rng rng2(99);
-  const double uncached_per_second =
-      LookupsPerSecond(uncached, 1 << 16, [&rng2](int) {
-        return std::pair<std::string, std::string>(
-            EntityName(rng2.UniformInt(kNumTypes * kEntitiesPerType)),
-            "prop" + std::to_string(rng2.UniformInt(kNumProperties)));
       });
 
   // Batch: 64-pair batches over the hot set.
@@ -163,8 +139,7 @@ int Run(const std::string& out_path) {
   const double scans_per_second = kScans / scan_timer.ElapsedSeconds();
 
   // In-process handler path: URL parse -> readiness gate -> lookup ->
-  // JSON. No socket is involved, hence the "synthetic" in the name — real
-  // wire throughput is measured separately below.
+  // JSON. No socket is involved, hence the "synthetic" in the name.
   serving::QueryService service(&index, nullptr, &index.metrics());
   bench::Stopwatch service_timer;
   constexpr int kRequests = 1 << 16;
@@ -189,14 +164,7 @@ int Run(const std::string& out_path) {
                                           double slow_query_ms,
                                           size_t access_log_capacity) {
     obs::MetricRegistry admin_metrics;
-    serving::OpinionIndexOptions trace_options;
-    trace_options.cache_capacity = 8192;
-    trace_options.cache_shards = 8;
-    trace_options.metrics = &admin_metrics;
-    serving::OpinionIndex traced_index(trace_options);
-    SURVEYOR_CHECK(traced_index.Load(path).ok());
-    serving::QueryService traced_service(&traced_index, nullptr,
-                                         &admin_metrics);
+    serving::QueryService traced_service(&index, nullptr, &admin_metrics);
     obs::AdminServerOptions admin_options;
     admin_options.trace_sample_rate = sample_rate;
     admin_options.slow_query_ms = slow_query_ms;
@@ -204,7 +172,7 @@ int Run(const std::string& out_path) {
     obs::AdminServer server(&admin_metrics, nullptr, nullptr, admin_options);
     traced_service.Register(&server);
     constexpr int kAdminRequests = 1 << 15;
-    // Warm pass: fill the cache so the measured loop is steady-state.
+    // Warm pass so the measured loop is steady-state.
     for (int i = 0; i < kAdminRequests / 4; ++i) {
       (void)server.Handle("GET", "/v1/query?entity=" + EntityName(i % 8) +
                                      "&property=prop" + std::to_string(i % 8));
@@ -228,68 +196,6 @@ int Run(const std::string& out_path) {
   const double traced_always_per_second =
       admin_calls_per_second(/*sample_rate=*/1.0, /*slow_query_ms=*/250.0,
                              /*access_log_capacity=*/512);
-
-  // Real HTTP over loopback: sequential HTTP/1.0 requests against a
-  // started server, connection setup and teardown included. This is the
-  // honest wire number; expect it orders of magnitude below the
-  // in-process handler rate.
-  double http_requests_per_second = 0.0;
-#ifdef SURVEYOR_BENCH_HAVE_SOCKETS
-  {
-    obs::MetricRegistry http_metrics;
-    serving::QueryService http_service(&index, nullptr, &http_metrics);
-    obs::AdminServer server(&http_metrics, nullptr, nullptr);
-    http_service.Register(&server);
-    SURVEYOR_CHECK(server.Start().ok());
-    const int port = server.port();
-    const auto http_get = [port](const std::string& target) {
-      const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (fd < 0) return false;
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(static_cast<uint16_t>(port));
-      ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-          0) {
-        ::close(fd);
-        return false;
-      }
-      const std::string request =
-          "GET " + target + " HTTP/1.0\r\nHost: 127.0.0.1\r\n\r\n";
-      size_t sent = 0;
-      while (sent < request.size()) {
-        const ssize_t n =
-            ::write(fd, request.data() + sent, request.size() - sent);
-        if (n <= 0) break;
-        sent += static_cast<size_t>(n);
-      }
-      char buffer[4096];
-      bool ok = false;
-      for (;;) {
-        const ssize_t n = ::read(fd, buffer, sizeof(buffer));
-        if (n <= 0) break;
-        if (!ok) {
-          ok = std::string_view(buffer, static_cast<size_t>(n))
-                   .find("200 OK") != std::string_view::npos;
-        }
-      }
-      ::close(fd);
-      return ok;
-    };
-    constexpr int kHttpRequests = 2000;
-    for (int i = 0; i < kHttpRequests / 4; ++i) {  // warm
-      (void)http_get("/v1/query?entity=" + EntityName(i % 8) +
-                     "&property=prop" + std::to_string(i % 8));
-    }
-    bench::Stopwatch http_timer;
-    for (int i = 0; i < kHttpRequests; ++i) {
-      SURVEYOR_CHECK(http_get("/v1/query?entity=" + EntityName(i % 8) +
-                              "&property=prop" + std::to_string(i % 8)));
-    }
-    http_requests_per_second = kHttpRequests / http_timer.ElapsedSeconds();
-    server.Stop();
-  }
-#endif
 
   // Concurrent hot lookups across 4 threads (the serving steady state).
   constexpr int kThreads = 4;
@@ -327,12 +233,10 @@ int Run(const std::string& out_path) {
       .EndObject()
       .Key("lookups_per_second")
       .BeginObject()
-      .Key("cached_hot")
+      .Key("hot")
       .Value(hot_per_second)
-      .Key("cached_cold")
-      .Value(cold_per_second)
-      .Key("uncached")
-      .Value(uncached_per_second)
+      .Key("uniform")
+      .Value(uniform_per_second)
       .Key("batch")
       .Value(batch_lookups_per_second)
       .Key("concurrent_4_threads")
@@ -342,8 +246,6 @@ int Run(const std::string& out_path) {
       .Value(scans_per_second)
       .Key("handler_calls_per_second_synthetic")
       .Value(handler_calls_per_second)
-      .Key("http_requests_per_second")
-      .Value(http_requests_per_second)
       .Key("tracing")
       .BeginObject()
       .Key("admin_calls_per_second_disarmed")
@@ -367,17 +269,15 @@ int Run(const std::string& out_path) {
   out << writer.str() << "\n";
   std::cout << "wrote " << out_path << ": "
             << static_cast<long long>(hot_per_second)
-            << " cached point lookups/s ("
-            << static_cast<long long>(uncached_per_second) << "/s uncached, "
+            << " hot point lookups/s ("
+            << static_cast<long long>(uniform_per_second) << "/s uniform, "
             << static_cast<long long>(handler_calls_per_second)
-            << " handler calls/s, "
-            << static_cast<long long>(http_requests_per_second)
-            << " HTTP requests/s); tracing keeps "
+            << " handler calls/s); tracing keeps "
             << static_cast<long long>(100.0 * traced_default_per_second /
                                       traced_off_per_second)
             << "% of disarmed admin throughput at the default sample rate\n";
   if (hot_per_second < 100000) {
-    std::cerr << "query_bench: cached point lookups below the 100k/s "
+    std::cerr << "query_bench: hot point lookups below the 100k/s "
                  "acceptance floor\n";
     return 1;
   }

@@ -370,8 +370,6 @@ AdminResponse AdminServer::Tracez(std::string_view target) const {
              std::to_string(trace.status) + " " +
              MicrosLabel(trace.duration_seconds) +
              (trace.sampled ? " sampled" : "") + (trace.slow ? " slow" : "") +
-             " hits=" + std::to_string(trace.stats.cache_hits) +
-             " misses=" + std::to_string(trace.stats.cache_misses) +
              " retries=" + std::to_string(trace.stats.retries) + "\n";
       const std::vector<std::vector<size_t>> children =
           SpanChildren(trace.spans);
@@ -412,10 +410,6 @@ AdminResponse AdminServer::Tracez(std::string_view target) const {
         .Value(trace.start_unix_seconds)
         .Key("duration_seconds")
         .Value(trace.duration_seconds)
-        .Key("cache_hits")
-        .Value(trace.stats.cache_hits)
-        .Key("cache_misses")
-        .Value(trace.stats.cache_misses)
         .Key("retries")
         .Value(trace.stats.retries)
         .Key("dropped_spans")
@@ -492,10 +486,6 @@ AdminResponse AdminServer::Requestz(std::string_view target) const {
         .Value(entry.sampled)
         .Key("slow")
         .Value(entry.slow)
-        .Key("cache_hits")
-        .Value(entry.stats.cache_hits)
-        .Key("cache_misses")
-        .Value(entry.stats.cache_misses)
         .Key("retries")
         .Value(entry.stats.retries)
         .EndObject();

@@ -20,10 +20,8 @@ class AccessLog;
 /// Per-request counters bumped by the serving layer while a RequestScope
 /// is live on the thread (CurrentRequestStats()). They end up on the
 /// access-log entry and the kept trace, so a slow request explains itself:
-/// cache miss? snapshot rebuild? retry after an injected fault?
+/// did it retry a snapshot read after a transient failure?
 struct RequestStats {
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
   int64_t retries = 0;
 };
 

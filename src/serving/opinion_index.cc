@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <functional>
 
 #include "obs/request_trace.h"
 #include "obs/trace.h"
@@ -33,66 +32,20 @@ const std::string& LowerScratch(std::string_view text) {
 
 }  // namespace
 
-bool LoadedGeneration::CacheShard::Get(uint64_t key,
-                                       ServedOpinion* out) const {
-  MutexLock lock(mutex_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return false;
-  lru_.splice(lru_.begin(), lru_, it->second.second);
-  *out = it->second.first;
-  return true;
-}
-
-size_t LoadedGeneration::CacheShard::Put(uint64_t key, ServedOpinion value,
-                                         size_t capacity) {
-  MutexLock lock(mutex_);
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    it->second.first = std::move(value);
-    lru_.splice(lru_.begin(), lru_, it->second.second);
-    return 0;
-  }
-  size_t evicted = 0;
-  while (entries_.size() >= capacity && !lru_.empty()) {
-    entries_.erase(lru_.back());
-    lru_.pop_back();
-    ++evicted;
-  }
-  lru_.push_front(key);
-  entries_.emplace(key, std::make_pair(std::move(value), lru_.begin()));
-  return evicted;
-}
-
-size_t LoadedGeneration::CacheShard::size() const {
-  MutexLock lock(mutex_);
-  return entries_.size();
-}
-
 OpinionIndex::OpinionIndex(OpinionIndexOptions options)
     : options_(std::move(options)) {
-  if (options_.cache_shards == 0) options_.cache_shards = 1;
   if (options_.metrics != nullptr) {
     metrics_ = options_.metrics;
   } else {
     own_metrics_ = std::make_unique<obs::MetricRegistry>();
     metrics_ = own_metrics_.get();
   }
-  cache_hits_ = metrics_->GetCounter("surveyor_query_cache_hits_total");
-  cache_misses_ = metrics_->GetCounter("surveyor_query_cache_misses_total");
-  cache_evictions_ =
-      metrics_->GetCounter("surveyor_query_cache_evictions_total");
   lookups_ = metrics_->GetCounter("surveyor_query_lookups_total");
   not_found_ = metrics_->GetCounter("surveyor_query_not_found_total");
   swaps_ = metrics_->GetCounter("surveyor_generation_swaps_total");
   swap_failures_ =
       metrics_->GetCounter("surveyor_generation_swap_failures_total");
   generation_gauge_ = metrics_->GetGauge("surveyor_generation_id");
-  metrics_->SetHelp("surveyor_query_cache_hits_total",
-                    "Point lookups answered from the LRU cache");
-  metrics_->SetHelp("surveyor_query_cache_misses_total",
-                    "Point lookups that decoded snapshot records");
-  metrics_->SetHelp("surveyor_query_cache_evictions_total",
-                    "Cache entries displaced by newer answers");
   metrics_->SetHelp("surveyor_generation_swaps_total",
                     "Snapshot generations hot-swapped into the index");
   metrics_->SetHelp("surveyor_generation_swap_failures_total",
@@ -170,13 +123,6 @@ Status OpinionIndex::LoadGeneration(const std::string& path,
         i;
   }
 
-  // A fresh cache travels with the generation: a swap can never serve an
-  // answer decoded from a previous snapshot.
-  generation->shards_.reserve(options_.cache_shards);
-  for (size_t i = 0; i < options_.cache_shards; ++i) {
-    generation->shards_.push_back(
-        std::make_unique<LoadedGeneration::CacheShard>());
-  }
   generation->snapshot_ = std::move(snapshot);
   generation->loaded_at_ = std::chrono::steady_clock::now();
 
@@ -189,8 +135,8 @@ Status OpinionIndex::LoadGeneration(const std::string& path,
   }
 
   // The swap: one pointer assignment under current_mutex_. In-flight
-  // queries finish on the generation they pinned; its snapshot, indexes
-  // and cache die with the last reference.
+  // queries finish on the generation they pinned; its snapshot and
+  // indexes die with the last reference.
   {
     MutexLock lock(current_mutex_);
     current_ = std::move(generation);
@@ -203,13 +149,6 @@ Status OpinionIndex::LoadGeneration(const std::string& path,
   metrics_->GetGauge("surveyor_snapshot_entities")
       ->Set(static_cast<double>(published->snapshot().num_entities()));
   return Status::OK();
-}
-
-LoadedGeneration::CacheShard& OpinionIndex::ShardFor(
-    const LoadedGeneration& generation, uint64_t key) const {
-  return *generation
-              .shards_[std::hash<uint64_t>{}(key) %
-                       generation.shards_.size()];
 }
 
 ServedOpinion OpinionIndex::Materialize(
@@ -264,42 +203,14 @@ StatusOr<ServedOpinion> OpinionIndex::LookupIn(
     return Status::NotFound("no opinion for entity '" + std::string(entity) +
                             "' property '" + std::string(property) + "'");
   }
-  const uint64_t key = PairKey(entity_it->second, property_it->second);
-  auto record_it = generation.records_by_pair_.find(key);
+  auto record_it = generation.records_by_pair_.find(
+      PairKey(entity_it->second, property_it->second));
   if (record_it == generation.records_by_pair_.end()) {
     not_found_->Increment();
     return Status::NotFound("no opinion for entity '" + std::string(entity) +
                             "' property '" + std::string(property) + "'");
   }
-  const LoadedGeneration::RecordLoc loc = record_it->second;
-
-  // The "query_cache" fault simulates a cold/flaky cache tier: the read is
-  // skipped and the answer recomputed from the snapshot, so an armed chaos
-  // profile degrades throughput, never correctness.
-  obs::RequestStats* request_stats = obs::CurrentRequestStats();
-  const bool cache_enabled =
-      options_.cache_capacity > 0 && !SURVEYOR_FAULT("query_cache");
-  if (cache_enabled) {
-    ServedOpinion cached;
-    if (ShardFor(generation, key).Get(key, &cached)) {
-      cache_hits_->Increment();
-      if (request_stats != nullptr) ++request_stats->cache_hits;
-      return cached;
-    }
-  }
-  cache_misses_->Increment();
-  if (request_stats != nullptr) ++request_stats->cache_misses;
-  ServedOpinion opinion = Materialize(generation, loc);
-  if (options_.cache_capacity > 0) {
-    const size_t per_shard = std::max<size_t>(
-        1, options_.cache_capacity / generation.shards_.size());
-    const size_t evicted =
-        ShardFor(generation, key).Put(key, opinion, per_shard);
-    if (evicted > 0) {
-      cache_evictions_->Increment(static_cast<int64_t>(evicted));
-    }
-  }
-  return opinion;
+  return Materialize(generation, record_it->second);
 }
 
 std::vector<StatusOr<ServedOpinion>> OpinionIndex::BatchLookup(

@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -36,13 +35,8 @@ struct ServedOpinion {
 };
 
 struct OpinionIndexOptions {
-  /// Total cached answers across all shards (0 disables the cache).
-  size_t cache_capacity = 4096;
-  /// Independent LRU shards; each has its own mutex, so concurrent
-  /// lookups only contend when they hash to the same shard.
-  size_t cache_shards = 8;
-  /// Cache/lookup counters land here; nullptr uses an index-local
-  /// registry (still inspectable through metrics()).
+  /// Lookup and generation counters land here; nullptr uses an
+  /// index-local registry (still inspectable through metrics()).
   obs::MetricRegistry* metrics = nullptr;
   /// Bounded retries around the snapshot open, absorbing transient read
   /// failures (the "snapshot_read" fault point).
@@ -50,13 +44,11 @@ struct OpinionIndexOptions {
 };
 
 /// The complete post-Load state of one snapshot generation: the mapped
-/// snapshot, every derived name index, and the answer cache. Immutable
-/// once published (the cache shards are internally synchronized), shared
-/// out by std::shared_ptr so in-flight queries pin the generation they
-/// started on while a newer one swaps in — RCU with shared_ptr as the
-/// grace period. The cache living *inside* the generation is what makes
-/// a hot-swap safe: stale answers cannot outlive the snapshot they were
-/// decoded from.
+/// snapshot and every derived name index. Immutable once published,
+/// shared out by std::shared_ptr so in-flight queries pin the generation
+/// they started on while a newer one swaps in — RCU with shared_ptr as the
+/// grace period. Every answer is decoded from the pinned snapshot, so no
+/// answer outlives the snapshot it came from.
 class LoadedGeneration {
  public:
   LoadedGeneration() = default;
@@ -85,25 +77,6 @@ class LoadedGeneration {
     uint32_t record = 0;
   };
 
-  /// One LRU shard: intrusive recency list + key map under one mutex.
-  class CacheShard {
-   public:
-    bool Get(uint64_t key, ServedOpinion* out) const
-        SURVEYOR_EXCLUDES(mutex_);
-    /// Inserts (or refreshes) `value`; returns the number of evictions.
-    size_t Put(uint64_t key, ServedOpinion value, size_t capacity)
-        SURVEYOR_EXCLUDES(mutex_);
-    size_t size() const SURVEYOR_EXCLUDES(mutex_);
-
-   private:
-    mutable Mutex mutex_;
-    /// Front = most recently used.
-    mutable std::list<uint64_t> lru_ SURVEYOR_GUARDED_BY(mutex_);
-    std::unordered_map<uint64_t,
-                       std::pair<ServedOpinion, std::list<uint64_t>::iterator>>
-        entries_ SURVEYOR_GUARDED_BY(mutex_);
-  };
-
   uint64_t id_ = 0;
   Snapshot snapshot_;
   /// lowercased name -> table index.
@@ -118,14 +91,11 @@ class LoadedGeneration {
   std::vector<std::vector<uint32_t>> blocks_by_type_;
   /// Lowercased entity names, sorted, paired with their table index.
   std::vector<std::pair<std::string, uint32_t>> sorted_entities_;
-  /// Per-shard LRUs; mutable because a read-through cache updates on
-  /// const lookups.
-  mutable std::vector<std::unique_ptr<CacheShard>> shards_;
   std::chrono::steady_clock::time_point loaded_at_;
 };
 
-/// A pinned generation: holding one keeps the snapshot mapping, indexes
-/// and cache alive regardless of concurrent swaps.
+/// A pinned generation: holding one keeps the snapshot mapping and its
+/// indexes alive regardless of concurrent swaps.
 using GenerationPtr = std::shared_ptr<const LoadedGeneration>;
 
 /// The online half of Surveyor: loads opinion snapshot generations and
@@ -158,9 +128,10 @@ class OpinionIndex {
   /// std::atomic<shared_ptr>: libstdc++'s _Sp_atomic reads its pointer
   /// word outside any release/acquire pairing (the spinlock unlocks
   /// relaxed on the load path), which ThreadSanitizer correctly flags,
-  /// and this repo's TSan CI runs with halt_on_error. The mutex is
-  /// uncontended except during a swap, and queries already take a
-  /// per-shard cache mutex, so the pin is not the bottleneck.
+  /// and this repo's TSan CI runs with halt_on_error. This mutex is the
+  /// only lock a query takes. It is uncontended except during a swap, but
+  /// every pin still writes the mutex word and the shared_ptr refcount
+  /// that all serving threads share.
   GenerationPtr generation() const SURVEYOR_EXCLUDES(current_mutex_) {
     MutexLock lock(current_mutex_);
     return current_;
@@ -202,8 +173,8 @@ class OpinionIndex {
   std::vector<std::string> PrefixScan(std::string_view prefix,
                                       size_t limit = 0) const;
 
-  /// The registry holding the cache counters (the configured one, or the
-  /// index-local fallback).
+  /// The registry holding the lookup and generation counters (the
+  /// configured one, or the index-local fallback).
   obs::MetricRegistry& metrics() const { return *metrics_; }
 
  private:
@@ -212,16 +183,11 @@ class OpinionIndex {
   StatusOr<ServedOpinion> LookupIn(const LoadedGeneration& generation,
                                    std::string_view entity,
                                    std::string_view property) const;
-  LoadedGeneration::CacheShard& ShardFor(const LoadedGeneration& generation,
-                                         uint64_t key) const;
 
   OpinionIndexOptions options_;
   /// Fallback registry when options_.metrics is null.
   std::unique_ptr<obs::MetricRegistry> own_metrics_;
   obs::MetricRegistry* metrics_ = nullptr;
-  obs::Counter* cache_hits_ = nullptr;
-  obs::Counter* cache_misses_ = nullptr;
-  obs::Counter* cache_evictions_ = nullptr;
   obs::Counter* lookups_ = nullptr;
   obs::Counter* not_found_ = nullptr;
   obs::Counter* swaps_ = nullptr;

@@ -94,7 +94,7 @@ void WriteOpinion(obs::JsonWriter* writer, const ServedOpinion& opinion) {
   writer->EndObject();
 }
 
-/// Strict scanner for the one JSON shape /query/batch accepts:
+/// Strict scanner for the one JSON shape /v1/query/batch accepts:
 /// {"queries":[{"entity":"..","property":".."}, ...]}. Unknown string
 /// keys inside a query object are ignored; anything else is a parse
 /// error — a query API should reject what it would silently drop.
@@ -224,8 +224,8 @@ QueryService::QueryService(const OpinionIndex* index,
       stage_(stage),
       metrics_(metrics != nullptr ? metrics : &index->metrics()),
       options_(options) {
-  // Query latencies are cache hits in the microseconds; start the buckets
-  // at 1us and cover up to ~65ms before the overflow bucket.
+  // In-process query handling takes microseconds; start the buckets at
+  // 1us and cover up to ~65ms before the overflow bucket.
   latency_ = metrics_->GetHistogram(
       "surveyor_query_latency_seconds",
       obs::HistogramOptions{/*first_bound=*/1e-6, /*growth=*/2.0,
@@ -233,7 +233,8 @@ QueryService::QueryService(const OpinionIndex* index,
   requests_ = metrics_->GetCounter("surveyor_query_requests_total");
   rejected_ = metrics_->GetCounter("surveyor_query_rejected_total");
   metrics_->SetHelp("surveyor_query_latency_seconds",
-                    "End-to-end /query handling latency");
+                    "End-to-end /v1/query and /v1/query/batch handling "
+                    "latency");
   metrics_->SetHelp("surveyor_query_rejected_total",
                     "Queries refused before lookup (not ready, bad request)");
 }

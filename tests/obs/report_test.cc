@@ -2,12 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
-#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "corpus/generator.h"
 #include "corpus/worlds.h"
@@ -173,25 +174,124 @@ TEST_F(ReportTest, RunAndRunStreamingDeriveIdenticalStats) {
   EXPECT_EQ(a.num_opinions, b.num_opinions);
 }
 
+/// One rule's match at a position: the first `keep` bytes survive and the
+/// rest of the `length` bytes become `null`. `length == 0` means no match.
+struct RuleMatch {
+  size_t keep = 0;
+  size_t length = 0;
+};
+
+constexpr std::string_view kDigits = "0123456789";
+
+bool LiteralAt(std::string_view text, size_t i, std::string_view literal) {
+  return text.substr(i, literal.size()) == literal;
+}
+
+bool OneOfAt(std::string_view text, size_t i, std::string_view set) {
+  return i < text.size() && set.find(text[i]) != std::string_view::npos;
+}
+
+/// End of the run of bytes from `i` on that are all in `set`.
+size_t RunEnd(std::string_view text, size_t i, std::string_view set) {
+  return std::min(text.find_first_not_of(set, i), text.size());
+}
+
+/// Keeps `text[i, value)` and nulls the loosely numeric value
+/// (`-?[0-9][-+.eE0-9]*`) at `value`; no match when none starts there.
+RuleMatch NullValueAt(std::string_view text, size_t i, size_t value) {
+  const size_t first = OneOfAt(text, value, "-") ? value + 1 : value;
+  if (!OneOfAt(text, first, kDigits)) return {};
+  return {value - i, RunEnd(text, first, "0123456789-+.eE") - i};
+}
+
+/// `"<name>seconds":<number>`, the name made of letters, `_` and `.`.
+RuleMatch SecondsKeyAt(std::string_view text, size_t i) {
+  if (!OneOfAt(text, i, "\"")) return {};
+  const size_t name_end = RunEnd(
+      text, i + 1, "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_.");
+  if (!text.substr(i + 1, name_end - i - 1).ends_with("seconds") ||
+      !LiteralAt(text, name_end, "\":")) {
+    return {};
+  }
+  return NullValueAt(text, i, name_end + 2);
+}
+
+/// `"thread":<digits>`.
+RuleMatch ThreadKeyAt(std::string_view text, size_t i) {
+  constexpr std::string_view kKey = "\"thread\":";
+  if (!LiteralAt(text, i, kKey)) return {};
+  const size_t end = RunEnd(text, i + kKey.size(), kDigits);
+  if (end == i + kKey.size()) return {};
+  return {kKey.size(), end - i};
+}
+
+/// The value of a gauge whose name (lower case and `_`) ends in
+/// `idle_seconds`.
+RuleMatch IdleGaugeAt(std::string_view text, size_t i) {
+  constexpr std::string_view kName = "\"name\":\"";
+  constexpr std::string_view kKindValue = "\",\"kind\":\"gauge\",\"value\":";
+  if (!LiteralAt(text, i, kName)) return {};
+  const size_t name_start = i + kName.size();
+  const size_t name_end =
+      RunEnd(text, name_start, "abcdefghijklmnopqrstuvwxyz_");
+  if (!text.substr(name_start, name_end - name_start)
+           .ends_with("idle_seconds") ||
+      !LiteralAt(text, name_end, kKindValue)) {
+    return {};
+  }
+  return NullValueAt(text, i, name_end + kKindValue.size());
+}
+
+/// A number with a fraction or an exponent: `-?D+.D+([eE][-+]?D+)?` or
+/// `-?D+[eE][-+]?D+`.
+RuleMatch FractionalAt(std::string_view text, size_t i) {
+  const size_t int_start = OneOfAt(text, i, "-") ? i + 1 : i;
+  const size_t int_end = RunEnd(text, int_start, kDigits);
+  if (int_end == int_start) return {};
+  // End of an exponent starting at `at`, or `at` when there is none.
+  const auto exponent_end = [text](size_t at) {
+    if (!OneOfAt(text, at, "eE")) return at;
+    const size_t digits = OneOfAt(text, at + 1, "-+") ? at + 2 : at + 1;
+    const size_t end = RunEnd(text, digits, kDigits);
+    return end == digits ? at : end;
+  };
+  if (OneOfAt(text, int_end, ".")) {
+    const size_t fraction_end = RunEnd(text, int_end + 1, kDigits);
+    if (fraction_end == int_end + 1) return {};
+    return {0, exponent_end(fraction_end) - i};
+  }
+  const size_t end = exponent_end(int_end);
+  if (end == int_end) return {};
+  return {0, end - i};
+}
+
+/// Rewrites the leftmost non-overlapping matches of `rule`, scanning left
+/// to right, so each match keeps its prefix and ends in `null`.
+template <typename Rule>
+std::string ReplaceWithNull(std::string_view text, Rule rule) {
+  std::string out;
+  for (size_t i = 0; i < text.size();) {
+    const RuleMatch match = rule(text, i);
+    if (match.length == 0) {
+      out += text[i++];
+    } else {
+      out.append(text.substr(i, match.keep)).append("null");
+      i += match.length;
+    }
+  }
+  return out;
+}
+
 /// Replaces the run-dependent values (wall times, thread indices, idle
 /// time, floating-point diagnostics) with `null` so the remaining JSON —
 /// structure, metric names and every integer counter — is byte-stable.
-std::string Normalize(std::string json) {
-  static const std::regex seconds_key(
-      "(\"[A-Za-z_.]*seconds\":)-?[0-9][-+.eE0-9]*");
-  json = std::regex_replace(json, seconds_key, "$1null");
-  static const std::regex thread_key("(\"thread\":)[0-9]+");
-  json = std::regex_replace(json, thread_key, "$1null");
-  static const std::regex idle_gauge(
-      "(\"name\":\"[a-z_]*idle_seconds\",\"kind\":\"gauge\",\"value\":)"
-      "-?[0-9][-+.eE0-9]*");
-  json = std::regex_replace(json, idle_gauge, "$1null");
+std::string Normalize(const std::string& json) {
+  std::string out = ReplaceWithNull(json, SecondsKeyAt);
+  out = ReplaceWithNull(out, ThreadKeyAt);
+  out = ReplaceWithNull(out, IdleGaugeAt);
   // Any remaining non-integer number is a measured quantity (likelihoods,
   // chi-squares, sums); integers are exact counts and must match.
-  static const std::regex fractional(
-      "-?[0-9]+\\.[0-9]+([eE][-+]?[0-9]+)?|-?[0-9]+[eE][-+]?[0-9]+");
-  json = std::regex_replace(json, fractional, "null");
-  return json;
+  return ReplaceWithNull(out, FractionalAt);
 }
 
 TEST_F(ReportTest, GoldenJsonReport) {

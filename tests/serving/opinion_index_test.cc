@@ -57,7 +57,7 @@ std::string WriteTestSnapshot(const std::string& name) {
 }
 
 /// Disarms environment-armed chaos faults (the CI chaos job) for the
-/// test's scope: these tests assert exact cache counters and load
+/// test's scope: these tests assert exact answers, counters and load
 /// behavior. The fault paths are exercised explicitly by the tests that
 /// arm their own ScopedFaults.
 class OpinionIndexTest : public testing::Test {
@@ -173,46 +173,6 @@ TEST_F(OpinionIndexTest, PrefixScanIsSortedAndCaseInsensitive) {
   EXPECT_TRUE(index.PrefixScan("zz").empty());
 }
 
-TEST_F(OpinionIndexTest, CacheCountsHitsMissesAndEvictions) {
-  OpinionIndexOptions options;
-  options.cache_capacity = 1;
-  options.cache_shards = 1;
-  OpinionIndex index(options);
-  ASSERT_TRUE(index.Load(WriteTestSnapshot("cache.surv")).ok());
-  obs::MetricRegistry& metrics = index.metrics();
-  auto* hits = metrics.GetCounter("surveyor_query_cache_hits_total");
-  auto* misses = metrics.GetCounter("surveyor_query_cache_misses_total");
-  auto* evictions = metrics.GetCounter("surveyor_query_cache_evictions_total");
-
-  ASSERT_TRUE(index.Lookup("kitten", "cute").ok());  // miss, fills the slot
-  EXPECT_EQ(misses->Value(), 1);
-  EXPECT_EQ(hits->Value(), 0);
-
-  ASSERT_TRUE(index.Lookup("kitten", "cute").ok());  // hit
-  EXPECT_EQ(hits->Value(), 1);
-
-  ASSERT_TRUE(index.Lookup("koala", "cute").ok());  // miss, evicts kitten
-  EXPECT_EQ(misses->Value(), 2);
-  EXPECT_EQ(evictions->Value(), 1);
-
-  ASSERT_TRUE(index.Lookup("kitten", "cute").ok());  // miss again
-  EXPECT_EQ(misses->Value(), 3);
-}
-
-TEST_F(OpinionIndexTest, DisabledCacheStillAnswers) {
-  OpinionIndexOptions options;
-  options.cache_capacity = 0;
-  OpinionIndex index(options);
-  ASSERT_TRUE(index.Load(WriteTestSnapshot("nocache.surv")).ok());
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(index.Lookup("kitten", "cute").ok());
-  }
-  EXPECT_EQ(index.metrics()
-                .GetCounter("surveyor_query_cache_hits_total")
-                ->Value(),
-            0);
-}
-
 TEST_F(OpinionIndexTest, FailedLoadKeepsServingThePreviousSnapshot) {
   OpinionIndex index;
   ASSERT_TRUE(index.Load(WriteTestSnapshot("stable.surv")).ok());
@@ -273,28 +233,9 @@ TEST_F(OpinionIndexTest, RetriesAbsorbTransientSnapshotReadFaults) {
   EXPECT_TRUE(index.Load(path).ok());
 }
 
-TEST_F(OpinionIndexTest, QueryCacheFaultForcesMissesButKeepsAnswersCorrect) {
-  OpinionIndex index;
-  ASSERT_TRUE(index.Load(WriteTestSnapshot("cachefault.surv")).ok());
-  ScopedFaults faults("query_cache:1");
-  for (int i = 0; i < 3; ++i) {
-    const auto opinion = index.Lookup("kitten", "cute");
-    ASSERT_TRUE(opinion.ok());
-    EXPECT_DOUBLE_EQ(opinion->posterior, 0.97);
-  }
-  // Every lookup bypassed the cache: correctness preserved, no hits.
-  EXPECT_EQ(index.metrics()
-                .GetCounter("surveyor_query_cache_hits_total")
-                ->Value(),
-            0);
-}
-
-// Hammer the read-through cache from many threads; run under TSan in CI.
+// Hammer lookups from many threads; run under TSan in CI.
 TEST_F(OpinionIndexTest, ConcurrentLookupsAreSafe) {
-  OpinionIndexOptions options;
-  options.cache_capacity = 2;  // tiny, to force constant eviction races
-  options.cache_shards = 2;
-  OpinionIndex index(options);
+  OpinionIndex index;
   ASSERT_TRUE(index.Load(WriteTestSnapshot("hammer.surv")).ok());
 
   const std::vector<std::pair<std::string, std::string>> queries = {

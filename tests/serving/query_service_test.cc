@@ -216,7 +216,8 @@ TEST_F(QueryServiceTest, SampledQueryTraceShowsServingSpans) {
   obs::AdminServer server(&metrics_, &stage_, nullptr, options);
   service.Register(&server);
 
-  // First lookup: cache miss, so the snapshot decode span appears too.
+  // Every lookup decodes its record from the pinned snapshot, so the
+  // decode span sits under the lookup span.
   EXPECT_EQ(
       server.Handle("GET", "/v1/query?entity=kitten&property=cute").status,
       200);
@@ -226,22 +227,18 @@ TEST_F(QueryServiceTest, SampledQueryTraceShowsServingSpans) {
   EXPECT_TRUE(HasSpan(traces[0], "query_service.point"));
   EXPECT_TRUE(HasSpan(traces[0], "opinion_index.lookup"));
   EXPECT_TRUE(HasSpan(traces[0], "snapshot.materialize"));
-  EXPECT_EQ(traces[0].stats.cache_misses, 1);
-  EXPECT_EQ(traces[0].stats.cache_hits, 0);
 
-  // Second lookup: cache hit, no decode.
+  // Repeating the query decodes the record again.
   EXPECT_EQ(
       server.Handle("GET", "/v1/query?entity=kitten&property=cute").status,
       200);
   traces = server.request_tracer().Snapshot();
   ASSERT_EQ(traces.size(), 2u);
   EXPECT_TRUE(HasSpan(traces[0], "opinion_index.lookup"));
-  EXPECT_FALSE(HasSpan(traces[0], "snapshot.materialize"));
-  EXPECT_EQ(traces[0].stats.cache_hits, 1);
-  EXPECT_EQ(traces[0].stats.cache_misses, 0);
+  EXPECT_TRUE(HasSpan(traces[0], "snapshot.materialize"));
 }
 
-TEST_F(QueryServiceTest, SlowQueryTailCaptureOnForcedCacheMiss) {
+TEST_F(QueryServiceTest, SlowQueryIsTailCaptured) {
   QueryService service(&index_, &stage_, &metrics_);
   obs::AdminServerOptions options;
   options.trace_sample_rate = 0.0;   // head sampling off
@@ -249,24 +246,19 @@ TEST_F(QueryServiceTest, SlowQueryTailCaptureOnForcedCacheMiss) {
   obs::AdminServer server(&metrics_, &stage_, nullptr, options);
   service.Register(&server);
 
-  // Warm the cache, then force misses: the "slow" request explains itself
-  // through its stats and its snapshot.materialize span.
-  EXPECT_EQ(
-      server.Handle("GET", "/v1/query?entity=kitten&property=cute").status,
-      200);
-  ScopedFaults faults("query_cache:1");
+  // Head sampling is off, yet the "slow" request is kept and explains
+  // itself through its snapshot.materialize span.
   EXPECT_EQ(
       server.Handle("GET", "/v1/query?entity=kitten&property=cute").status,
       200);
 
   const std::vector<obs::RequestTrace> traces =
       server.request_tracer().Snapshot();
-  ASSERT_GE(traces.size(), 2u);
-  const obs::RequestTrace& forced = traces[0];  // newest first
-  EXPECT_TRUE(forced.slow);
-  EXPECT_FALSE(forced.sampled);
-  EXPECT_EQ(forced.stats.cache_misses, 1);
-  EXPECT_TRUE(HasSpan(forced, "snapshot.materialize"));
+  ASSERT_EQ(traces.size(), 1u);
+  const obs::RequestTrace& slow = traces[0];
+  EXPECT_TRUE(slow.slow);
+  EXPECT_FALSE(slow.sampled);
+  EXPECT_TRUE(HasSpan(slow, "snapshot.materialize"));
 }
 
 TEST_F(QueryServiceTest, SnapshotReadRetriesLandInTheTrace) {
