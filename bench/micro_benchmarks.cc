@@ -1,19 +1,31 @@
 // google-benchmark micro-benchmarks for the hot paths: tokenization,
 // entity tagging, dependency parsing, evidence extraction, the EM
-// iteration, posterior inference, and the observability primitives.
+// iteration, posterior inference, serving lookups, and the observability
+// primitives. The perf-budgets CI job gates ratios between some of them
+// (tools/check_micro_budgets.py).
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "corpus/generator.h"
 #include "corpus/worlds.h"
 #include "extraction/extractor.h"
 #include "model/em.h"
+#include "obs/admin_server.h"
 #include "obs/log_ring.h"
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
 #include "obs/trace.h"
+#include "serving/opinion_index.h"
+#include "serving/query_service.h"
+#include "serving/snapshot.h"
 #include "text/annotator.h"
 #include "text/tokenizer.h"
 #include "util/fault.h"
+#include "util/logging.h"
 #include "util/profile_tag.h"
 #include "util/rng.h"
 #include "util/sample_ring.h"
@@ -181,9 +193,9 @@ BENCHMARK(BM_ExtractFromSentenceFaultGuarded);
 // --- Profiler primitives -----------------------------------------------------
 // ProfileScope tags ride inside Tokenize / Tag / Parse / ExtractFromSentence
 // (DESIGN.md §12), so with the sampler off — the production default — their
-// cost must stay under 1% of the per-sentence hot path. The budget proof
-// with the actual ratio lives in bench/profile_bench.cc (BENCH_profile.json);
-// these give the raw ns/op.
+// cost must stay under 1% of the per-sentence hot path: perf-budgets
+// checks 4 x BM_ProfileScopeDisarmed < 0.01 x BM_AnnotateSentence (a
+// mined sentence crosses ~4 scopes: tokenize, match, parse, extract).
 
 void BM_ProfileScopeDisarmed(benchmark::State& state) {
   for (auto _ : state) {
@@ -354,6 +366,103 @@ void BM_SpanUnderDisarmedScope(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SpanUnderDisarmedScope);
+
+// --- Serving lookups ---------------------------------------------------------
+// A synthetic snapshot of 8 types x 500 entities x 12 properties = 48k
+// opinions, queried on a hot set of 8 entities x 8 properties.
+// perf-budgets holds hot point lookups >= 100k/s.
+
+constexpr int kSnapshotTypes = 8;
+constexpr int kSnapshotEntitiesPerType = 500;
+constexpr int kSnapshotProperties = 12;
+
+std::string SnapshotEntityName(int type, int entity) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "entity-%d-%04d", type, entity);
+  return name;
+}
+
+const serving::OpinionIndex& SharedIndex() {
+  static const serving::OpinionIndex& index = *[] {
+    serving::SnapshotWriter writer;
+    writer.set_label("micro benchmarks");
+    Rng rng(1234);
+    for (int t = 0; t < kSnapshotTypes; ++t) {
+      for (int e = 0; e < kSnapshotEntitiesPerType; ++e) {
+        for (int p = 0; p < kSnapshotProperties; ++p) {
+          serving::SnapshotOpinion opinion;
+          opinion.entity = SnapshotEntityName(t, e);
+          opinion.type = "type" + std::to_string(t);
+          opinion.property = "prop" + std::to_string(p);
+          opinion.posterior = rng.Uniform();
+          opinion.polarity = opinion.posterior >= 0.5 ? Polarity::kPositive
+                                                      : Polarity::kNegative;
+          SURVEYOR_CHECK(writer.Add(opinion).ok());
+        }
+      }
+    }
+    const std::string path = "/tmp/surveyor_micro_benchmarks.surv";
+    SURVEYOR_CHECK(writer.WriteToFile(path).ok());
+    auto* loaded = new serving::OpinionIndex();
+    SURVEYOR_CHECK(loaded->Load(path).ok());
+    return loaded;
+  }();
+  return index;
+}
+
+std::vector<std::pair<std::string, std::string>> HotPairs() {
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (int e = 0; e < 8; ++e) {
+    for (int p = 0; p < 8; ++p) {
+      pairs.emplace_back(SnapshotEntityName(0, e), "prop" + std::to_string(p));
+    }
+  }
+  return pairs;
+}
+
+void BM_OpinionIndexHotLookup(benchmark::State& state) {
+  const serving::OpinionIndex& index = SharedIndex();
+  const auto pairs = HotPairs();
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& [entity, property] = pairs[i++ % pairs.size()];
+    auto opinion = index.Lookup(entity, property);
+    SURVEYOR_CHECK(opinion.ok());
+    benchmark::DoNotOptimize(opinion);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_OpinionIndexHotLookup);
+
+// The hot /v1/query through AdminServer::Handle: request scope, access log
+// and dispatch around the lookup. /1 keeps the production defaults of
+// AdminServerOptions (head sampling, slow-query capture, the access log);
+// /0 turns all three off. perf-budgets holds /1 >= 0.5 x /0.
+void BM_AdminQuery(benchmark::State& state) {
+  obs::MetricRegistry metrics;
+  serving::QueryService service(&SharedIndex(), nullptr, &metrics);
+  obs::AdminServerOptions options;
+  if (state.range(0) == 0) {
+    options.trace_sample_rate = 0.0;
+    options.slow_query_ms = 0.0;
+    options.access_log_capacity = 0;
+  }
+  obs::AdminServer server(&metrics, nullptr, nullptr, options);
+  service.Register(&server);
+  std::vector<std::string> targets;
+  for (const auto& [entity, property] : HotPairs()) {
+    targets.push_back("/v1/query?entity=" + entity + "&property=" + property);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const obs::AdminResponse response =
+        server.Handle("GET", targets[i++ % targets.size()]);
+    SURVEYOR_CHECK(response.status == 200);
+    benchmark::DoNotOptimize(response);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AdminQuery)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace surveyor

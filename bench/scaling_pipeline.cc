@@ -3,8 +3,9 @@
 // thread-scaling of extraction (the paper's 1000 -> 5000 node story), and
 // the linearity of the EM step in the number of entities (the property the
 // paper credits for the 10-minute model-learning stage).
+#include <algorithm>
+#include <array>
 #include <iostream>
-
 #include <thread>
 
 #include "bench/bench_util.h"
@@ -66,18 +67,29 @@ void ThreadScaleSweep() {
   generator_options.seed = 7200;
   const std::vector<RawDocument> corpus =
       CorpusGenerator(&world, generator_options).Generate();
-  TextTable table({"threads", "extract s", "speedup"});
-  double base = 0.0;
-  for (int threads : {1, 2, 4, 8}) {
+  const auto extraction_seconds = [&](int threads) {
     SurveyorConfig config;
     config.num_threads = threads;
     SurveyorPipeline pipeline(&world.kb(), &world.lexicon(), config);
     auto result = pipeline.Run(corpus);
     SURVEYOR_CHECK(result.ok());
-    const double seconds = result->stats.extraction_seconds;
-    if (threads == 1) base = seconds;
-    table.AddRow({StrFormat("%d", threads), TextTable::Num(seconds, 2),
-                  TextTable::Num(base / seconds, 2)});
+    return result->stats.extraction_seconds;
+  };
+  // The first run in a process pays for page faults and cold caches that
+  // later runs do not, and one run per thread count shows no spread. Warm
+  // up untimed, then take the median of three runs per thread count.
+  (void)extraction_seconds(0);
+  TextTable table({"threads", "extract s (median of 3)", "min-max",
+                   "speedup (medians)"});
+  double base = 0.0;
+  for (int threads : {1, 2, 4, 8}) {
+    std::array<double, 3> runs;
+    for (double& seconds : runs) seconds = extraction_seconds(threads);
+    std::sort(runs.begin(), runs.end());
+    if (threads == 1) base = runs[1];
+    table.AddRow({StrFormat("%d", threads), TextTable::Num(runs[1], 2),
+                  TextTable::Num(runs[0], 2) + "-" + TextTable::Num(runs[2], 2),
+                  TextTable::Num(base / runs[1], 2)});
   }
   table.Print(std::cout);
 }

@@ -9,9 +9,9 @@ namespace obs {
 class JsonWriter;
 
 /// Identity of the running binary, baked in at configure time (CMake
-/// passes the values as compile definitions on build_info.cc). Committed
-/// artifacts — BENCH_*.json, profiles — embed this block so a number is
-/// always attributable to the binary that produced it (ISSUE 7).
+/// passes the values as compile definitions on build_info.cc). /statusz
+/// and JSON profiles embed this block so a number is always attributable
+/// to the binary that produced it.
 struct BuildInfo {
   /// `git rev-parse HEAD` at configure time, "unknown" outside a checkout.
   /// Configure-time, not commit-time: a dirty tree still reports the last

@@ -63,21 +63,6 @@ Status SurveyorConfig::Validate() const {
     return Status::InvalidArgument(
         "max_provenance_samples must be >= 0 (0 = provenance off)");
   }
-  if (report_worst_fits < 0) {
-    return Status::InvalidArgument("report_worst_fits must be >= 0");
-  }
-  if (!(progress_interval_seconds >= 0.0)) {
-    return Status::InvalidArgument(
-        "progress_interval_seconds must be >= 0 (0 = reporter off)");
-  }
-  if (!(trace_sample_rate >= 0.0 && trace_sample_rate <= 1.0)) {
-    return Status::InvalidArgument(
-        "trace_sample_rate must be in [0, 1] (0 = head sampling off)");
-  }
-  if (!(slow_query_ms >= 0.0)) {
-    return Status::InvalidArgument(
-        "slow_query_ms must be >= 0 (0 = tail capture off)");
-  }
   SURVEYOR_RETURN_IF_ERROR(ValidateEmOptions(em));
   if (!fault_spec.empty()) {
     const Status spec_status = FaultInjector::ValidateSpec(fault_spec);
@@ -99,6 +84,10 @@ SurveyorPipeline::SurveyorPipeline(const KnowledgeBase* kb,
 namespace {
 
 constexpr int kNumPatternKinds = 4;
+
+/// Seconds between extraction progress lines; runs shorter than this stay
+/// silent.
+constexpr double kProgressIntervalSeconds = 5.0;
 
 size_t EffectiveThreads(int configured) {
   if (configured > 0) return static_cast<size_t>(configured);
@@ -391,42 +380,39 @@ EvidenceAggregator SurveyorPipeline::Extract(DocumentSource& source,
 
   // The corpus need not fit in memory, so the operator's only window into
   // a running extraction is this periodic progress line.
-  std::unique_ptr<obs::ProgressReporter> reporter;
-  if (config_.progress_interval_seconds > 0) {
-    struct RateState {
-      int64_t documents = 0;
-      int64_t statements = 0;
-      std::chrono::steady_clock::time_point last =
-          std::chrono::steady_clock::now();
-    };
-    auto previous = std::make_shared<RateState>();
-    obs::Counter* documents_counter = counters.documents;
-    obs::Counter* statements_counter = counters.statements;
-    ThreadPool* pool_ptr = &pool;
-    reporter = std::make_unique<obs::ProgressReporter>(
-        config_.progress_interval_seconds,
-        [previous, documents_counter, statements_counter, pool_ptr] {
-          const int64_t documents = documents_counter->Value();
-          const int64_t statements = statements_counter->Value();
-          const auto now = std::chrono::steady_clock::now();
-          const double seconds =
-              std::chrono::duration<double>(now - previous->last).count();
-          const double doc_rate =
-              seconds > 0 ? (documents - previous->documents) / seconds : 0.0;
-          const double statement_rate =
-              seconds > 0 ? (statements - previous->statements) / seconds
-                          : 0.0;
-          previous->documents = documents;
-          previous->statements = statements;
-          previous->last = now;
-          SURVEYOR_LOG(Info) << StrFormat(
-              "extract: %lld docs (%.0f/s), %lld statements (%.0f/s), "
-              "queue depth %zu",
-              static_cast<long long>(documents), doc_rate,
-              static_cast<long long>(statements), statement_rate,
-              pool_ptr->queue_depth());
-        });
-  }
+  struct RateState {
+    int64_t documents = 0;
+    int64_t statements = 0;
+    std::chrono::steady_clock::time_point last =
+        std::chrono::steady_clock::now();
+  };
+  auto previous = std::make_shared<RateState>();
+  obs::Counter* documents_counter = counters.documents;
+  obs::Counter* statements_counter = counters.statements;
+  ThreadPool* pool_ptr = &pool;
+  auto reporter = std::make_unique<obs::ProgressReporter>(
+      kProgressIntervalSeconds,
+      [previous, documents_counter, statements_counter, pool_ptr] {
+        const int64_t documents = documents_counter->Value();
+        const int64_t statements = statements_counter->Value();
+        const auto now = std::chrono::steady_clock::now();
+        const double seconds =
+            std::chrono::duration<double>(now - previous->last).count();
+        const double doc_rate =
+            seconds > 0 ? (documents - previous->documents) / seconds : 0.0;
+        const double statement_rate =
+            seconds > 0 ? (statements - previous->statements) / seconds
+                        : 0.0;
+        previous->documents = documents;
+        previous->statements = statements;
+        previous->last = now;
+        SURVEYOR_LOG(Info) << StrFormat(
+            "extract: %lld docs (%.0f/s), %lld statements (%.0f/s), "
+            "queue depth %zu",
+            static_cast<long long>(documents), doc_rate,
+            static_cast<long long>(statements), statement_rate,
+            pool_ptr->queue_depth());
+      });
 
   // Documents are independent: each worker pulls documents until the
   // source runs dry and counts into its own shard, and the shards merge at
@@ -577,9 +563,7 @@ StatusOr<PipelineResult> SurveyorPipeline::RunFromEvidenceWithRegistry(
       obs::HistogramOptions{/*first_bound=*/1.0, /*growth=*/2.0,
                             /*num_finite_buckets=*/8});
 
-  const bool collect_diagnostics = config_.collect_fit_diagnostics;
-  std::vector<obs::EmFitDiagnostics> fit_diagnostics(
-      collect_diagnostics ? evidence.size() : 0);
+  std::vector<obs::EmFitDiagnostics> fit_diagnostics(evidence.size());
 
   const EmLearner learner(config_.em);
   ThreadPool pool(EffectiveThreads(config_.num_threads));
@@ -638,20 +622,18 @@ StatusOr<PipelineResult> SurveyorPipeline::RunFromEvidenceWithRegistry(
     grid_evaluations->Increment(fit->grid_evaluations);
     if (!fit->converged) convergence_failures->Increment();
     iteration_histogram->Record(static_cast<double>(fit->iterations));
-    if (collect_diagnostics) {
-      const ModelDiagnostics diagnostics =
-          DiagnoseFit(pair.evidence.counts, *fit);
-      obs::EmFitDiagnostics& out = fit_diagnostics[i];
-      out.type_name = kb_->TypeName(pair.evidence.type);
-      out.property = pair.evidence.property;
-      out.total_statements = pair.evidence.total_statements;
-      out.iterations = fit->iterations;
-      out.converged = fit->converged;
-      out.log_likelihood = diagnostics.log_likelihood;
-      out.aic = diagnostics.aic;
-      out.chi2_positive = diagnostics.positive_count_chi2;
-      out.chi2_negative = diagnostics.negative_count_chi2;
-    }
+    const ModelDiagnostics diagnostics =
+        DiagnoseFit(pair.evidence.counts, *fit);
+    obs::EmFitDiagnostics& out = fit_diagnostics[i];
+    out.type_name = kb_->TypeName(pair.evidence.type);
+    out.property = pair.evidence.property;
+    out.total_statements = pair.evidence.total_statements;
+    out.iterations = fit->iterations;
+    out.converged = fit->converged;
+    out.log_likelihood = diagnostics.log_likelihood;
+    out.aic = diagnostics.aic;
+    out.chi2_positive = diagnostics.positive_count_chi2;
+    out.chi2_negative = diagnostics.negative_count_chi2;
     pair.params = fit->params;
     pair.posterior = std::move(fit->responsibilities);
     pair.em_iterations = fit->iterations;
@@ -686,11 +668,8 @@ StatusOr<PipelineResult> SurveyorPipeline::RunFromEvidenceWithRegistry(
     }
   }
 
-  if (collect_diagnostics) {
-    report.em.max_worst_fits = config_.report_worst_fits;
-    for (obs::EmFitDiagnostics& diagnostics : fit_diagnostics) {
-      report.em.Add(std::move(diagnostics));
-    }
+  for (obs::EmFitDiagnostics& diagnostics : fit_diagnostics) {
+    report.em.Add(std::move(diagnostics));
   }
 
   result.stats.em_seconds = em_span.ElapsedSeconds();

@@ -37,14 +37,6 @@ struct SurveyorConfig {
   /// the paper's 5000-node cluster.
   int num_threads = 0;
   EntityTaggerOptions tagger;
-  /// Streaming extraction logs a progress line (docs/sec, statements/sec,
-  /// queue depth) every this many seconds; 0 disables the reporter.
-  double progress_interval_seconds = 5.0;
-  /// When true, Run* computes per-pair ModelDiagnostics and aggregates
-  /// them into the run report (worst-chi2 misfit ranking).
-  bool collect_fit_diagnostics = true;
-  /// How many worst-fitting pairs the run report keeps.
-  int report_worst_fits = 10;
   /// Live metrics registry for the admin plane (not owned, must outlive
   /// the pipeline). When set, Run* records its counters here — so an
   /// embedded obs::AdminServer scraping the same registry sees them move
@@ -69,13 +61,6 @@ struct SurveyorConfig {
   /// EmOptions, bad threshold) are always hard failures. When false, the
   /// first fit failure aborts the run (the pre-degradation behavior).
   bool degrade_failed_fits = true;
-  /// Head-sampling rate in [0, 1] for admin-plane request traces
-  /// (--trace-sample-rate): the fraction of requests whose span tree is
-  /// retained on /tracez. 0 disables head sampling.
-  double trace_sample_rate = 0.01;
-  /// Requests slower than this many milliseconds are trace-captured
-  /// regardless of sampling (--slow-query-ms); 0 disables tail capture.
-  double slow_query_ms = 250.0;
 
   /// One check for the whole configuration: range checks on
   /// min_statements / decision_threshold / thread counts / sample counts,

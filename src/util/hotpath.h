@@ -4,9 +4,9 @@
 // Hot-path annotations for tools/check_hotpath (DESIGN.md §13).
 //
 // The per-sentence pipeline (tokenize → match → parse → extract) and the
-// serving lookup path run millions of times per mining run; BENCH_profile
-// attributes ~90% of CPU samples to them. These annotations make their
-// performance hygiene a statically checked invariant: code inside an
+// serving lookup path run millions of times per mining run; `mine
+// --profile` attributes most CPU samples to them. These annotations make
+// their performance hygiene a statically checked invariant: code inside an
 // annotated hot region may not allocate, copy std::strings, take locks,
 // or do I/O unless each occurrence is explicitly justified.
 //

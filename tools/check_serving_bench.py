@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Gates BENCH_serving.json for the load-smoke CI job.
+"""Gates bench/load_bench's JSON output for the load-smoke CI job.
 
 Usage: check_serving_bench.py [--min-rate R] [--max-p99-ms MS] <bench.json>
 
-The input is the snapshot bench/load_bench writes: a "sections" array of
+The input is the file `load_bench <out.json>` writes: a "sections" array of
 fixed-rate open-loop runs (keepalive_2k, keepalive_5k, keepalive_10k)
 plus the closed-loop overload_shed section.
 
@@ -23,7 +23,7 @@ import sys
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("bench", help="BENCH_serving.json snapshot")
+    parser.add_argument("bench", help="load_bench JSON output")
     parser.add_argument(
         "--min-rate",
         type=float,

@@ -67,15 +67,18 @@
 //       Scores <dir>/opinions.tsv against the simulator's oracle
 //       (<dir>/truth.tsv): coverage, precision and F1 per type and
 //       overall.
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "corpus/generator.h"
@@ -163,6 +166,68 @@ bool HasUnknownFlag(const std::vector<std::string>& args) {
   return false;
 }
 
+/// Reads all of `value` into `*out`: strtoll for counts, strtod for
+/// reals, with the end-pointer check, so an empty value or trailing
+/// characters ("1e2" as a count, "ten", "5x") are rejected instead of read
+/// up to the first bad character. So are values outside [min, max]: by
+/// default every number is >= 0, so a negative count can no longer wrap
+/// through a cast to size_t. A bad value prints a usage error naming
+/// `name` and returns false.
+template <typename T>
+bool ParseFlag(const std::string& name, const std::string& value, T* out,
+               std::type_identity_t<T> min = 0,
+               std::type_identity_t<T> max = std::numeric_limits<T>::max()) {
+  const char* begin = value.c_str();
+  char* end = nullptr;
+  errno = 0;
+  T parsed{};
+  bool in_range = false;
+  if constexpr (std::is_integral_v<T>) {
+    const long long number = std::strtoll(begin, &end, 10);
+    in_range = number >= static_cast<long long>(min) &&
+               static_cast<unsigned long long>(number) <=
+                   static_cast<unsigned long long>(max);
+    parsed = static_cast<T>(number);
+  } else {
+    parsed = std::strtod(begin, &end);
+    in_range = parsed >= min && parsed <= max;
+  }
+  if (!value.empty() && end == begin + value.size() && errno == 0 &&
+      in_range) {
+    *out = parsed;
+    return true;
+  }
+  const char* kind = std::is_integral_v<T> ? "an integer" : "a number";
+  std::cerr << name << " needs " << kind << " >= " << min;
+  if (max < std::numeric_limits<T>::max()) std::cerr << " and <= " << max;
+  std::cerr << ", got '" << value << "'\n";
+  return false;
+}
+
+/// The serving-tier flags `serve` and `mine --admin-port` share.
+bool IsServingFlag(const std::string& flag) {
+  return flag == "--trace-sample-rate" || flag == "--slow-query-ms" ||
+         flag == "--max-connections" || flag == "--queue-high-water";
+}
+
+/// Parses one IsServingFlag flag straight into the admin server's
+/// options, with its range: a sample rate in [0, 1] (0 = head sampling
+/// off), a slow threshold >= 0 ms (0 = tail capture off), and a
+/// connection cap and queue high-water >= 1.
+bool ParseServingFlag(const std::string& flag, const std::string& value,
+                      obs::AdminServerOptions* options) {
+  if (flag == "--trace-sample-rate") {
+    return ParseFlag(flag, value, &options->trace_sample_rate, 0, 1);
+  }
+  if (flag == "--slow-query-ms") {
+    return ParseFlag(flag, value, &options->slow_query_ms);
+  }
+  if (flag == "--max-connections") {
+    return ParseFlag(flag, value, &options->max_connections, 1);
+  }
+  return ParseFlag(flag, value, &options->queue_high_water, 1);
+}
+
 StatusOr<WorldConfig> ScenarioConfig(const std::string& name) {
   if (name == "tiny") return MakeTinyWorldConfig();
   if (name == "paper") return MakePaperWorldConfig();
@@ -174,6 +239,12 @@ StatusOr<WorldConfig> ScenarioConfig(const std::string& name) {
 int RunWorldgen(const std::vector<std::string>& args) {
   if (HasUnknownFlag(args)) return Usage();
   if (args.size() < 2) return Usage();
+  GeneratorOptions options;
+  options.author_population = 2000.0;
+  if (args.size() > 2 &&
+      !ParseFlag("authors", args[2], &options.author_population)) {
+    return Usage();
+  }
   auto config = ScenarioConfig(args[0]);
   if (!config.ok()) return Fail(config.status());
   const std::string outdir = args[1];
@@ -181,9 +252,6 @@ int RunWorldgen(const std::vector<std::string>& args) {
   auto world = World::Generate(*config);
   if (!world.ok()) return Fail(world.status());
 
-  GeneratorOptions options;
-  options.author_population = args.size() > 2 ? std::atof(args[2].c_str())
-                                              : 2000.0;
   const std::vector<RawDocument> corpus =
       CorpusGenerator(&*world, options).Generate();
 
@@ -229,16 +297,12 @@ int RunServeSnapshot(const std::vector<std::string>& args) {
   std::string snapshot_path;
   std::string generations_dir;
   size_t retain = 4;
-  int admin_port = 8080;
-  double trace_sample_rate = 0.01;
-  double slow_query_ms = 250.0;
   obs::AdminServerOptions admin_options;
+  admin_options.port = 8080;
   for (size_t i = 0; i < args.size(); ++i) {
     const std::string& flag = args[i];
     if (flag != "--snapshot" && flag != "--generations" &&
-        flag != "--retain" && flag != "--admin-port" &&
-        flag != "--trace-sample-rate" && flag != "--slow-query-ms" &&
-        flag != "--max-connections" && flag != "--queue-high-water") {
+        flag != "--retain" && flag != "--admin-port" && !IsServingFlag(flag)) {
       std::cerr << "unknown flag '" << flag << "'\n";
       return Usage();
     }
@@ -247,45 +311,23 @@ int RunServeSnapshot(const std::vector<std::string>& args) {
       return Usage();
     }
     const std::string& value = args[++i];
+    bool ok = true;
     if (flag == "--snapshot") {
       snapshot_path = value;
     } else if (flag == "--generations") {
       generations_dir = value;
     } else if (flag == "--retain") {
-      retain = static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (flag == "--trace-sample-rate") {
-      trace_sample_rate = std::atof(value.c_str());
-    } else if (flag == "--slow-query-ms") {
-      slow_query_ms = std::atof(value.c_str());
-    } else if (flag == "--max-connections") {
-      admin_options.max_connections =
-          static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (flag == "--queue-high-water") {
-      admin_options.queue_high_water =
-          static_cast<size_t>(std::atoll(value.c_str()));
+      ok = ParseFlag(flag, value, &retain, 1);
+    } else if (flag == "--admin-port") {
+      ok = ParseFlag(flag, value, &admin_options.port);
     } else {
-      admin_port = std::atoi(value.c_str());
+      ok = ParseServingFlag(flag, value, &admin_options);
     }
+    if (!ok) return Usage();
   }
   if (snapshot_path.empty() == generations_dir.empty()) {
     std::cerr << "serve needs exactly one of --snapshot or --generations\n";
     return Usage();
-  }
-  if (!(trace_sample_rate >= 0.0 && trace_sample_rate <= 1.0)) {
-    return Fail(Status::InvalidArgument(
-        "trace_sample_rate must be in [0, 1] (0 = head sampling off)"));
-  }
-  if (!(slow_query_ms >= 0.0)) {
-    return Fail(Status::InvalidArgument(
-        "slow_query_ms must be >= 0 (0 = tail capture off)"));
-  }
-  if (retain == 0) {
-    return Fail(Status::InvalidArgument("retain must be >= 1"));
-  }
-  if (admin_options.max_connections < 1 ||
-      admin_options.queue_high_water < 1) {
-    return Fail(Status::InvalidArgument(
-        "max_connections and queue_high_water must be >= 1"));
   }
 
   obs::LogRing::InstallGlobalTee();
@@ -296,9 +338,6 @@ int RunServeSnapshot(const std::vector<std::string>& args) {
   index_options.metrics = &registry;
   serving::OpinionIndex index(index_options);
   serving::QueryService query_service(&index, &stage_tracker, &registry);
-  admin_options.port = admin_port;
-  admin_options.trace_sample_rate = trace_sample_rate;
-  admin_options.slow_query_ms = slow_query_ms;
   admin_options.profiler_metrics = &registry;
   obs::AdminServer admin(&registry, &stage_tracker, &obs::LogRing::Global(),
                          admin_options);
@@ -381,10 +420,9 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
   std::string profile_path;
   // serve without an admin plane would just be a parked process, so it
   // defaults to the conventional local admin port; mine defaults to off.
-  int admin_port = serve ? 8080 : 0;
+  obs::AdminServerOptions admin_options;
+  admin_options.port = serve ? 8080 : 0;
   bool admin_enabled = serve;
-  // Event-loop shape of the admin/serving tier; defaults from the struct.
-  obs::AdminServerOptions serving_shape;
   for (size_t i = 1; i < args.size(); ++i) {
     const std::string& flag = args[i];
     const bool known = flag == "--min-statements" || flag == "--threshold" ||
@@ -393,10 +431,7 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
                        flag == "--snapshot" || flag == "--publish" ||
                        flag == "--retain" || flag == "--admin-port" ||
                        flag == "--faults" || flag == "--fault-seed" ||
-                       flag == "--trace-sample-rate" ||
-                       flag == "--slow-query-ms" || flag == "--profile" ||
-                       flag == "--max-connections" ||
-                       flag == "--queue-high-water";
+                       flag == "--profile" || IsServingFlag(flag);
     if (!known) {
       std::cerr << "unknown flag '" << flag << "'\n";
       return Usage();
@@ -406,46 +441,40 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
       return Usage();
     }
     const std::string& value = args[++i];
+    bool ok = true;
     if (flag == "--min-statements") {
-      config.min_statements = std::atoll(value.c_str());
+      ok = ParseFlag(flag, value, &config.min_statements);
     } else if (flag == "--threshold") {
-      config.decision_threshold = std::atof(value.c_str());
+      ok = ParseFlag(flag, value, &config.decision_threshold);
     } else if (flag == "--domain") {
       domain = value;
     } else if (flag == "--out") {
       out = value;
     } else if (flag == "--provenance") {
-      config.max_provenance_samples = std::atoi(value.c_str());
+      ok = ParseFlag(flag, value, &config.max_provenance_samples);
     } else if (flag == "--snapshot") {
       snapshot_path = value;
     } else if (flag == "--publish") {
       publish_dir = value;
     } else if (flag == "--retain") {
-      publish_retain = static_cast<size_t>(std::atoll(value.c_str()));
+      ok = ParseFlag(flag, value, &publish_retain, 1);
     } else if (flag == "--admin-port") {
-      admin_port = std::atoi(value.c_str());
+      ok = ParseFlag(flag, value, &admin_options.port);
       // 0 disables for mine; serve binds an ephemeral port instead of
       // running headless.
-      admin_enabled = serve || admin_port != 0;
+      admin_enabled = serve || admin_options.port != 0;
     } else if (flag == "--faults") {
       config.fault_spec = value;
     } else if (flag == "--fault-seed") {
-      config.fault_seed = static_cast<uint64_t>(std::atoll(value.c_str()));
-    } else if (flag == "--trace-sample-rate") {
-      config.trace_sample_rate = std::atof(value.c_str());
-    } else if (flag == "--slow-query-ms") {
-      config.slow_query_ms = std::atof(value.c_str());
-    } else if (flag == "--max-connections") {
-      serving_shape.max_connections =
-          static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (flag == "--queue-high-water") {
-      serving_shape.queue_high_water =
-          static_cast<size_t>(std::atoll(value.c_str()));
+      ok = ParseFlag(flag, value, &config.fault_seed);
+    } else if (IsServingFlag(flag)) {
+      ok = ParseServingFlag(flag, value, &admin_options);
     } else if (flag == "--profile") {
       profile_path = value;
     } else {
       report_path = value;
     }
+    if (!ok) return Usage();
   }
   // The env var mirrors the flag so wrappers (CI, scripts) can profile
   // without touching the command line — same pattern as SURVEYOR_FAULTS.
@@ -453,15 +482,9 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
     if (const char* env = std::getenv("SURVEYOR_PROFILE")) profile_path = env;
   }
   // Fail fast on a bad configuration: the pipeline validates again before
-  // running, but the admin plane (whose tracer options come from the same
-  // config) starts first.
+  // running, but the admin plane starts first.
   const Status config_status = config.Validate();
   if (!config_status.ok()) return Fail(config_status);
-  if (serving_shape.max_connections < 1 ||
-      serving_shape.queue_high_water < 1) {
-    return Fail(Status::InvalidArgument(
-        "max_connections and queue_high_water must be >= 1"));
-  }
 
   // The admin plane: a live registry + readiness machine the pipeline
   // writes into, an OS resource sampler, the process log ring, and the
@@ -483,10 +506,6 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
     config.live_metrics = &live_registry;
     config.stage_tracker = &stage_tracker;
     sampler = std::make_unique<obs::ResourceSampler>(&live_registry);
-    obs::AdminServerOptions admin_options = serving_shape;
-    admin_options.port = admin_port;
-    admin_options.trace_sample_rate = config.trace_sample_rate;
-    admin_options.slow_query_ms = config.slow_query_ms;
     admin_options.profiler_metrics = &live_registry;
     admin = std::make_unique<obs::AdminServer>(
         &live_registry, &stage_tracker, &obs::LogRing::Global(),
@@ -579,9 +598,6 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
       std::cout << "wrote opinion snapshot to " << snapshot_path << "\n";
     }
     if (!publish_dir.empty()) {
-      if (publish_retain == 0) {
-        return Fail(Status::InvalidArgument("retain must be >= 1"));
-      }
       serving::GenerationStoreOptions store_options;
       store_options.retain = publish_retain;
       if (admin_enabled) store_options.metrics = &live_registry;
@@ -685,15 +701,14 @@ StatusOr<OpinionStore> LoadOpinions(const LoadedWorkspace& workspace,
 int RunQuery(const std::vector<std::string>& args) {
   if (HasUnknownFlag(args)) return Usage();
   if (args.size() < 3) return Usage();
+  size_t limit = 15;
+  if (args.size() > 3 && !ParseFlag("limit", args[3], &limit)) return Usage();
   auto workspace = LoadWorkspace(args[0]);
   if (!workspace.ok()) return Fail(workspace.status());
   auto store = LoadOpinions(*workspace, args[0]);
   if (!store.ok()) return Fail(store.status());
   auto type = workspace->kb.TypeByName(args[1]);
   if (!type.ok()) return Fail(type.status());
-  const size_t limit = args.size() > 3
-                           ? static_cast<size_t>(std::atoll(args[3].c_str()))
-                           : 15;
 
   TextTable table({args[2] + " " + Lexicon::Pluralize(args[1]),
                    "probability"});
