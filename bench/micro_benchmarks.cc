@@ -375,6 +375,7 @@ BENCHMARK(BM_SpanUnderDisarmedScope);
 constexpr int kSnapshotTypes = 8;
 constexpr int kSnapshotEntitiesPerType = 500;
 constexpr int kSnapshotProperties = 12;
+constexpr char kSnapshotPath[] = "/tmp/surveyor_micro_benchmarks.surv";
 
 std::string SnapshotEntityName(int type, int entity) {
   char name[32];
@@ -401,10 +402,9 @@ const serving::OpinionIndex& SharedIndex() {
         }
       }
     }
-    const std::string path = "/tmp/surveyor_micro_benchmarks.surv";
-    SURVEYOR_CHECK(writer.WriteToFile(path).ok());
+    SURVEYOR_CHECK(writer.WriteToFile(kSnapshotPath).ok());
     auto* loaded = new serving::OpinionIndex();
-    SURVEYOR_CHECK(loaded->Load(path).ok());
+    SURVEYOR_CHECK(loaded->Load(kSnapshotPath).ok());
     return loaded;
   }();
   return index;
@@ -433,6 +433,42 @@ void BM_OpinionIndexHotLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_OpinionIndexHotLookup);
+
+// A whole OpinionIndex::Load of the shared snapshot file: open, CRC check
+// and validation, plus the swap that retires the previous generation.
+// perf-budgets holds it to <= 80 ns per opinion.
+void BM_OpinionIndexLoad(benchmark::State& state) {
+  const size_t opinions = SharedIndex().generation()->snapshot().num_opinions();
+  serving::OpinionIndex index;
+  for (auto _ : state) {
+    SURVEYOR_CHECK(index.Load(kSnapshotPath).ok());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(opinions));
+}
+BENCHMARK(BM_OpinionIndexLoad);
+
+// Limit-10 type scans cycling over all 96 (type, property) blocks.
+// perf-budgets holds scans/s >= hot point lookups/s / 25.
+void BM_OpinionIndexTypeScan(benchmark::State& state) {
+  const serving::OpinionIndex& index = SharedIndex();
+  std::vector<std::pair<std::string, std::string>> blocks;
+  for (int t = 0; t < kSnapshotTypes; ++t) {
+    for (int p = 0; p < kSnapshotProperties; ++p) {
+      blocks.emplace_back("type" + std::to_string(t),
+                          "prop" + std::to_string(p));
+    }
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& [type, property] = blocks[i++ % blocks.size()];
+    auto scan = index.QueryType(type, property, 10);
+    SURVEYOR_CHECK(scan.size() == 10);
+    benchmark::DoNotOptimize(scan);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_OpinionIndexTypeScan);
 
 // The hot /v1/query through AdminServer::Handle: request scope, access log
 // and dispatch around the lookup. /1 keeps the production defaults of

@@ -1,7 +1,7 @@
 #include "serving/opinion_index.h"
 
 #include <algorithm>
-#include <cctype>
+#include <utility>
 
 #include "obs/request_trace.h"
 #include "obs/trace.h"
@@ -13,21 +13,32 @@ namespace surveyor {
 namespace serving {
 namespace {
 
-uint64_t PairKey(uint32_t entity_index, uint32_t property_index) {
-  return (static_cast<uint64_t>(entity_index) << 32) | property_index;
-}
-
 /// Lower-cases into a reused thread-local buffer. Point lookups are the
 /// serving fast path; after warm-up this never allocates. The reference
 /// is valid until the next call on the same thread.
 const std::string& LowerScratch(std::string_view text) {
   thread_local std::string scratch;
   scratch.resize(text.size());
-  for (size_t i = 0; i < text.size(); ++i) {
-    scratch[i] =
-        static_cast<char>(std::tolower(static_cast<unsigned char>(text[i])));
-  }
+  for (size_t i = 0; i < text.size(); ++i) scratch[i] = AsciiLower(text[i]);
   return scratch;
+}
+
+/// Decodes one record of `block` into an answer, names resolved and the
+/// provenance samples attached.
+ServedOpinion Materialize(const Snapshot& snapshot,
+                          const Snapshot::BlockView& block, uint32_t record) {
+  SURVEYOR_SPAN("snapshot.materialize");
+  const Snapshot::RecordView view = Snapshot::ReadRecord(block.records, record);
+  ServedOpinion opinion;
+  opinion.entity = std::string(snapshot.EntityName(view.entity_index));
+  opinion.type = std::string(snapshot.TypeName(block.type_index));
+  opinion.property = std::string(snapshot.PropertyName(block.property_index));
+  opinion.posterior = view.posterior;
+  opinion.polarity = view.polarity;
+  opinion.degraded = block.degraded;
+  opinion.provenance =
+      snapshot.Provenance(view.entity_index, block.property_index);
+  return opinion;
 }
 
 }  // namespace
@@ -70,60 +81,18 @@ Status OpinionIndex::LoadGeneration(const std::string& path,
     return status;
   };
 
-  Snapshot snapshot;
-  const RetryResult result = RetryWithBackoff(
-      options_.retry, [&snapshot, &path] { return snapshot.Open(path); });
+  auto generation = std::make_shared<LoadedGeneration>();
+  generation->id_ = generation_id;
+  const RetryResult result =
+      RetryWithBackoff(options_.retry, [&generation, &path] {
+        return generation->snapshot_.Open(path);
+      });
   if (result.attempts > 1) {
     if (obs::RequestStats* stats = obs::CurrentRequestStats()) {
       stats->retries += result.attempts - 1;
     }
   }
   if (!result.status.ok()) return fail(result.status);
-
-  auto generation = std::make_shared<LoadedGeneration>();
-  generation->id_ = generation_id;
-  generation->entity_by_name_.reserve(snapshot.num_entities());
-  generation->sorted_entities_.reserve(snapshot.num_entities());
-  for (uint32_t i = 0; i < snapshot.num_entities(); ++i) {
-    std::string name = ToLower(snapshot.EntityName(i));
-    generation->entity_by_name_[name] = i;
-    generation->sorted_entities_.emplace_back(std::move(name), i);
-  }
-  std::sort(generation->sorted_entities_.begin(),
-            generation->sorted_entities_.end());
-
-  generation->property_by_name_.reserve(snapshot.num_properties());
-  for (uint32_t i = 0; i < snapshot.num_properties(); ++i) {
-    generation->property_by_name_[ToLower(snapshot.PropertyName(i))] = i;
-  }
-  generation->type_by_name_.reserve(snapshot.num_types());
-  for (uint32_t i = 0; i < snapshot.num_types(); ++i) {
-    generation->type_by_name_[ToLower(snapshot.TypeName(i))] = i;
-  }
-
-  generation->records_by_pair_.reserve(snapshot.num_opinions());
-  generation->blocks_by_type_.resize(snapshot.num_types());
-  const auto& blocks = snapshot.blocks();
-  for (uint32_t b = 0; b < blocks.size(); ++b) {
-    generation->blocks_by_type_[blocks[b].type_index].push_back(b);
-    for (uint32_t r = 0; r < blocks[b].record_count; ++r) {
-      const Snapshot::RecordView record =
-          Snapshot::ReadRecord(blocks[b].records, r);
-      generation->records_by_pair_[PairKey(
-          record.entity_index, blocks[b].property_index)] =
-          LoadedGeneration::RecordLoc{b, r};
-    }
-  }
-
-  const auto& provenance = snapshot.provenance();
-  generation->provenance_by_pair_.reserve(provenance.size());
-  for (uint32_t i = 0; i < provenance.size(); ++i) {
-    generation->provenance_by_pair_[PairKey(provenance[i].entity_index,
-                                            provenance[i].property_index)] =
-        i;
-  }
-
-  generation->snapshot_ = std::move(snapshot);
   generation->loaded_at_ = std::chrono::steady_clock::now();
 
   // The "generation_swap" fault simulates a load that dies after all the
@@ -134,13 +103,17 @@ Status OpinionIndex::LoadGeneration(const std::string& path,
         Status::Internal("injected fault at generation_swap: " + path));
   }
 
-  // The swap: one pointer assignment under current_mutex_. In-flight
-  // queries finish on the generation they pinned; its snapshot and
-  // indexes die with the last reference.
+  // The swap: one pointer exchange under current_mutex_. In-flight
+  // queries finish on the generation they pinned; its mapping dies with
+  // the last reference. When that is ours, the old generation is torn
+  // down below, after the unlock: every query pins through this mutex,
+  // so a teardown under it would stall them all.
+  GenerationPtr retired;
   {
     MutexLock lock(current_mutex_);
-    current_ = std::move(generation);
+    retired = std::exchange(current_, std::move(generation));
   }
+  retired.reset();
   swaps_->Increment();
   const GenerationPtr published = this->generation();
   generation_gauge_->Set(static_cast<double>(published->id()));
@@ -149,29 +122,6 @@ Status OpinionIndex::LoadGeneration(const std::string& path,
   metrics_->GetGauge("surveyor_snapshot_entities")
       ->Set(static_cast<double>(published->snapshot().num_entities()));
   return Status::OK();
-}
-
-ServedOpinion OpinionIndex::Materialize(
-    const LoadedGeneration& generation,
-    const LoadedGeneration::RecordLoc& loc) const {
-  SURVEYOR_SPAN("snapshot.materialize");
-  const Snapshot& snapshot = generation.snapshot_;
-  const Snapshot::BlockView& block = snapshot.blocks()[loc.block];
-  const Snapshot::RecordView record =
-      Snapshot::ReadRecord(block.records, loc.record);
-  ServedOpinion opinion;
-  opinion.entity = std::string(snapshot.EntityName(record.entity_index));
-  opinion.type = std::string(snapshot.TypeName(block.type_index));
-  opinion.property = std::string(snapshot.PropertyName(block.property_index));
-  opinion.posterior = record.posterior;
-  opinion.polarity = record.polarity;
-  opinion.degraded = block.degraded;
-  auto prov = generation.provenance_by_pair_.find(
-      PairKey(record.entity_index, block.property_index));
-  if (prov != generation.provenance_by_pair_.end()) {
-    opinion.provenance = snapshot.provenance()[prov->second].refs;
-  }
-  return opinion;
 }
 
 SURVEYOR_HOT_FUNCTION
@@ -190,27 +140,22 @@ SURVEYOR_HOT_FUNCTION
 StatusOr<ServedOpinion> OpinionIndex::LookupIn(
     const LoadedGeneration& generation, std::string_view entity,
     std::string_view property) const {
-  // The scratch is reused for the property find below; only the mapped
+  // The scratch is reused for the property find below; only the found
   // index survives each find, never the key string.
-  auto entity_it = generation.entity_by_name_.find(LowerScratch(entity));
-  if (entity_it == generation.entity_by_name_.end()) {
+  const Snapshot& snapshot = generation.snapshot();
+  const uint32_t entity_index = snapshot.FindEntity(LowerScratch(entity));
+  if (entity_index == Snapshot::kNone) {
     not_found_->Increment();
     return Status::NotFound("unknown entity '" + std::string(entity) + "'");
   }
-  auto property_it = generation.property_by_name_.find(LowerScratch(property));
-  if (property_it == generation.property_by_name_.end()) {
+  const Snapshot::RecordLoc loc = snapshot.FindPair(
+      entity_index, snapshot.FindProperty(LowerScratch(property)));
+  if (loc.block == Snapshot::kNone) {
     not_found_->Increment();
     return Status::NotFound("no opinion for entity '" + std::string(entity) +
                             "' property '" + std::string(property) + "'");
   }
-  auto record_it = generation.records_by_pair_.find(
-      PairKey(entity_it->second, property_it->second));
-  if (record_it == generation.records_by_pair_.end()) {
-    not_found_->Increment();
-    return Status::NotFound("no opinion for entity '" + std::string(entity) +
-                            "' property '" + std::string(property) + "'");
-  }
-  return Materialize(generation, record_it->second);
+  return Materialize(snapshot, snapshot.blocks()[loc.block], loc.record);
 }
 
 std::vector<StatusOr<ServedOpinion>> OpinionIndex::BatchLookup(
@@ -238,30 +183,21 @@ std::vector<ServedOpinion> OpinionIndex::QueryType(std::string_view type,
   std::vector<ServedOpinion> out;
   const GenerationPtr pinned = this->generation();
   if (pinned == nullptr) return out;
-  const LoadedGeneration& generation = *pinned;
-  auto type_it = generation.type_by_name_.find(ToLower(type));
-  auto property_it = generation.property_by_name_.find(ToLower(property));
-  if (type_it == generation.type_by_name_.end() ||
-      property_it == generation.property_by_name_.end()) {
-    return out;
+  const Snapshot& snapshot = pinned->snapshot();
+  const uint32_t b =
+      snapshot.FindBlock(snapshot.FindType(ToLower(type)),
+                         snapshot.FindProperty(ToLower(property)));
+  if (b == Snapshot::kNone) return out;
+  // The block's posting list is already in scan order: a scan is a slice.
+  const Snapshot::BlockView block = snapshot.blocks()[b];
+  const size_t count =
+      limit == 0 ? block.positive_count
+                 : std::min<size_t>(limit, block.positive_count);
+  out.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    out.push_back(
+        Materialize(snapshot, block, Snapshot::ReadPosting(block.postings, i)));
   }
-  for (uint32_t b : generation.blocks_by_type_[type_it->second]) {
-    const Snapshot::BlockView& block = generation.snapshot_.blocks()[b];
-    if (block.property_index != property_it->second) continue;
-    for (uint32_t r = 0; r < block.record_count; ++r) {
-      const Snapshot::RecordView record =
-          Snapshot::ReadRecord(block.records, r);
-      if (record.polarity != Polarity::kPositive) continue;
-      out.push_back(
-          Materialize(generation, LoadedGeneration::RecordLoc{b, r}));
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ServedOpinion& a, const ServedOpinion& b) {
-              if (a.posterior != b.posterior) return a.posterior > b.posterior;
-              return a.entity < b.entity;
-            });
-  if (limit > 0 && out.size() > limit) out.resize(limit);
   return out;
 }
 
@@ -270,16 +206,11 @@ std::vector<std::string> OpinionIndex::PrefixScan(std::string_view prefix,
   std::vector<std::string> out;
   const GenerationPtr pinned = this->generation();
   if (pinned == nullptr) return out;
-  const LoadedGeneration& generation = *pinned;
-  const std::string needle = ToLower(prefix);
-  auto it = std::lower_bound(
-      generation.sorted_entities_.begin(), generation.sorted_entities_.end(),
-      needle,
-      [](const auto& entry, const std::string& p) { return entry.first < p; });
-  for (; it != generation.sorted_entities_.end(); ++it) {
-    if (it->first.compare(0, needle.size(), needle) != 0) break;
-    out.emplace_back(generation.snapshot_.EntityName(it->second));
-    if (limit > 0 && out.size() >= limit) break;
+  const Snapshot& snapshot = pinned->snapshot();
+  const auto [begin, end] = snapshot.EntityPrefixRange(ToLower(prefix));
+  for (uint32_t e = begin; e < end && (limit == 0 || out.size() < limit);
+       ++e) {
+    out.emplace_back(snapshot.EntityName(e));
   }
   return out;
 }

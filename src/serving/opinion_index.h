@@ -6,7 +6,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -43,12 +42,13 @@ struct OpinionIndexOptions {
   RetryPolicy retry;
 };
 
-/// The complete post-Load state of one snapshot generation: the mapped
-/// snapshot and every derived name index. Immutable once published,
-/// shared out by std::shared_ptr so in-flight queries pin the generation
-/// they started on while a newer one swaps in — RCU with shared_ptr as the
-/// grace period. Every answer is decoded from the pinned snapshot, so no
-/// answer outlives the snapshot it came from.
+/// One loaded snapshot generation. The mapped snapshot is the whole
+/// index, so this holds no container: Load is an open plus a validation
+/// pass. Immutable once published, shared out by std::shared_ptr so
+/// in-flight queries pin the generation they started on while a newer one
+/// swaps in — RCU with shared_ptr as the grace period. Every answer is
+/// decoded from the pinned snapshot, so no answer outlives the snapshot it
+/// came from.
 class LoadedGeneration {
  public:
   LoadedGeneration() = default;
@@ -72,30 +72,13 @@ class LoadedGeneration {
  private:
   friend class OpinionIndex;
 
-  struct RecordLoc {
-    uint32_t block = 0;
-    uint32_t record = 0;
-  };
-
   uint64_t id_ = 0;
   Snapshot snapshot_;
-  /// lowercased name -> table index.
-  std::unordered_map<std::string, uint32_t> entity_by_name_;
-  std::unordered_map<std::string, uint32_t> property_by_name_;
-  std::unordered_map<std::string, uint32_t> type_by_name_;
-  /// (entity_index << 32 | property_index) -> record location.
-  std::unordered_map<uint64_t, RecordLoc> records_by_pair_;
-  /// Same key -> index into snapshot_.provenance().
-  std::unordered_map<uint64_t, uint32_t> provenance_by_pair_;
-  /// type index -> blocks of that type.
-  std::vector<std::vector<uint32_t>> blocks_by_type_;
-  /// Lowercased entity names, sorted, paired with their table index.
-  std::vector<std::pair<std::string, uint32_t>> sorted_entities_;
   std::chrono::steady_clock::time_point loaded_at_;
 };
 
-/// A pinned generation: holding one keeps the snapshot mapping and its
-/// indexes alive regardless of concurrent swaps.
+/// A pinned generation: holding one keeps the snapshot mapping alive
+/// regardless of concurrent swaps.
 using GenerationPtr = std::shared_ptr<const LoadedGeneration>;
 
 /// The online half of Surveyor: loads opinion snapshot generations and
@@ -111,10 +94,10 @@ class OpinionIndex {
  public:
   explicit OpinionIndex(OpinionIndexOptions options = {});
 
-  /// Opens `path` (with bounded retries on transient failures), builds
-  /// the name indexes off to the side, and atomically swaps the new
-  /// generation in as id generation_id() + 1. On failure the index keeps
-  /// serving its previous generation, if any.
+  /// Opens and validates `path` off to the side (with bounded retries on
+  /// transient failures) and atomically swaps the new generation in as id
+  /// generation_id() + 1. On failure the index keeps serving its previous
+  /// generation, if any.
   Status Load(const std::string& path);
 
   /// Load with an explicit generation id (the GenerationStore id), so
@@ -178,8 +161,6 @@ class OpinionIndex {
   obs::MetricRegistry& metrics() const { return *metrics_; }
 
  private:
-  ServedOpinion Materialize(const LoadedGeneration& generation,
-                            const LoadedGeneration::RecordLoc& loc) const;
   StatusOr<ServedOpinion> LookupIn(const LoadedGeneration& generation,
                                    std::string_view entity,
                                    std::string_view property) const;

@@ -1,26 +1,23 @@
 #include "serving/snapshot.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <limits>
+#include <tuple>
 #include <utility>
 
 #include "obs/trace.h"
 #include "util/crc32.h"
 #include "util/durable_file.h"
 #include "util/fault.h"
+#include "util/string_util.h"
 
 namespace surveyor {
 namespace serving {
 namespace {
 
-constexpr size_t kFileHeaderSize = 32;
-constexpr size_t kSectionEntrySize = 24;
-constexpr size_t kBlockHeaderSize = 24;
-constexpr size_t kRecordSize = 16;
-constexpr size_t kProvRefSize = 16;
-/// Version 1 writes six sections; anything larger than this in a header is
-/// a corrupt or hostile file, not a future format (those bump the version).
-constexpr uint32_t kMaxSections = 64;
+constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
 
 void AppendU32(std::string* out, uint32_t v) {
   char buf[4];
@@ -38,84 +35,119 @@ void AppendF64(std::string* out, double v) {
   AppendU64(out, std::bit_cast<uint64_t>(v));
 }
 
-/// u32 length prefix + raw bytes.
-void AppendString(std::string* out, std::string_view s) {
-  AppendU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
 void PadTo8(std::string* out) {
   while (out->size() % 8 != 0) out->push_back('\0');
 }
 
+// Little-endian decodes written out byte by byte: GCC and Clang fold the
+// shift-or into one load on little-endian hosts, where a loop stays a loop
+// at -O2. Every query decodes through these.
 uint32_t DecodeU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
+  const auto* b = reinterpret_cast<const unsigned char*>(p);
+  return static_cast<uint32_t>(b[0]) | static_cast<uint32_t>(b[1]) << 8 |
+         static_cast<uint32_t>(b[2]) << 16 | static_cast<uint32_t>(b[3]) << 24;
 }
 
 uint64_t DecodeU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
+  return static_cast<uint64_t>(DecodeU32(p)) |
+         static_cast<uint64_t>(DecodeU32(p + 4)) << 32;
 }
 
 double DecodeF64(const char* p) { return std::bit_cast<double>(DecodeU64(p)); }
 
-/// Bounds-checked sequential reader over one section payload. Every Read
-/// fails with InvalidArgument on overrun, so a truncated or length-lying
-/// section can never walk past the mapping.
-class Cursor {
- public:
-  explicit Cursor(std::string_view data) : data_(data) {}
+/// The u32 field `field` of entry `i` in a table of `width`-byte entries.
+uint32_t Field(std::string_view table, size_t width, size_t i, size_t field) {
+  return DecodeU32(table.data() + i * width + 4 * field);
+}
 
-  size_t remaining() const { return data_.size() - pos_; }
+/// The byte names are compared and hashed by: ASCII-lowercased, unsigned.
+/// The writer's keys are ToLower'd with the same AsciiLower, so both sides
+/// agree on every order and hash.
+unsigned char Fold(char c) { return static_cast<unsigned char>(AsciiLower(c)); }
 
-  Status ReadU32(uint32_t* out) {
-    SURVEYOR_RETURN_IF_ERROR(Need(4));
-    *out = DecodeU32(data_.data() + pos_);
-    pos_ += 4;
-    return Status::OK();
+/// Compares `a` and `b` ASCII-lowercased, as unsigned bytes: <0, 0, >0.
+int CompareFolded(std::string_view a, std::string_view b) {
+  const size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    const unsigned char x = Fold(a[i]);
+    const unsigned char y = Fold(b[i]);
+    if (x != y) return x < y ? -1 : 1;
   }
+  if (a.size() == b.size()) return 0;
+  return a.size() < b.size() ? -1 : 1;
+}
 
-  Status ReadU64(uint64_t* out) {
-    SURVEYOR_RETURN_IF_ERROR(Need(8));
-    *out = DecodeU64(data_.data() + pos_);
-    pos_ += 8;
-    return Status::OK();
-  }
+/// Name `i` of a name table whose entries start {offset, length}.
+std::string_view NameAt(std::string_view names, std::string_view table,
+                        size_t width, uint32_t i) {
+  return std::string_view(names.data() + Field(table, width, i, 0),
+                          Field(table, width, i, 1));
+}
 
-  Status ReadBytes(size_t n, std::string_view* out) {
-    SURVEYOR_RETURN_IF_ERROR(Need(n));
-    *out = data_.substr(pos_, n);
-    pos_ += n;
-    return Status::OK();
-  }
-
-  /// Length-prefixed string; the view aliases the underlying mapping.
-  Status ReadString(std::string_view* out) {
-    uint32_t len = 0;
-    SURVEYOR_RETURN_IF_ERROR(ReadU32(&len));
-    return ReadBytes(len, out);
-  }
-
- private:
-  Status Need(size_t n) const {
-    if (remaining() < n) {
-      return Status::InvalidArgument("snapshot section truncated");
+/// The first index in [lo, hi) for which `before` is false; `before` must
+/// hold on a prefix of the range (every table here is sorted for it).
+template <typename Before>
+uint32_t PartitionPoint(uint32_t lo, uint32_t hi, Before before) {
+  while (lo < hi) {
+    const uint32_t mid = lo + (hi - lo) / 2;
+    if (before(mid)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
     }
-    return Status::OK();
   }
+  return lo;
+}
 
-  std::string_view data_;
-  size_t pos_ = 0;
-};
+/// Binary search of a name table for `lower`; kNone on a miss.
+uint32_t FindName(std::string_view names, std::string_view table,
+                  size_t width, uint32_t count, std::string_view lower) {
+  const uint32_t i = PartitionPoint(0, count, [&](uint32_t mid) {
+    return CompareFolded(NameAt(names, table, width, mid), lower) < 0;
+  });
+  return i < count && CompareFolded(NameAt(names, table, width, i), lower) == 0
+             ? i
+             : Snapshot::kNone;
+}
+
+Status Invalid(const std::string& rule) {
+  return Status::InvalidArgument("snapshot " + rule);
+}
+
+/// Records `spelling` in a lowercased name -> spelling table, keeping the
+/// smallest spelling seen; returns the lowercased name.
+std::string Intern(std::map<std::string, std::string>* names,
+                   const std::string& spelling) {
+  std::string lower = ToLower(spelling);
+  auto [it, inserted] = names->try_emplace(lower, spelling);
+  if (!inserted && spelling < it->second) it->second = spelling;
+  return lower;
+}
 
 }  // namespace
+
+uint64_t SnapshotNameHash(std::string_view name) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : name) {
+    hash ^= Fold(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// --- Writer ---------------------------------------------------------------
+
+std::string SnapshotWriter::InternEntity(const std::string& spelling,
+                                         const std::string& type) {
+  std::string lower = ToLower(spelling);
+  auto [it, inserted] =
+      entities_.try_emplace(lower, EntityInfo{spelling, type});
+  if (!inserted) {
+    if (spelling < it->second.spelling) it->second.spelling = spelling;
+    if (type < it->second.type) it->second.type = type;
+  }
+  return lower;
+}
 
 Status SnapshotWriter::Add(const SnapshotOpinion& opinion) {
   if (opinion.entity.empty() || opinion.type.empty() ||
@@ -129,11 +161,12 @@ Status SnapshotWriter::Add(const SnapshotOpinion& opinion) {
   if (!(opinion.posterior >= 0.0 && opinion.posterior <= 1.0)) {
     return Status::InvalidArgument("posterior must be in [0, 1]");
   }
-  Block& block = blocks_[PairKey{opinion.type, opinion.property}];
+  const std::string type = Intern(&types_, opinion.type);
+  const std::string property = Intern(&properties_, opinion.property);
+  Block& block = blocks_[{type, property}];
   block.degraded = block.degraded || opinion.degraded;
-  block.records[opinion.entity] =
+  block.records[InternEntity(opinion.entity, type)] =
       Record{opinion.posterior, opinion.polarity};
-  entity_types_.emplace(opinion.entity, opinion.type);
   return Status::OK();
 }
 
@@ -142,8 +175,9 @@ void SnapshotWriter::AddProvenance(const std::string& entity,
                                    const std::string& property,
                                    std::vector<StatementRef> refs) {
   if (refs.empty()) return;
-  entity_types_.emplace(entity, type);
-  provenance_[{entity, property}] = std::move(refs);
+  const std::string entity_key =
+      InternEntity(entity, Intern(&types_, type));
+  provenance_[{entity_key, Intern(&properties_, property)}] = std::move(refs);
 }
 
 Status SnapshotWriter::AddResult(const PipelineResult& result,
@@ -171,113 +205,163 @@ Status SnapshotWriter::AddResult(const PipelineResult& result,
 }
 
 std::string SnapshotWriter::Serialize() const {
-  // String tables, index maps. std::map iteration makes each table sorted
-  // and therefore the whole image deterministic.
-  std::map<std::string, uint32_t> type_index;
-  for (const auto& [key, block] : blocks_) type_index.emplace(key.type, 0);
-  for (const auto& [entity, type] : entity_types_) type_index.emplace(type, 0);
-  uint32_t next = 0;
-  for (auto& [name, index] : type_index) index = next++;
-
-  std::map<std::string, uint32_t> entity_index;
-  next = 0;
-  for (const auto& [name, type] : entity_types_) entity_index[name] = next++;
-
-  std::map<std::string, uint32_t> property_index;
-  for (const auto& [key, block] : blocks_) property_index.emplace(key.property, 0);
-  for (const auto& [key, refs] : provenance_) property_index.emplace(key.second, 0);
-  next = 0;
-  for (auto& [name, index] : property_index) index = next++;
-
-  uint64_t num_opinions = 0;
-  for (const auto& [key, block] : blocks_) num_opinions += block.records.size();
-
-  // --- Section payloads -------------------------------------------------
-  std::string meta;
-  AppendU64(&meta, num_opinions);
-  AppendU64(&meta, blocks_.size());
-  AppendString(&meta, label_);
-
-  std::string types;
-  AppendU32(&types, static_cast<uint32_t>(type_index.size()));
-  for (const auto& [name, index] : type_index) AppendString(&types, name);
-
-  std::string entities;
-  AppendU32(&entities, static_cast<uint32_t>(entity_index.size()));
-  for (const auto& [name, index] : entity_index) {
-    AppendU32(&entities, type_index.at(entity_types_.at(name)));
-    AppendString(&entities, name);
+  // Every table is a std::map keyed by lowercased name, so iteration order
+  // is table order and a key's rank is its index.
+  auto index_of = [](const auto& table) {
+    std::map<std::string_view, uint32_t> index;
+    uint32_t next = 0;
+    for (const auto& entry : table) index.emplace(entry.first, next++);
+    return index;
+  };
+  const auto type_index = index_of(types_);
+  const auto property_index = index_of(properties_);
+  const auto entity_index = index_of(entities_);
+  std::vector<std::string_view> entity_spelling;
+  entity_spelling.reserve(entities_.size());
+  for (const auto& [lower, info] : entities_) {
+    entity_spelling.push_back(info.spelling);
   }
 
-  std::string properties;
-  AppendU32(&properties, static_cast<uint32_t>(property_index.size()));
-  for (const auto& [name, index] : property_index) {
-    AppendString(&properties, name);
-  }
-
-  std::string opinions;
-  AppendU32(&opinions, static_cast<uint32_t>(blocks_.size()));
-  AppendU32(&opinions, 0);  // pad: keeps the header array 8-aligned
-  uint64_t record_offset = 8 + kBlockHeaderSize * blocks_.size();
+  // --- blocks, records, postings ------------------------------------------
+  struct PairRef {
+    uint32_t entity, property, block, record;
+  };
+  struct Positive {
+    double posterior;
+    std::string_view spelling;
+    uint32_t record;
+  };
+  std::vector<PairRef> pair_refs;
+  std::string blocks, records, postings;
+  uint32_t block_number = 0, record_begin = 0, posting_begin = 0;
   for (const auto& [key, block] : blocks_) {
-    AppendU32(&opinions, type_index.at(key.type));
-    AppendU32(&opinions, property_index.at(key.property));
-    AppendU32(&opinions, block.degraded ? 1 : 0);
-    AppendU32(&opinions, static_cast<uint32_t>(block.records.size()));
-    AppendU64(&opinions, record_offset);
-    record_offset += kRecordSize * block.records.size();
-  }
-  for (const auto& [key, block] : blocks_) {
+    const uint32_t property = property_index.at(key.second);
+    std::vector<Positive> positives;
+    uint32_t r = 0;
     for (const auto& [entity, record] : block.records) {
-      AppendF64(&opinions, record.posterior);
-      AppendU32(&opinions, entity_index.at(entity));
-      opinions.push_back(static_cast<char>(record.polarity));
-      opinions.append(3, '\0');
-    }
-  }
-
-  std::string provenance;
-  if (!provenance_.empty()) {
-    AppendU32(&provenance, static_cast<uint32_t>(provenance_.size()));
-    AppendU32(&provenance, 0);  // pad
-    for (const auto& [key, refs] : provenance_) {
-      AppendU32(&provenance, entity_index.at(key.first));
-      AppendU32(&provenance, property_index.at(key.second));
-      AppendU32(&provenance, static_cast<uint32_t>(refs.size()));
-      AppendU32(&provenance, 0);  // pad
-      for (const StatementRef& ref : refs) {
-        AppendU64(&provenance, static_cast<uint64_t>(ref.doc_id));
-        AppendU32(&provenance, static_cast<uint32_t>(ref.sentence_index));
-        AppendU32(&provenance, ref.positive ? 1 : 0);
+      const uint32_t e = entity_index.at(entity);
+      AppendF64(&records, record.posterior);
+      AppendU32(&records, e);
+      records.push_back(static_cast<char>(record.polarity));
+      records.append(3, '\0');
+      if (record.polarity == Polarity::kPositive) {
+        positives.push_back({record.posterior, entity_spelling[e], r});
       }
+      pair_refs.push_back({e, property, block_number, r});
+      ++r;
+    }
+    // Scan order: posterior descending, then entity name ascending.
+    std::sort(positives.begin(), positives.end(),
+              [](const Positive& a, const Positive& b) {
+                if (a.posterior != b.posterior) {
+                  return a.posterior > b.posterior;
+                }
+                return a.spelling < b.spelling;
+              });
+    for (const Positive& positive : positives) {
+      AppendU32(&postings, positive.record);
+    }
+    const auto positive_count = static_cast<uint32_t>(positives.size());
+    for (const uint32_t field :
+         {type_index.at(key.first), property, block.degraded ? 1u : 0u,
+          record_begin, r, posting_begin, positive_count}) {
+      AppendU32(&blocks, field);
+    }
+    record_begin += r;
+    posting_begin += positive_count;
+    ++block_number;
+  }
+
+  // --- pair runs: per (entity, property), the block of the type sorting
+  // last (blocks are in (type, property) order, so the largest block).
+  std::sort(pair_refs.begin(), pair_refs.end(),
+            [](const PairRef& a, const PairRef& b) {
+              return std::tie(a.entity, a.property, a.block) <
+                     std::tie(b.entity, b.property, b.block);
+            });
+  std::string pairs;
+  std::vector<uint32_t> run_length(entities_.size(), 0);
+  for (size_t i = 0; i < pair_refs.size(); ++i) {
+    const PairRef& ref = pair_refs[i];
+    if (i + 1 < pair_refs.size() && pair_refs[i + 1].entity == ref.entity &&
+        pair_refs[i + 1].property == ref.property) {
+      continue;
+    }
+    AppendU32(&pairs, ref.property);
+    AppendU32(&pairs, ref.block);
+    AppendU32(&pairs, ref.record);
+    ++run_length[ref.entity];
+  }
+
+  // --- names and name tables ----------------------------------------------
+  std::string names;
+  auto add_name = [&names](std::string* table, std::string_view spelling) {
+    AppendU32(table, static_cast<uint32_t>(names.size()));
+    AppendU32(table, static_cast<uint32_t>(spelling.size()));
+    names += spelling;
+  };
+  std::string types, properties, entities;
+  for (const auto& [lower, spelling] : types_) add_name(&types, spelling);
+  for (const auto& [lower, spelling] : properties_) {
+    add_name(&properties, spelling);
+  }
+  uint32_t pair_begin = 0, e = 0;
+  for (const auto& [lower, info] : entities_) {
+    add_name(&entities, info.spelling);
+    AppendU32(&entities, type_index.at(info.type));
+    AppendU32(&entities, pair_begin);
+    pair_begin += run_length[e++];
+  }
+
+  // --- entity slots: linear probing, load <= 0.5 ---------------------------
+  const size_t slot_count = std::bit_ceil(2 * entities_.size());
+  std::vector<uint32_t> slots(slot_count, kEmptySlot);
+  e = 0;
+  for (const auto& [lower, info] : entities_) {
+    size_t slot = SnapshotNameHash(lower) & (slot_count - 1);
+    while (slots[slot] != kEmptySlot) slot = (slot + 1) & (slot_count - 1);
+    slots[slot] = e++;
+  }
+  std::string slot_table;
+  for (const uint32_t slot : slots) AppendU32(&slot_table, slot);
+
+  // --- provenance -----------------------------------------------------------
+  std::string provenance, refs;
+  uint32_t ref_begin = 0;
+  for (const auto& [key, list] : provenance_) {
+    AppendU32(&provenance, entity_index.at(key.first));
+    AppendU32(&provenance, property_index.at(key.second));
+    AppendU32(&provenance, ref_begin);
+    AppendU32(&provenance, static_cast<uint32_t>(list.size()));
+    ref_begin += static_cast<uint32_t>(list.size());
+    for (const StatementRef& ref : list) {
+      AppendU64(&refs, static_cast<uint64_t>(ref.doc_id));
+      AppendU32(&refs, static_cast<uint32_t>(ref.sentence_index));
+      AppendU32(&refs, ref.positive ? 1 : 0);
     }
   }
 
-  // --- Assembly ---------------------------------------------------------
-  std::vector<std::pair<uint32_t, const std::string*>> sections = {
-      {kSectionMeta, &meta},
-      {kSectionTypes, &types},
-      {kSectionEntities, &entities},
-      {kSectionProperties, &properties},
-      {kSectionOpinions, &opinions},
-  };
-  if (!provenance.empty()) sections.emplace_back(kSectionProvenance, &provenance);
+  std::string meta;
+  AppendU64(&meta, record_begin);
+  AppendU64(&meta, blocks_.size());
+  AppendU32(&meta, static_cast<uint32_t>(label_.size()));
+  meta += label_;
 
-  std::string payload;  // everything after the section table
-  struct Placed {
-    uint32_t id;
-    uint32_t crc;
-    uint64_t offset;
-    uint64_t size;
-  };
-  std::vector<Placed> placed;
+  // --- assembly: sections 1..12 in id order ---------------------------------
+  const std::string* sections[kSnapshotSectionCount] = {
+      &meta,   &names,   &types,    &properties, &entities,   &slot_table,
+      &blocks, &records, &postings, &pairs,      &provenance, &refs};
   const size_t table_end =
-      kFileHeaderSize + kSectionEntrySize * sections.size();
-  for (const auto& [id, body] : sections) {
+      kSnapshotHeaderSize + kSnapshotSectionEntrySize * kSnapshotSectionCount;
+  std::string table;
+  std::string payload;  // everything after the section table
+  for (uint32_t i = 0; i < kSnapshotSectionCount; ++i) {
     PadTo8(&payload);
-    placed.push_back({id, Crc32(*body), table_end + payload.size(),
-                      body->size()});
-    payload += *body;
+    AppendU32(&table, i + 1);
+    AppendU32(&table, Crc32(*sections[i]));
+    AppendU64(&table, table_end + payload.size());
+    AppendU64(&table, sections[i]->size());
+    payload += *sections[i];
   }
   PadTo8(&payload);
 
@@ -285,15 +369,10 @@ std::string SnapshotWriter::Serialize() const {
   out.reserve(table_end + payload.size());
   out.append(kSnapshotMagic, sizeof(kSnapshotMagic));
   AppendU32(&out, kSnapshotFormatVersion);
-  AppendU32(&out, static_cast<uint32_t>(sections.size()));
+  AppendU32(&out, kSnapshotSectionCount);
   AppendU64(&out, table_end + payload.size());  // total file size
   AppendU64(&out, 0);                           // reserved
-  for (const Placed& p : placed) {
-    AppendU32(&out, p.id);
-    AppendU32(&out, p.crc);
-    AppendU64(&out, p.offset);
-    AppendU64(&out, p.size);
-  }
+  out += table;
   out += payload;
   return out;
 }
@@ -307,13 +386,148 @@ Status SnapshotWriter::WriteToFile(const std::string& path) const {
   return WriteFileDurable(path, Serialize());
 }
 
+// --- Reader ---------------------------------------------------------------
+
 Snapshot::RecordView Snapshot::ReadRecord(const char* records, size_t i) {
-  const char* p = records + i * kRecordSize;
+  const char* p = records + i * kSnapshotRecordSize;
   RecordView view;
   view.posterior = DecodeF64(p);
   view.entity_index = DecodeU32(p + 8);
   view.polarity = static_cast<Polarity>(static_cast<int8_t>(p[12]));
   return view;
+}
+
+uint32_t Snapshot::ReadPosting(const char* postings, size_t i) {
+  return DecodeU32(postings + 4 * i);
+}
+
+std::string_view Snapshot::TypeName(uint32_t index) const {
+  return NameAt(names_, types_, kSnapshotNameEntrySize, index);
+}
+
+std::string_view Snapshot::PropertyName(uint32_t index) const {
+  return NameAt(names_, properties_, kSnapshotNameEntrySize, index);
+}
+
+std::string_view Snapshot::EntityName(uint32_t index) const {
+  return NameAt(names_, entities_, kSnapshotEntityEntrySize, index);
+}
+
+uint32_t Snapshot::EntityType(uint32_t index) const {
+  return Field(entities_, kSnapshotEntityEntrySize, index, 2);
+}
+
+Snapshot::BlockView Snapshot::Block(uint32_t index) const {
+  auto field = [this, index](size_t f) {
+    return Field(blocks_, kSnapshotBlockEntrySize, index, f);
+  };
+  BlockView view;
+  view.type_index = field(0);
+  view.property_index = field(1);
+  view.degraded = field(2) != 0;
+  view.records = records_.data() + size_t{field(3)} * kSnapshotRecordSize;
+  view.record_count = field(4);
+  view.postings = postings_.data() + size_t{field(5)} * 4;
+  view.positive_count = field(6);
+  return view;
+}
+
+uint32_t Snapshot::FindType(std::string_view lower) const {
+  return FindName(names_, types_, kSnapshotNameEntrySize, num_types_, lower);
+}
+
+uint32_t Snapshot::FindProperty(std::string_view lower) const {
+  return FindName(names_, properties_, kSnapshotNameEntrySize,
+                  num_properties_, lower);
+}
+
+uint32_t Snapshot::FindEntity(std::string_view lower) const {
+  // Open proved every entity reachable from its home slot and at least
+  // one slot empty, so this probe ends.
+  for (auto slot = static_cast<uint32_t>(SnapshotNameHash(lower) & slot_mask_);;
+       slot = (slot + 1) & slot_mask_) {
+    const uint32_t entity = DecodeU32(slots_.data() + 4 * size_t{slot});
+    if (entity == kEmptySlot) return kNone;
+    if (CompareFolded(EntityName(entity), lower) == 0) return entity;
+  }
+}
+
+std::pair<uint32_t, uint32_t> Snapshot::EntityPrefixRange(
+    std::string_view lower_prefix) const {
+  // Names are sorted lowercased, so their first |prefix| bytes are too.
+  auto head_order = [this, lower_prefix](uint32_t entity) {
+    const std::string_view name = EntityName(entity);
+    return CompareFolded(
+        name.substr(0, std::min(name.size(), lower_prefix.size())),
+        lower_prefix);
+  };
+  return {PartitionPoint(0, num_entities_,
+                         [&](uint32_t e) { return head_order(e) < 0; }),
+          PartitionPoint(0, num_entities_,
+                         [&](uint32_t e) { return head_order(e) <= 0; })};
+}
+
+uint32_t Snapshot::FindBlock(uint32_t type, uint32_t property) const {
+  auto key = [this](uint32_t b) {
+    return std::pair(Field(blocks_, kSnapshotBlockEntrySize, b, 0),
+                     Field(blocks_, kSnapshotBlockEntrySize, b, 1));
+  };
+  const uint32_t b = PartitionPoint(0, num_blocks_, [&](uint32_t mid) {
+    return key(mid) < std::pair(type, property);
+  });
+  return b < num_blocks_ && key(b) == std::pair(type, property) ? b : kNone;
+}
+
+Snapshot::RecordLoc Snapshot::FindPair(uint32_t entity,
+                                       uint32_t property) const {
+  if (entity >= num_entities_) return {};
+  const uint32_t end =
+      entity + 1 < num_entities_
+          ? Field(entities_, kSnapshotEntityEntrySize, entity + 1, 3)
+          : num_pairs_;
+  auto key = [this](uint32_t k) {
+    return Field(pairs_, kSnapshotPairEntrySize, k, 0);
+  };
+  const uint32_t k = PartitionPoint(
+      Field(entities_, kSnapshotEntityEntrySize, entity, 3), end,
+      [&](uint32_t mid) { return key(mid) < property; });
+  if (k == end || key(k) != property) return {};
+  return {Field(pairs_, kSnapshotPairEntrySize, k, 1),
+          Field(pairs_, kSnapshotPairEntrySize, k, 2)};
+}
+
+Snapshot::ProvenanceKey Snapshot::ProvenanceKeyAt(size_t i) const {
+  return {Field(provenance_, kSnapshotProvenanceEntrySize, i, 0),
+          Field(provenance_, kSnapshotProvenanceEntrySize, i, 1)};
+}
+
+std::vector<StatementRef> Snapshot::Provenance(uint32_t entity,
+                                               uint32_t property) const {
+  auto key = [this](uint32_t i) {
+    const ProvenanceKey k = ProvenanceKeyAt(i);
+    return std::pair(k.entity_index, k.property_index);
+  };
+  const uint32_t i = PartitionPoint(0, num_provenance_, [&](uint32_t mid) {
+    return key(mid) < std::pair(entity, property);
+  });
+  std::vector<StatementRef> refs;
+  if (i == num_provenance_ || key(i) != std::pair(entity, property)) {
+    return refs;
+  }
+  const uint32_t begin =
+      Field(provenance_, kSnapshotProvenanceEntrySize, i, 2);
+  const uint32_t count =
+      Field(provenance_, kSnapshotProvenanceEntrySize, i, 3);
+  refs.reserve(count);
+  for (uint32_t r = begin; r < begin + count; ++r) {
+    const char* p = refs_.data() + size_t{r} * kSnapshotRefSize;
+    StatementRef ref;
+    ref.doc_id = static_cast<int64_t>(DecodeU64(p));
+    ref.sentence_index = static_cast<int>(DecodeU32(p + 8));
+    ref.positive = DecodeU32(p + 12) != 0;
+    refs.push_back(ref);
+  }
+  return refs;
 }
 
 Status Snapshot::Open(const std::string& path) {
@@ -332,8 +546,14 @@ Status Snapshot::Open(const std::string& path) {
   return Status::OK();
 }
 
+// --- Validation -------------------------------------------------------------
+// Everything a query assumes is proved here, once, so the query path reads
+// the mapping without a bounds check: every index, offset and count is in
+// range, and every order a binary search, slot probe or slice relies on
+// holds. Each failure names its rule.
+
 Status Snapshot::Validate(std::string_view file) {
-  if (file.size() < kFileHeaderSize) {
+  if (file.size() < kSnapshotHeaderSize) {
     return Status::InvalidArgument("snapshot too small for a header");
   }
   if (std::memcmp(file.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
@@ -354,192 +574,313 @@ Status Snapshot::Validate(std::string_view file) {
         std::to_string(declared_size) + " bytes, file has " +
         std::to_string(file.size()));
   }
-  if (section_count == 0 || section_count > kMaxSections) {
-    return Status::InvalidArgument("snapshot section count out of range");
+  if (section_count != kSnapshotSectionCount) {
+    return Invalid("section count " + std::to_string(section_count) +
+                   " is not " + std::to_string(kSnapshotSectionCount));
   }
   const size_t table_end =
-      kFileHeaderSize + kSectionEntrySize * section_count;
+      kSnapshotHeaderSize + kSnapshotSectionEntrySize * section_count;
   if (file.size() < table_end) {
     return Status::InvalidArgument("snapshot truncated in section table");
   }
 
-  std::map<uint32_t, std::string_view> payloads;
+  std::string_view payloads[kSnapshotSectionCount];
   for (uint32_t i = 0; i < section_count; ++i) {
-    const char* entry = file.data() + kFileHeaderSize + kSectionEntrySize * i;
+    const char* entry =
+        file.data() + kSnapshotHeaderSize + kSnapshotSectionEntrySize * i;
     const uint32_t id = DecodeU32(entry);
     const uint32_t crc = DecodeU32(entry + 4);
     const uint64_t offset = DecodeU64(entry + 8);
     const uint64_t size = DecodeU64(entry + 16);
+    if (id != i + 1) {
+      return Invalid("section table must list sections 1.." +
+                     std::to_string(kSnapshotSectionCount) + " in order");
+    }
     if (offset < table_end || offset > file.size() ||
         size > file.size() - offset) {
       return Status::InvalidArgument("snapshot section out of bounds");
     }
-    const std::string_view body = file.substr(offset, size);
-    if (Crc32(body) != crc) {
+    payloads[i] = file.substr(offset, size);
+    if (Crc32(payloads[i]) != crc) {
       return Status::Internal("snapshot section " + std::to_string(id) +
                               " failed its CRC check (corrupt file)");
     }
-    if (!payloads.emplace(id, body).second) {
-      return Status::InvalidArgument("snapshot has duplicate sections");
-    }
-  }
-  for (uint32_t id :
-       {kSectionMeta, kSectionTypes, kSectionEntities, kSectionProperties,
-        kSectionOpinions}) {
-    if (payloads.count(id) == 0) {
-      return Status::InvalidArgument("snapshot missing required section " +
-                                     std::to_string(id));
-    }
   }
 
-  // --- meta -------------------------------------------------------------
-  {
-    Cursor c(payloads[kSectionMeta]);
-    uint64_t declared_opinions = 0, declared_blocks = 0;
-    SURVEYOR_RETURN_IF_ERROR(c.ReadU64(&declared_opinions));
-    SURVEYOR_RETURN_IF_ERROR(c.ReadU64(&declared_blocks));
-    SURVEYOR_RETURN_IF_ERROR(c.ReadString(&label_));
-    num_opinions_ = declared_opinions;
-  }
-
-  // --- string tables ----------------------------------------------------
-  auto read_table = [](std::string_view body,
-                       std::vector<std::string_view>* out) -> Status {
-    Cursor c(body);
-    uint32_t count = 0;
-    SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&count));
-    if (count > body.size()) {
-      return Status::InvalidArgument("snapshot string table count too large");
-    }
-    out->reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      std::string_view s;
-      SURVEYOR_RETURN_IF_ERROR(c.ReadString(&s));
-      out->push_back(s);
-    }
-    return Status::OK();
+  // --- section sizes give the table counts --------------------------------
+  uint32_t num_slots = 0;
+  const struct {
+    uint32_t id;
+    size_t width;
+    const char* name;
+    std::string_view* view;
+    uint32_t* count;
+  } tables[] = {
+      {kSectionTypes, kSnapshotNameEntrySize, "types", &types_, &num_types_},
+      {kSectionProperties, kSnapshotNameEntrySize, "properties", &properties_,
+       &num_properties_},
+      {kSectionEntities, kSnapshotEntityEntrySize, "entities", &entities_,
+       &num_entities_},
+      {kSectionEntitySlots, 4, "entity slots", &slots_, &num_slots},
+      {kSectionBlocks, kSnapshotBlockEntrySize, "blocks", &blocks_,
+       &num_blocks_},
+      {kSectionRecords, kSnapshotRecordSize, "records", &records_,
+       &num_opinions_},
+      {kSectionPostings, 4, "postings", &postings_, &num_postings_},
+      {kSectionPairs, kSnapshotPairEntrySize, "pairs", &pairs_, &num_pairs_},
+      {kSectionProvenance, kSnapshotProvenanceEntrySize, "provenance",
+       &provenance_, &num_provenance_},
+      {kSectionRefs, kSnapshotRefSize, "refs", &refs_, &num_refs_},
   };
-  SURVEYOR_RETURN_IF_ERROR(read_table(payloads[kSectionTypes], &types_));
-  SURVEYOR_RETURN_IF_ERROR(
-      read_table(payloads[kSectionProperties], &properties_));
+  for (const auto& table : tables) {
+    const std::string_view body = payloads[table.id - 1];
+    if (body.size() % table.width != 0 ||
+        body.size() / table.width > std::numeric_limits<uint32_t>::max()) {
+      return Invalid(std::string(table.name) +
+                     " section is not a whole number of entries");
+    }
+    *table.view = body;
+    *table.count = static_cast<uint32_t>(body.size() / table.width);
+  }
+  names_ = payloads[kSectionNames - 1];
 
-  {
-    Cursor c(payloads[kSectionEntities]);
-    uint32_t count = 0;
-    SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&count));
-    if (count > payloads[kSectionEntities].size()) {
-      return Status::InvalidArgument("snapshot entity count too large");
-    }
-    entities_.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      EntityEntry entry;
-      SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&entry.type));
-      SURVEYOR_RETURN_IF_ERROR(c.ReadString(&entry.name));
-      if (entry.type >= types_.size()) {
-        return Status::InvalidArgument("snapshot entity references a type "
-                                       "beyond the type table");
-      }
-      entities_.push_back(entry);
-    }
+  // --- meta ---------------------------------------------------------------
+  const std::string_view meta = payloads[kSectionMeta - 1];
+  if (meta.size() < 20 || meta.size() - 20 != DecodeU32(meta.data() + 16)) {
+    return Invalid("meta section is malformed");
+  }
+  label_ = meta.substr(20);
+  const uint64_t meta_opinions = DecodeU64(meta.data());
+  const uint64_t meta_blocks = DecodeU64(meta.data() + 8);
+  if (meta_opinions != num_opinions_ || meta_blocks != num_blocks_) {
+    return Invalid("meta count mismatch: meta says " +
+                   std::to_string(meta_opinions) + " opinions in " +
+                   std::to_string(meta_blocks) + " blocks, the sections hold " +
+                   std::to_string(num_opinions_) + " in " +
+                   std::to_string(num_blocks_));
   }
 
-  // --- opinion blocks ---------------------------------------------------
-  {
-    const std::string_view body = payloads[kSectionOpinions];
-    Cursor c(body);
-    uint32_t block_count = 0, pad = 0;
-    SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&block_count));
-    SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&pad));
-    if (block_count > body.size()) {
-      return Status::InvalidArgument("snapshot block count too large");
+  SURVEYOR_RETURN_IF_ERROR(ValidateNames(types_, kSnapshotNameEntrySize,
+                                         num_types_, "type"));
+  SURVEYOR_RETURN_IF_ERROR(ValidateNames(properties_, kSnapshotNameEntrySize,
+                                         num_properties_, "property"));
+  SURVEYOR_RETURN_IF_ERROR(ValidateNames(entities_, kSnapshotEntityEntrySize,
+                                         num_entities_, "entity"));
+  if (!std::has_single_bit(num_slots) ||
+      num_slots < 2 * uint64_t{num_entities_}) {
+    return Invalid(
+        "entity slot table is not a power of two of at least 2 x entities "
+        "slots");
+  }
+  slot_mask_ = num_slots - 1;
+  SURVEYOR_RETURN_IF_ERROR(ValidateEntitySlots());
+  SURVEYOR_RETURN_IF_ERROR(ValidateBlocks());
+  SURVEYOR_RETURN_IF_ERROR(ValidatePairs());
+  return ValidateProvenance();
+}
+
+Status Snapshot::ValidateNames(std::string_view table, size_t entry_size,
+                               uint32_t count, const char* what) const {
+  std::string_view previous;
+  for (uint32_t i = 0; i < count; ++i) {
+    const uint32_t offset = Field(table, entry_size, i, 0);
+    const uint32_t length = Field(table, entry_size, i, 1);
+    if (offset > names_.size() || length > names_.size() - offset) {
+      return Invalid(std::string(what) + " name out of bounds");
     }
-    blocks_.reserve(block_count);
-    uint64_t total_records = 0;
-    for (uint32_t i = 0; i < block_count; ++i) {
-      BlockView block;
-      uint32_t degraded = 0;
-      SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&block.type_index));
-      SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&block.property_index));
-      SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&degraded));
-      SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&block.record_count));
-      uint64_t record_offset = 0;
-      SURVEYOR_RETURN_IF_ERROR(c.ReadU64(&record_offset));
-      block.degraded = degraded != 0;
-      if (block.type_index >= types_.size() ||
-          block.property_index >= properties_.size()) {
-        return Status::InvalidArgument(
-            "snapshot block references beyond its string tables");
-      }
-      if (record_offset > body.size() ||
-          static_cast<uint64_t>(block.record_count) * kRecordSize >
-              body.size() - record_offset) {
-        return Status::InvalidArgument("snapshot block records out of bounds");
-      }
-      block.records = body.data() + record_offset;
-      total_records += block.record_count;
-      blocks_.push_back(block);
+    const std::string_view name = names_.substr(offset, length);
+    if (i > 0 && CompareFolded(previous, name) >= 0) {
+      return Invalid(std::string(what) +
+                     " names are not sorted and unique (case-insensitive)");
     }
-    for (const BlockView& block : blocks_) {
-      for (uint32_t i = 0; i < block.record_count; ++i) {
-        const RecordView record = ReadRecord(block.records, i);
-        if (record.entity_index >= entities_.size()) {
-          return Status::InvalidArgument(
-              "snapshot record references beyond the entity table");
-        }
-        if (record.polarity != Polarity::kPositive &&
-            record.polarity != Polarity::kNegative) {
-          return Status::InvalidArgument(
-              "snapshot record has a non-decision polarity");
-        }
-      }
+    previous = name;
+  }
+  return Status::OK();
+}
+
+Status Snapshot::ValidateEntitySlots() const {
+  uint32_t occupied = 0;
+  for (uint32_t slot = 0; slot <= slot_mask_; ++slot) {
+    const uint32_t entity = DecodeU32(slots_.data() + 4 * size_t{slot});
+    if (entity == kEmptySlot) continue;
+    if (entity >= num_entities_) return Invalid("entity slot out of range");
+    ++occupied;
+  }
+  if (occupied != num_entities_) {
+    return Invalid("entity slot table holds " + std::to_string(occupied) +
+                   " entities, the entity table " +
+                   std::to_string(num_entities_));
+  }
+  // With one occupied slot per entity, reaching every entity from its home
+  // slot also proves each is in the table exactly once.
+  for (uint32_t entity = 0; entity < num_entities_; ++entity) {
+    if (EntityType(entity) >= num_types_) {
+      return Invalid("entity references a type beyond the type table");
     }
-    if (total_records != num_opinions_) {
-      return Status::InvalidArgument(
-          "snapshot meta/opinion count mismatch: meta says " +
-          std::to_string(num_opinions_) + ", blocks hold " +
-          std::to_string(total_records));
+    auto slot = static_cast<uint32_t>(SnapshotNameHash(EntityName(entity)) &
+                                      slot_mask_);
+    while (DecodeU32(slots_.data() + 4 * size_t{slot}) != entity) {
+      if (DecodeU32(slots_.data() + 4 * size_t{slot}) == kEmptySlot) {
+        return Invalid("entity slot table does not lead to entity " +
+                       std::to_string(entity));
+      }
+      slot = (slot + 1) & slot_mask_;
     }
   }
+  return Status::OK();
+}
 
-  // --- provenance (optional) -------------------------------------------
-  if (payloads.count(kSectionProvenance) > 0) {
-    Cursor c(payloads[kSectionProvenance]);
-    uint32_t count = 0, pad = 0;
-    SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&count));
-    SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&pad));
-    if (count > payloads[kSectionProvenance].size()) {
-      return Status::InvalidArgument("snapshot provenance count too large");
+Status Snapshot::ValidateBlocks() const {
+  uint64_t record_end = 0;
+  uint64_t posting_end = 0;
+  for (uint32_t b = 0; b < num_blocks_; ++b) {
+    auto field = [this](uint32_t block, size_t f) {
+      return Field(blocks_, kSnapshotBlockEntrySize, block, f);
+    };
+    if (field(b, 0) >= num_types_ || field(b, 1) >= num_properties_) {
+      return Invalid("block references beyond its name tables");
     }
-    provenance_.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      ProvenanceEntry entry;
-      uint32_t ref_count = 0;
-      SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&entry.entity_index));
-      SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&entry.property_index));
-      SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&ref_count));
-      SURVEYOR_RETURN_IF_ERROR(c.ReadU32(&pad));
-      if (entry.entity_index >= entities_.size() ||
-          entry.property_index >= properties_.size()) {
-        return Status::InvalidArgument(
-            "snapshot provenance references beyond its string tables");
+    if (field(b, 2) > 1) return Invalid("block degraded flag is not 0 or 1");
+    if (b > 0 && std::pair(field(b, 0), field(b, 1)) <=
+                     std::pair(field(b - 1, 0), field(b - 1, 1))) {
+      return Invalid("blocks are not sorted and unique by (type, property)");
+    }
+    if (field(b, 3) != record_end ||
+        field(b, 4) > num_opinions_ - record_end) {
+      return Invalid("block records do not tile the records section");
+    }
+    if (field(b, 5) != posting_end ||
+        field(b, 6) > num_postings_ - posting_end) {
+      return Invalid("block postings do not tile the postings section");
+    }
+    const BlockView block = Block(b);
+    record_end += block.record_count;
+    posting_end += block.positive_count;
+
+    uint32_t positives = 0;
+    uint32_t previous_entity = 0;
+    for (uint32_t r = 0; r < block.record_count; ++r) {
+      const RecordView record = ReadRecord(block.records, r);
+      if (record.entity_index >= num_entities_) {
+        return Invalid("record references beyond the entity table");
       }
-      if (ref_count > c.remaining() / kProvRefSize) {
-        return Status::InvalidArgument("snapshot provenance truncated");
+      if (r > 0 && record.entity_index <= previous_entity) {
+        return Invalid("block entity indices do not increase");
       }
-      entry.refs.reserve(ref_count);
-      for (uint32_t r = 0; r < ref_count; ++r) {
-        std::string_view raw;
-        SURVEYOR_RETURN_IF_ERROR(c.ReadBytes(kProvRefSize, &raw));
-        StatementRef ref;
-        ref.doc_id = static_cast<int64_t>(DecodeU64(raw.data()));
-        ref.sentence_index = static_cast<int>(DecodeU32(raw.data() + 8));
-        ref.positive = DecodeU32(raw.data() + 12) != 0;
-        entry.refs.push_back(ref);
+      previous_entity = record.entity_index;
+      if (record.polarity != Polarity::kPositive &&
+          record.polarity != Polarity::kNegative) {
+        return Invalid("record has a non-decision polarity");
       }
-      provenance_.push_back(std::move(entry));
+      if (!(record.posterior >= 0.0 && record.posterior <= 1.0)) {
+        return Invalid("record posterior outside [0, 1]");
+      }
+      if (record.polarity == Polarity::kPositive) ++positives;
+    }
+    if (positives != block.positive_count) {
+      return Invalid("posting list length differs from the block's " +
+                     std::to_string(positives) + " positive records");
+    }
+    // Postings are distinct positives in strict (posterior descending,
+    // name ascending) order, so with the count above they are exactly the
+    // block's positives.
+    for (uint32_t i = 0; i < block.positive_count; ++i) {
+      const uint32_t r = ReadPosting(block.postings, i);
+      if (r >= block.record_count) {
+        return Invalid("posting list entry out of range");
+      }
+      const RecordView record = ReadRecord(block.records, r);
+      if (record.polarity != Polarity::kPositive) {
+        return Invalid("posting list holds a negative record");
+      }
+      if (i == 0) continue;
+      const uint32_t previous_r = ReadPosting(block.postings, i - 1);
+      if (r == previous_r) {
+        return Invalid("posting list holds a record twice");
+      }
+      const RecordView previous = ReadRecord(block.records, previous_r);
+      if (record.posterior > previous.posterior) {
+        return Invalid("posting list is out of posterior order");
+      }
+      if (record.posterior == previous.posterior &&
+          EntityName(previous.entity_index) >=
+              EntityName(record.entity_index)) {
+        return Invalid("posting list ties are out of entity name order");
+      }
     }
   }
+  if (record_end != num_opinions_ || posting_end != num_postings_) {
+    return Invalid("blocks do not cover the records and postings sections");
+  }
+  return Status::OK();
+}
 
+Status Snapshot::ValidatePairs() const {
+  if (num_entities_ == 0 && num_pairs_ != 0) {
+    return Invalid("entity pair runs out of range or order");
+  }
+  for (uint32_t entity = 0; entity < num_entities_; ++entity) {
+    const uint32_t begin =
+        Field(entities_, kSnapshotEntityEntrySize, entity, 3);
+    const uint32_t end =
+        entity + 1 < num_entities_
+            ? Field(entities_, kSnapshotEntityEntrySize, entity + 1, 3)
+            : num_pairs_;
+    if ((entity == 0 && begin != 0) || begin > end || end > num_pairs_) {
+      return Invalid("entity pair runs out of range or order");
+    }
+    for (uint32_t k = begin; k < end; ++k) {
+      const uint32_t property = Field(pairs_, kSnapshotPairEntrySize, k, 0);
+      const uint32_t b = Field(pairs_, kSnapshotPairEntrySize, k, 1);
+      const uint32_t r = Field(pairs_, kSnapshotPairEntrySize, k, 2);
+      if (property >= num_properties_ || b >= num_blocks_) {
+        return Invalid("pair-run entry out of range");
+      }
+      const BlockView block = Block(b);
+      if (r >= block.record_count) {
+        return Invalid("pair-run entry out of range");
+      }
+      if (block.property_index != property) {
+        return Invalid("pair-run entry points at another property's record");
+      }
+      if (ReadRecord(block.records, r).entity_index != entity) {
+        return Invalid("pair-run entry points at another entity's record");
+      }
+      if (k > begin &&
+          property <= Field(pairs_, kSnapshotPairEntrySize, k - 1, 0)) {
+        return Invalid("pair run is not sorted by property");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Status Snapshot::ValidateProvenance() const {
+  uint64_t ref_end = 0;
+  for (uint32_t i = 0; i < num_provenance_; ++i) {
+    const ProvenanceKey key = ProvenanceKeyAt(i);
+    if (key.entity_index >= num_entities_ ||
+        key.property_index >= num_properties_) {
+      return Invalid("provenance references beyond its name tables");
+    }
+    if (i > 0) {
+      const ProvenanceKey previous = ProvenanceKeyAt(i - 1);
+      if (std::pair(key.entity_index, key.property_index) <=
+          std::pair(previous.entity_index, previous.property_index)) {
+        return Invalid(
+            "provenance is not sorted and unique by (entity, property)");
+      }
+    }
+    const uint32_t begin =
+        Field(provenance_, kSnapshotProvenanceEntrySize, i, 2);
+    const uint32_t count =
+        Field(provenance_, kSnapshotProvenanceEntrySize, i, 3);
+    if (begin != ref_end || count > num_refs_ - ref_end) {
+      return Invalid("provenance refs out of bounds");
+    }
+    ref_end += count;
+  }
+  if (ref_end != num_refs_) return Invalid("provenance refs out of bounds");
   return Status::OK();
 }
 

@@ -1,10 +1,12 @@
 #ifndef SURVEYOR_SERVING_SNAPSHOT_H_
 #define SURVEYOR_SERVING_SNAPSHOT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "extraction/aggregator.h"
@@ -21,42 +23,89 @@ namespace serving {
 /// The opinion snapshot: a versioned, immutable binary artifact holding
 /// everything a serving process needs to answer subjective queries — the
 /// durable hand-off between the offline mining run (the paper's 5000-node
-/// extraction) and the online query engine that outlives it.
+/// extraction) and the online query engine that outlives it. Its sections
+/// are the lookup structures themselves, so opening one is a map, a CRC
+/// check and one validation pass: nothing is sorted, hashed or copied.
 ///
-/// File layout (little-endian, every section 8-byte aligned):
+/// File layout (format version 2, little-endian, every section 8-byte
+/// aligned, all indices u32):
 ///
 ///   FileHeader        magic "SURVSNP\n", format version, section count,
-///                     total file size (truncation check)
-///   SectionEntry[n]   id, CRC-32 of the payload, offset, size
-///   payloads          one per section:
-///     meta            snapshot label + opinion/block counts
-///     types           string table of type names
-///     entities        (name, type index) per entity, names in one blob
-///     properties      string table of property strings
-///     opinions        per-(type, property) blocks: header (type index,
-///                     property index, degraded flag, record count,
-///                     record offset) + 16-byte records
-///                     {posterior f64, entity index u32, polarity i8}
-///     provenance      optional supporting-statement samples per
-///                     (entity, property)
+///                     total file size (truncation check), reserved u64
+///   SectionEntry[12]  id, CRC-32 of the payload, offset, size; ids 1..12
+///                     in this order, every one present (possibly empty)
+///   payloads:
+///     1  meta         u64 opinions, u64 blocks, u32 label length, label
+///     2  names        every name's bytes, one blob
+///     3  types        8 B {name offset, name length} per type
+///     4  properties   8 B {name offset, name length} per property
+///     5  entities     16 B {name offset, name length, type, pair begin};
+///                     the entity's pair run ends at the next entity's
+///                     pair begin (the last one's at the pair count)
+///     6  entity slots u32 entity index per slot, 0xFFFFFFFF = empty; a
+///                     power-of-two table of at least 2 x entities slots,
+///                     linear probing from SnapshotNameHash(name) & mask
+///     7  blocks       28 B {type, property, degraded, record begin,
+///                     record count, posting begin, posting count}, one
+///                     per (type, property), sorted by (type, property)
+///     8  records      16 B {f64 posterior, u32 entity, i8 polarity,
+///                     3 B zero}, block by block, entity order within one
+///     9  postings     u32 record index (within its block) per positive
+///                     record, block by block, in scan order: posterior
+///                     descending, then entity name ascending (bytes)
+///     10 pairs        12 B {property, block, record} per (entity,
+///                     property), entity by entity, property order within
+///                     a run; an entity with opinions on one property
+///                     under two types points at the type sorting last
+///     11 provenance   16 B {entity, property, ref begin, ref count},
+///                     sorted by (entity, property)
+///     12 refs         16 B {i64 doc id, u32 sentence, u32 positive}
 ///
-/// Every section payload is CRC-32 checked at open, so bit rot and
-/// truncation are detected before a single query is answered. The reader
-/// is zero-copy: it mmaps the file and serves names as string_views into
-/// the mapping.
+/// Types, properties and entities are each sorted by ASCII-lowercased
+/// name, strictly: names are case-insensitive identifiers, so a table
+/// index is also the rank of the lowercased name, and a name lookup is a
+/// binary search (types, properties) or one slot probe (entities).
+///
+/// Open checks every section's CRC-32, then every index, offset and count
+/// and every order a binary search, slot probe or slice relies on, so bit
+/// rot, truncation and hostile bytes are rejected before a single query
+/// is answered. The reader is zero-copy: it mmaps the file and decodes
+/// entries from the mapping on access.
 inline constexpr char kSnapshotMagic[8] = {'S', 'U', 'R', 'V',
                                            'S', 'N', 'P', '\n'};
-inline constexpr uint32_t kSnapshotFormatVersion = 1;
+inline constexpr uint32_t kSnapshotFormatVersion = 2;
 
-/// Section ids of format version 1.
+/// Section ids of format version 2, in file order.
 enum SnapshotSection : uint32_t {
   kSectionMeta = 1,
-  kSectionTypes = 2,
-  kSectionEntities = 3,
+  kSectionNames = 2,
+  kSectionTypes = 3,
   kSectionProperties = 4,
-  kSectionOpinions = 5,
-  kSectionProvenance = 6,
+  kSectionEntities = 5,
+  kSectionEntitySlots = 6,
+  kSectionBlocks = 7,
+  kSectionRecords = 8,
+  kSectionPostings = 9,
+  kSectionPairs = 10,
+  kSectionProvenance = 11,
+  kSectionRefs = 12,
 };
+inline constexpr uint32_t kSnapshotSectionCount = 12;
+
+/// Fixed sizes of the v2 layout, in bytes.
+inline constexpr size_t kSnapshotHeaderSize = 32;
+inline constexpr size_t kSnapshotSectionEntrySize = 24;
+inline constexpr size_t kSnapshotNameEntrySize = 8;
+inline constexpr size_t kSnapshotEntityEntrySize = 16;
+inline constexpr size_t kSnapshotBlockEntrySize = 28;
+inline constexpr size_t kSnapshotRecordSize = 16;
+inline constexpr size_t kSnapshotPairEntrySize = 12;
+inline constexpr size_t kSnapshotProvenanceEntrySize = 16;
+inline constexpr size_t kSnapshotRefSize = 16;
+
+/// The entity slot table's hash: FNV-1a 64 over the ASCII-lowercased
+/// bytes of `name` (offset basis 0xcbf29ce484222325, prime 0x100000001b3).
+uint64_t SnapshotNameHash(std::string_view name);
 
 /// One mined opinion as the snapshot stores it, with names resolved — a
 /// snapshot is self-contained and serves without the knowledge base that
@@ -72,9 +121,11 @@ struct SnapshotOpinion {
 };
 
 /// Builds a snapshot deterministically: output bytes depend only on the
-/// opinions, provenance and label added, never on insertion order (types,
-/// entities, properties and blocks are sorted before serialization), so
-/// write -> read -> rebuild -> write is bit-identical.
+/// opinions, provenance and label added, never on insertion order (every
+/// table is sorted before serialization), so write -> read -> rebuild ->
+/// write is bit-identical. Names are case-insensitive identifiers, as in
+/// the knowledge base: spellings that differ only in case name one entity
+/// (type, property), which keeps the byte-wise smallest spelling.
 class SnapshotWriter {
  public:
   SnapshotWriter() = default;
@@ -102,73 +153,117 @@ class SnapshotWriter {
   Status WriteToFile(const std::string& path) const;
 
  private:
-  struct PairKey {
-    std::string type;
-    std::string property;
-    auto operator<=>(const PairKey&) const = default;
-  };
   struct Record {
     double posterior = 0.5;
     Polarity polarity = Polarity::kNeutral;
   };
   struct Block {
     bool degraded = false;
-    /// entity name -> record; map for deterministic order.
+    /// lowercased entity name -> record; map for deterministic order.
     std::map<std::string, Record> records;
   };
+  struct EntityInfo {
+    std::string spelling;
+    /// Lowercased name of the entity's type (the smallest seen).
+    std::string type;
+  };
+
+  /// Records an entity under its lowercased name, keeping the smallest
+  /// spelling and type seen; returns the lowercased name.
+  std::string InternEntity(const std::string& spelling,
+                           const std::string& type);
 
   std::string label_;
-  std::map<PairKey, Block> blocks_;
-  /// entity name -> type name, the union of every entity seen.
-  std::map<std::string, std::string> entity_types_;
-  /// (entity, property) -> refs.
+  /// Lowercased name -> spelling, per name table.
+  std::map<std::string, std::string> types_;
+  std::map<std::string, std::string> properties_;
+  std::map<std::string, EntityInfo> entities_;
+  /// Lowercased (type, property) -> block.
+  std::map<std::pair<std::string, std::string>, Block> blocks_;
+  /// Lowercased (entity, property) -> refs.
   std::map<std::pair<std::string, std::string>, std::vector<StatementRef>>
       provenance_;
 };
 
-/// Read side: validates the whole file at Open (magic, version, size,
-/// section table bounds, per-section CRC) and then serves zero-copy views
-/// into the mapping. A Snapshot is immutable once open; concurrent readers
-/// need no synchronization.
+/// Read side: validates the whole file at Open and then answers from the
+/// mapping. A Snapshot is immutable once open; concurrent readers need no
+/// synchronization. The Find* methods take names already ASCII-lowercased
+/// and return kNone on a miss.
 class Snapshot {
  public:
+  static constexpr uint32_t kNone = 0xFFFFFFFFu;
+
   Snapshot() = default;
   Snapshot(Snapshot&&) = default;
   Snapshot& operator=(Snapshot&&) = default;
 
   /// Maps and validates `path`. InvalidArgument for format problems (bad
-  /// magic, version mismatch, truncation, malformed tables); Internal for
-  /// payload corruption (CRC mismatch). The "snapshot_read" fault point
-  /// fires here as a simulated transient I/O failure (Internal), which
-  /// OpinionIndex absorbs with bounded retries.
+  /// magic, version mismatch, truncation, malformed tables, any broken
+  /// index, count or order, each naming its rule); Internal for payload
+  /// corruption (CRC mismatch). The "snapshot_read" fault point fires here
+  /// as a simulated transient I/O failure (Internal), which OpinionIndex
+  /// absorbs with bounded retries. A failed Open leaves the snapshot as it
+  /// was.
   Status Open(const std::string& path);
 
   std::string_view label() const { return label_; }
 
-  size_t num_types() const { return types_.size(); }
-  size_t num_entities() const { return entities_.size(); }
-  size_t num_properties() const { return properties_.size(); }
+  size_t num_types() const { return num_types_; }
+  size_t num_entities() const { return num_entities_; }
+  size_t num_properties() const { return num_properties_; }
   size_t num_opinions() const { return num_opinions_; }
 
-  std::string_view TypeName(uint32_t index) const { return types_[index]; }
-  std::string_view EntityName(uint32_t index) const {
-    return entities_[index].name;
-  }
-  uint32_t EntityType(uint32_t index) const { return entities_[index].type; }
-  std::string_view PropertyName(uint32_t index) const {
-    return properties_[index];
-  }
+  std::string_view TypeName(uint32_t index) const;
+  std::string_view EntityName(uint32_t index) const;
+  uint32_t EntityType(uint32_t index) const;
+  std::string_view PropertyName(uint32_t index) const;
 
-  /// One per-(type, property) block; `records` points at `record_count`
-  /// 16-byte records inside the mapping.
+  /// One per-(type, property) block. `records` points at `record_count`
+  /// 16-byte records inside the mapping; `postings` at `positive_count`
+  /// u32 record indices, the block's positive records in scan order.
   struct BlockView {
     uint32_t type_index = 0;
     uint32_t property_index = 0;
     bool degraded = false;
     uint32_t record_count = 0;
     const char* records = nullptr;
+    uint32_t positive_count = 0;
+    const char* postings = nullptr;
   };
-  const std::vector<BlockView>& blocks() const { return blocks_; }
+
+  /// The blocks in (type, property) order, decoded from the mapping on
+  /// access.
+  class BlockRange {
+   public:
+    class Iterator {
+     public:
+      Iterator(const Snapshot* snapshot, uint32_t index)
+          : snapshot_(snapshot), index_(index) {}
+      BlockView operator*() const { return snapshot_->Block(index_); }
+      Iterator& operator++() {
+        ++index_;
+        return *this;
+      }
+      bool operator==(const Iterator& other) const = default;
+
+     private:
+      const Snapshot* snapshot_;
+      uint32_t index_;
+    };
+
+    explicit BlockRange(const Snapshot* snapshot) : snapshot_(snapshot) {}
+    size_t size() const { return snapshot_->num_blocks_; }
+    bool empty() const { return size() == 0; }
+    BlockView operator[](uint32_t index) const {
+      return snapshot_->Block(index);
+    }
+    Iterator begin() const { return Iterator(snapshot_, 0); }
+    Iterator end() const { return Iterator(snapshot_, snapshot_->num_blocks_); }
+
+   private:
+    const Snapshot* snapshot_;
+  };
+  BlockRange blocks() const { return BlockRange(this); }
 
   struct RecordView {
     double posterior = 0.5;
@@ -176,33 +271,64 @@ class Snapshot {
     Polarity polarity = Polarity::kNeutral;
   };
   static RecordView ReadRecord(const char* records, size_t i);
+  /// The block-local record index of a block's i-th positive record.
+  static uint32_t ReadPosting(const char* postings, size_t i);
 
-  /// Decoded provenance samples (empty when the section is absent).
-  struct ProvenanceEntry {
+  /// Table index of the name, or kNone.
+  uint32_t FindType(std::string_view lower) const;
+  uint32_t FindProperty(std::string_view lower) const;
+  uint32_t FindEntity(std::string_view lower) const;
+  /// [begin, end) of the entities whose lowercased names start with
+  /// `lower_prefix`, in name order.
+  std::pair<uint32_t, uint32_t> EntityPrefixRange(
+      std::string_view lower_prefix) const;
+  /// Index of the (type, property) block, or kNone.
+  uint32_t FindBlock(uint32_t type, uint32_t property) const;
+
+  /// Where the answer to one (entity, property) pair lives; block is
+  /// kNone when the entity has no opinion on the property.
+  struct RecordLoc {
+    uint32_t block = kNone;
+    uint32_t record = 0;
+  };
+  RecordLoc FindPair(uint32_t entity, uint32_t property) const;
+
+  /// Provenance entries, sorted by (entity, property).
+  struct ProvenanceKey {
     uint32_t entity_index = 0;
     uint32_t property_index = 0;
-    std::vector<StatementRef> refs;
   };
-  const std::vector<ProvenanceEntry>& provenance() const {
-    return provenance_;
-  }
+  size_t num_provenance() const { return num_provenance_; }
+  ProvenanceKey ProvenanceKeyAt(size_t i) const;
+  /// The pair's supporting-statement samples, decoded; empty when none.
+  std::vector<StatementRef> Provenance(uint32_t entity,
+                                       uint32_t property) const;
 
  private:
-  struct EntityEntry {
-    std::string_view name;
-    uint32_t type = 0;
-  };
-
+  BlockView Block(uint32_t index) const;
   Status Validate(std::string_view file);
+  Status ValidateNames(std::string_view table, size_t entry_size,
+                       uint32_t count, const char* what) const;
+  Status ValidateEntitySlots() const;
+  Status ValidateBlocks() const;
+  Status ValidatePairs() const;
+  Status ValidateProvenance() const;
 
   MmapFile file_;
   std::string_view label_;
-  size_t num_opinions_ = 0;
-  std::vector<std::string_view> types_;
-  std::vector<EntityEntry> entities_;
-  std::vector<std::string_view> properties_;
-  std::vector<BlockView> blocks_;
-  std::vector<ProvenanceEntry> provenance_;
+  /// Section payloads inside the mapping.
+  std::string_view names_, types_, properties_, entities_, slots_, blocks_,
+      records_, postings_, pairs_, provenance_, refs_;
+  uint32_t num_types_ = 0;
+  uint32_t num_entities_ = 0;
+  uint32_t num_properties_ = 0;
+  uint32_t num_blocks_ = 0;
+  uint32_t num_opinions_ = 0;
+  uint32_t num_postings_ = 0;
+  uint32_t num_pairs_ = 0;
+  uint32_t num_provenance_ = 0;
+  uint32_t num_refs_ = 0;
+  uint32_t slot_mask_ = 0;
 };
 
 }  // namespace serving

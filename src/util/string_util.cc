@@ -41,7 +41,7 @@ std::string Join(const std::vector<std::string>& parts,
 
 std::string ToLower(std::string_view text) {
   std::string result(text);
-  for (char& c : result) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : result) c = AsciiLower(c);
   return result;
 }
 

@@ -18,6 +18,12 @@ std::vector<std::string> SplitWhitespace(std::string_view text);
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view separator);
 
+/// ASCII lower-casing of one byte; every byte outside 'A'..'Z' passes
+/// through, whatever the locale.
+inline char AsciiLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c + ('a' - 'A')) : c;
+}
+
 /// ASCII lower-casing.
 std::string ToLower(std::string_view text);
 

@@ -1,9 +1,15 @@
 #include "serving/opinion_index.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <fstream>
+#include <map>
+#include <random>
+#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -262,6 +268,273 @@ TEST_F(OpinionIndexTest, ConcurrentLookupsAreSafe) {
   const auto opinion = index.Lookup("kitten", "cute");
   ASSERT_TRUE(opinion.ok());
   EXPECT_DOUBLE_EQ(opinion->posterior, 0.97);
+}
+
+// --- Brute-force oracle -----------------------------------------------------
+// A generated world checked answer by answer against the SnapshotOpinions
+// it was written from. The oracle knows nothing of the index's structures:
+// it filters and sorts the plain opinion list for every question.
+
+std::string Lower(std::string_view text) {
+  std::string out(text);
+  for (char& c : out) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return out;
+}
+
+std::string Upper(std::string_view text) {
+  std::string out(text);
+  for (char& c : out) {
+    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  }
+  return out;
+}
+
+/// Alternates upper and lower case by position ("kItTeN").
+std::string MixedCase(std::string_view text) {
+  std::string out(text);
+  for (size_t i = 0; i < out.size(); ++i) {
+    const auto c = static_cast<unsigned char>(out[i]);
+    out[i] = static_cast<char>(i % 2 == 0 ? std::tolower(c) : std::toupper(c));
+  }
+  return out;
+}
+
+struct OracleWorld {
+  std::vector<SnapshotOpinion> opinions;
+  /// (entity, property) display names -> refs.
+  std::map<std::pair<std::string, std::string>, std::vector<StatementRef>>
+      provenance;
+  /// Every entity name with an opinion or a provenance sample.
+  std::set<std::string> entities;
+  std::set<std::string> types;
+  std::set<std::string> properties;
+};
+
+/// Six types, 612 entities whose mixed-case names sort differently raw and
+/// lowercased, posteriors drawn from seven values (so ties are everywhere,
+/// including at every limit-10 cut), a degraded type, provenance on every
+/// seventh pair, a provenance-only entity, and one name with "cute"
+/// opinions under two types.
+OracleWorld MakeOracleWorld() {
+  static const char* const kStems[] = {"alpha", "Beta",    "gamma", "Delta",
+                                       "eps",   "Zeta",    "eta",   "Theta",
+                                       "iota",  "Kappa-9", "lam",   "Mu"};
+  static const char* const kProperties[] = {"cute", "safe", "big", "loud",
+                                            "Scenic"};
+  static const double kPosteriors[] = {0.05, 0.2, 0.4, 0.55, 0.7, 0.85, 0.95};
+  OracleWorld world;
+  std::mt19937 rng(20150531);
+  for (int i = 0; i < 612; ++i) {
+    const std::string entity =
+        std::string(kStems[i % 12]) + "-" + std::to_string(i / 12);
+    const std::string type = "type" + std::to_string(i % 6);
+    for (const char* property : kProperties) {
+      if (rng() % 5 == 0) continue;
+      SnapshotOpinion opinion;
+      opinion.entity = entity;
+      opinion.type = type;
+      opinion.property = property;
+      opinion.posterior = kPosteriors[rng() % 7];
+      opinion.polarity = opinion.posterior >= 0.5 ? Polarity::kPositive
+                                                  : Polarity::kNegative;
+      opinion.degraded = type == "type2";
+      world.opinions.push_back(opinion);
+      if (rng() % 7 == 0) {
+        world.provenance[{entity, property}] = {
+            {static_cast<int64_t>(i), static_cast<int>(rng() % 5), true},
+            {static_cast<int64_t>(i) + 1000, 0, false}};
+      }
+    }
+  }
+  for (const char* type : {"type1", "type4"}) {
+    SnapshotOpinion shared;
+    shared.entity = "Shared-Name";
+    shared.type = type;
+    shared.property = "cute";
+    shared.posterior = std::string(type) == "type1" ? 0.95 : 0.15;
+    shared.polarity = std::string(type) == "type1" ? Polarity::kPositive
+                                                   : Polarity::kNegative;
+    world.opinions.push_back(shared);
+  }
+  world.provenance[{"Shared-Name", "cute"}] = {{77, 3, true}};
+  world.provenance[{"Ghost-Only", "cute"}] = {{78, 0, false}};
+  for (const SnapshotOpinion& opinion : world.opinions) {
+    world.entities.insert(opinion.entity);
+    world.types.insert(opinion.type);
+    world.properties.insert(opinion.property);
+  }
+  for (const auto& [key, refs] : world.provenance) {
+    world.entities.insert(key.first);
+  }
+  return world;
+}
+
+/// The answer the index must give for `opinion`: names as written, the
+/// block's degraded flag, the pair's provenance.
+ServedOpinion Expected(const OracleWorld& world,
+                       const SnapshotOpinion& opinion) {
+  ServedOpinion served;
+  served.entity = opinion.entity;
+  served.type = opinion.type;
+  served.property = opinion.property;
+  served.posterior = opinion.posterior;
+  served.polarity = opinion.polarity;
+  for (const SnapshotOpinion& other : world.opinions) {
+    if (other.type == opinion.type && other.property == opinion.property) {
+      served.degraded = served.degraded || other.degraded;
+    }
+  }
+  auto prov = world.provenance.find({opinion.entity, opinion.property});
+  if (prov != world.provenance.end()) served.provenance = prov->second;
+  return served;
+}
+
+void ExpectSameAnswer(const ServedOpinion& want, const ServedOpinion& got,
+                      const std::string& context) {
+  EXPECT_EQ(got.entity, want.entity) << context;
+  EXPECT_EQ(got.type, want.type) << context;
+  EXPECT_EQ(got.property, want.property) << context;
+  EXPECT_EQ(got.posterior, want.posterior) << context;
+  EXPECT_EQ(got.polarity, want.polarity) << context;
+  EXPECT_EQ(got.degraded, want.degraded) << context;
+  ASSERT_EQ(got.provenance.size(), want.provenance.size()) << context;
+  for (size_t i = 0; i < want.provenance.size(); ++i) {
+    EXPECT_EQ(got.provenance[i].doc_id, want.provenance[i].doc_id) << context;
+    EXPECT_EQ(got.provenance[i].sentence_index,
+              want.provenance[i].sentence_index)
+        << context;
+    EXPECT_EQ(got.provenance[i].positive, want.provenance[i].positive)
+        << context;
+  }
+}
+
+TEST_F(OpinionIndexTest, AgreesWithBruteForceOracle) {
+  const OracleWorld world = MakeOracleWorld();
+  SnapshotWriter writer;
+  writer.set_label("oracle");
+  for (const SnapshotOpinion& opinion : world.opinions) {
+    ASSERT_TRUE(writer.Add(opinion).ok());
+  }
+  for (const auto& [key, refs] : world.provenance) {
+    const std::string type = key.first == "Ghost-Only" ? "type0" : "type1";
+    writer.AddProvenance(key.first, type, key.second, refs);
+  }
+  const std::string path = testing::TempDir() + "/oracle.surv";
+  ASSERT_TRUE(writer.WriteToFile(path).ok());
+  OpinionIndex index;
+  ASSERT_TRUE(index.Load(path).ok());
+
+  // Point lookups: a name with opinions on the same property under two
+  // types answers from the type that sorts last.
+  std::map<std::pair<std::string, std::string>, const SnapshotOpinion*> point;
+  for (const SnapshotOpinion& opinion : world.opinions) {
+    const SnapshotOpinion*& slot = point[{opinion.entity, opinion.property}];
+    if (slot == nullptr || slot->type < opinion.type) slot = &opinion;
+  }
+  ASSERT_EQ(point.at({"Shared-Name", "cute"})->type, "type4");
+  for (const auto& [key, opinion] : point) {
+    const ServedOpinion want = Expected(world, *opinion);
+    for (const auto& [entity, property] :
+         {key, std::pair(Upper(key.first), Upper(key.second)),
+          std::pair(MixedCase(key.first), MixedCase(key.second))}) {
+      const auto got = index.Lookup(entity, property);
+      ASSERT_TRUE(got.ok()) << entity << "/" << property << ": "
+                            << got.status();
+      ExpectSameAnswer(want, *got, entity + "/" + property);
+    }
+  }
+
+  // Misses keep today's messages.
+  const auto unknown = index.Lookup("No-Such-Entity", "cute");
+  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(unknown.status().message(), "unknown entity 'No-Such-Entity'");
+  const auto no_property = index.Lookup("alpha-0", "Haunted");
+  EXPECT_EQ(no_property.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(no_property.status().message(),
+            "no opinion for entity 'alpha-0' property 'Haunted'");
+  EXPECT_EQ(index.Lookup("ghost-only", "cute").status().code(),
+            StatusCode::kNotFound);
+
+  // Type scans: positives of the (type, property) block, posterior
+  // descending, then entity name. Ties at the cut admit any valid top-k,
+  // so the check is on posteriors by rank, membership and tie order.
+  size_t cuts_inside_ties = 0;
+  std::set<std::string> scan_types = world.types;
+  scan_types.insert("type9");
+  for (const std::string& type : scan_types) {
+    for (const std::string& property : world.properties) {
+      std::vector<const SnapshotOpinion*> ranked;
+      for (const SnapshotOpinion& opinion : world.opinions) {
+        if (opinion.type == type && opinion.property == property &&
+            opinion.polarity == Polarity::kPositive) {
+          ranked.push_back(&opinion);
+        }
+      }
+      std::sort(ranked.begin(), ranked.end(),
+                [](const SnapshotOpinion* a, const SnapshotOpinion* b) {
+                  return std::tie(b->posterior, a->entity) <
+                         std::tie(a->posterior, b->entity);
+                });
+      for (const size_t limit : {size_t{0}, size_t{1}, size_t{10}}) {
+        const std::string context =
+            type + "/" + property + " limit " + std::to_string(limit);
+        const auto got = index.QueryType(MixedCase(type), Upper(property),
+                                         limit);
+        const size_t want_size =
+            limit == 0 ? ranked.size() : std::min(limit, ranked.size());
+        ASSERT_EQ(got.size(), want_size) << context;
+        if (want_size > 0 && want_size < ranked.size() &&
+            ranked[want_size]->posterior == ranked[want_size - 1]->posterior) {
+          ++cuts_inside_ties;
+        }
+        std::set<std::string> seen;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].posterior, ranked[i]->posterior) << context;
+          EXPECT_TRUE(seen.insert(got[i].entity).second) << context;
+          if (i > 0 && got[i].posterior == got[i - 1].posterior) {
+            EXPECT_LT(got[i - 1].entity, got[i].entity) << context;
+          }
+          const auto match = std::find_if(
+              ranked.begin(), ranked.end(), [&](const SnapshotOpinion* o) {
+                return o->entity == got[i].entity;
+              });
+          ASSERT_NE(match, ranked.end()) << context << ": " << got[i].entity;
+          ExpectSameAnswer(Expected(world, **match), got[i], context);
+        }
+      }
+    }
+  }
+  EXPECT_GT(cuts_inside_ties, 0u) << "the world must put ties at a cut";
+
+  // Prefix scans: every 1- and 2-character prefix over the names'
+  // alphabet (plus one character no name holds), in snapshot casing,
+  // sorted case-insensitively.
+  std::vector<std::pair<std::string, std::string>> sorted_names;
+  std::set<char> alphabet = {'~'};
+  for (const std::string& name : world.entities) {
+    sorted_names.emplace_back(Lower(name), name);
+    for (const char c : Lower(name)) alphabet.insert(c);
+  }
+  std::sort(sorted_names.begin(), sorted_names.end());
+  std::vector<std::string> prefixes;
+  for (const char a : alphabet) {
+    prefixes.emplace_back(1, a);
+    for (const char b : alphabet) prefixes.push_back(std::string{a, b});
+  }
+  for (const std::string& prefix : prefixes) {
+    for (const size_t limit : {size_t{0}, size_t{10}}) {
+      std::vector<std::string> want;
+      for (const auto& [lower, name] : sorted_names) {
+        if (lower.compare(0, prefix.size(), prefix) != 0) continue;
+        if (limit > 0 && want.size() >= limit) break;
+        want.push_back(name);
+      }
+      EXPECT_EQ(index.PrefixScan(Upper(prefix), limit), want)
+          << "prefix '" << prefix << "' limit " << limit;
+    }
+  }
 }
 
 }  // namespace

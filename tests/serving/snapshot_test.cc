@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "tests/serving/snapshot_image.h"
 #include "util/fault.h"
 #include "util/status.h"
 
@@ -125,15 +126,19 @@ TEST_F(SnapshotTest, RoundTripPreservesEverything) {
   }
   EXPECT_TRUE(found);
 
-  ASSERT_EQ(snapshot.provenance().size(), 1u);
-  const Snapshot::ProvenanceEntry& entry = snapshot.provenance()[0];
-  EXPECT_EQ(snapshot.EntityName(entry.entity_index), "kitten");
-  EXPECT_EQ(snapshot.PropertyName(entry.property_index), "cute");
-  ASSERT_EQ(entry.refs.size(), 2u);
-  EXPECT_EQ(entry.refs[0].doc_id, 1234);
-  EXPECT_EQ(entry.refs[0].sentence_index, 2);
-  EXPECT_TRUE(entry.refs[0].positive);
-  EXPECT_FALSE(entry.refs[1].positive);
+  ASSERT_EQ(snapshot.num_provenance(), 1u);
+  const Snapshot::ProvenanceKey key = snapshot.ProvenanceKeyAt(0);
+  EXPECT_EQ(snapshot.EntityName(key.entity_index), "kitten");
+  EXPECT_EQ(snapshot.PropertyName(key.property_index), "cute");
+  const std::vector<StatementRef> refs =
+      snapshot.Provenance(key.entity_index, key.property_index);
+  ASSERT_EQ(refs.size(), 2u);
+  EXPECT_EQ(refs[0].doc_id, 1234);
+  EXPECT_EQ(refs[0].sentence_index, 2);
+  EXPECT_TRUE(refs[0].positive);
+  EXPECT_FALSE(refs[1].positive);
+  EXPECT_TRUE(snapshot.Provenance(key.entity_index, key.property_index + 1)
+                  .empty());
 }
 
 TEST_F(SnapshotTest, SerializationIsInsertionOrderIndependent) {
@@ -184,13 +189,14 @@ TEST_F(SnapshotTest, ReadAndRebuildIsBitIdentical) {
       ASSERT_TRUE(rebuilt.Add(opinion).ok());
     }
   }
-  for (const Snapshot::ProvenanceEntry& entry : snapshot.provenance()) {
-    const uint32_t type = snapshot.EntityType(entry.entity_index);
-    rebuilt.AddProvenance(std::string(snapshot.EntityName(entry.entity_index)),
-                          std::string(snapshot.TypeName(type)),
-                          std::string(snapshot.PropertyName(
-                              entry.property_index)),
-                          entry.refs);
+  for (size_t i = 0; i < snapshot.num_provenance(); ++i) {
+    const Snapshot::ProvenanceKey key = snapshot.ProvenanceKeyAt(i);
+    const uint32_t type = snapshot.EntityType(key.entity_index);
+    rebuilt.AddProvenance(
+        std::string(snapshot.EntityName(key.entity_index)),
+        std::string(snapshot.TypeName(type)),
+        std::string(snapshot.PropertyName(key.property_index)),
+        snapshot.Provenance(key.entity_index, key.property_index));
   }
   EXPECT_EQ(rebuilt.Serialize(), image);
 }
@@ -226,6 +232,13 @@ TEST_F(SnapshotTest, VersionMismatchNamesTheVersion) {
       << status.ToString();
   EXPECT_NE(status.message().find("99"), std::string::npos)
       << status.ToString();
+
+  // Format version 1 is no longer read: `mine` writes version 2.
+  image[8] = 1;
+  const Status v1 = snapshot.Open(WriteTempFile("version1.surv", image));
+  EXPECT_EQ(v1.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(v1.message().find("version 1 unsupported"), std::string::npos)
+      << v1.ToString();
 }
 
 TEST_F(SnapshotTest, CorruptedPayloadFailsItsCrcCheck) {
@@ -306,6 +319,40 @@ TEST_F(SnapshotTest, WriteToFileSurfacesWriteFailures) {
   EXPECT_FALSE(std::filesystem::exists(path));
 }
 
+TEST_F(SnapshotTest, NamesAreCaseInsensitiveAndKeepTheSmallestSpelling) {
+  SnapshotWriter forward;
+  ASSERT_TRUE(forward
+                  .Add(MakeOpinion("kitten", "Animal", "cute", 0.3,
+                                   Polarity::kNegative))
+                  .ok());
+  ASSERT_TRUE(forward
+                  .Add(MakeOpinion("Kitten", "animal", "CUTE", 0.9,
+                                   Polarity::kPositive))
+                  .ok());
+  SnapshotWriter backward;
+  ASSERT_TRUE(backward
+                  .Add(MakeOpinion("Kitten", "animal", "CUTE", 0.9,
+                                   Polarity::kPositive))
+                  .ok());
+  // The later Add of the same pair replaces the earlier one's record.
+  ASSERT_TRUE(backward
+                  .Add(MakeOpinion("kitten", "Animal", "cute", 0.9,
+                                   Polarity::kPositive))
+                  .ok());
+  EXPECT_EQ(forward.Serialize(), backward.Serialize());
+
+  Snapshot snapshot;
+  ASSERT_TRUE(
+      snapshot.Open(WriteTempFile("case.surv", forward.Serialize())).ok());
+  EXPECT_EQ(snapshot.num_entities(), 1u);
+  EXPECT_EQ(snapshot.num_opinions(), 1u);
+  EXPECT_EQ(snapshot.EntityName(0), "Kitten");
+  EXPECT_EQ(snapshot.TypeName(0), "Animal");
+  EXPECT_EQ(snapshot.PropertyName(0), "CUTE");
+  EXPECT_EQ(snapshot.FindEntity("kitten"), 0u);
+  EXPECT_EQ(snapshot.FindEntity("puppy"), Snapshot::kNone);
+}
+
 TEST_F(SnapshotTest, SnapshotReadFaultPointFiresAsInternal) {
   const std::string path =
       WriteTempFile("faulted.surv", MakeWriter().Serialize());
@@ -313,6 +360,251 @@ TEST_F(SnapshotTest, SnapshotReadFaultPointFiresAsInternal) {
   Snapshot snapshot;
   const Status status = snapshot.Open(path);
   EXPECT_EQ(status.code(), StatusCode::kInternal);
+}
+
+// --- The validator checks what the index assumes ---------------------------
+// Each case hand-edits one field of a valid image, re-stamps the CRCs so
+// the structural pass (not the CRC) decides, and expects InvalidArgument
+// naming the broken rule.
+
+/// Four entities, two types, two properties, three blocks:
+///   block 0 (animal, cute):  kitten 0.97+, koala 0.91+, spider 0.12-
+///   block 1 (animal, hilly): koala 0.6+
+///   block 2 (city, hilly):   lisbon 0.88+
+/// Entities kitten 0, koala 1, lisbon 2, spider 3; provenance on
+/// (kitten, cute) and (lisbon, hilly).
+std::string RuleImage() {
+  SnapshotWriter writer;
+  writer.set_label("rules");
+  for (const SnapshotOpinion& opinion :
+       {MakeOpinion("kitten", "animal", "cute", 0.97, Polarity::kPositive),
+        MakeOpinion("koala", "animal", "cute", 0.91, Polarity::kPositive),
+        MakeOpinion("spider", "animal", "cute", 0.12, Polarity::kNegative),
+        MakeOpinion("koala", "animal", "hilly", 0.6, Polarity::kPositive),
+        MakeOpinion("lisbon", "city", "hilly", 0.88, Polarity::kPositive)}) {
+    EXPECT_TRUE(writer.Add(opinion).ok());
+  }
+  writer.AddProvenance("kitten", "animal", "cute", {{1, 0, true}});
+  writer.AddProvenance("lisbon", "city", "hilly", {{2, 1, false}});
+  return writer.Serialize();
+}
+
+/// Offset of u32 field `field` of entry `entry` in section `id`.
+size_t FieldAt(const std::string& bytes, uint32_t id, size_t width,
+               size_t entry, size_t field) {
+  return image::FindSection(bytes, id).offset + entry * width + 4 * field;
+}
+
+class SnapshotRuleTest : public SnapshotTest {
+ protected:
+  /// Applies `edit` to a fresh RuleImage, re-stamps the CRCs and expects
+  /// Open to reject it with InvalidArgument mentioning `rule`.
+  template <typename Edit>
+  void ExpectRejected(Edit edit, const std::string& rule) {
+    std::string bytes = RuleImage();
+    edit(&bytes);
+    image::RestampCrcs(&bytes);
+    // One file per test: ctest runs tests as parallel processes, and
+    // rewriting a file another process has mapped would SIGBUS it.
+    Snapshot snapshot;
+    const Status status = snapshot.Open(WriteTempFile(
+        std::string(testing::UnitTest::GetInstance()
+                        ->current_test_info()
+                        ->name()) +
+            ".surv",
+        bytes));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << rule << ": " << status.ToString();
+    EXPECT_NE(status.message().find(rule), std::string::npos)
+        << rule << ": " << status.ToString();
+  }
+
+  void SetField(std::string* bytes, uint32_t id, size_t width, size_t entry,
+                size_t field, uint32_t value) {
+    image::PutU32(bytes, FieldAt(*bytes, id, width, entry, field), value);
+  }
+};
+
+TEST_F(SnapshotRuleTest, UneditedImageOpensAfterARestamp) {
+  std::string bytes = RuleImage();
+  image::RestampCrcs(&bytes);
+  EXPECT_EQ(bytes, RuleImage());
+  Snapshot snapshot;
+  ASSERT_TRUE(snapshot.Open(WriteTempFile("rule-ok.surv", bytes)).ok());
+  EXPECT_EQ(snapshot.num_entities(), 4u);
+  EXPECT_EQ(snapshot.blocks().size(), 3u);
+}
+
+TEST_F(SnapshotRuleTest, RejectsMetaCountsThatDisagreeWithTheSections) {
+  const size_t meta = image::FindSection(RuleImage(), kSectionMeta).offset;
+  ExpectRejected([&](std::string* b) { image::PutU64(b, meta, 6); },
+                 "meta count mismatch");
+  ExpectRejected([&](std::string* b) { image::PutU64(b, meta + 8, 2); },
+                 "meta count mismatch");
+}
+
+TEST_F(SnapshotRuleTest, RejectsUnsortedOrDuplicateNames) {
+  auto copy_name = [this](std::string* b, uint32_t id, size_t width,
+                          size_t from, size_t to) {
+    for (size_t field : {0, 1}) {
+      SetField(b, id, width, to, field,
+               image::GetU32(*b, FieldAt(*b, id, width, from, field)));
+    }
+  };
+  // koala's name onto kitten: unsorted.
+  ExpectRejected(
+      [&](std::string* b) {
+        copy_name(b, kSectionEntities, kSnapshotEntityEntrySize, 1, 0);
+        copy_name(b, kSectionEntities, kSnapshotEntityEntrySize, 2, 1);
+      },
+      "entity names are not sorted and unique");
+  // kitten's name twice.
+  ExpectRejected(
+      [&](std::string* b) {
+        copy_name(b, kSectionEntities, kSnapshotEntityEntrySize, 0, 1);
+      },
+      "entity names are not sorted and unique");
+  ExpectRejected(
+      [&](std::string* b) {
+        copy_name(b, kSectionTypes, kSnapshotNameEntrySize, 1, 0);
+      },
+      "type names are not sorted and unique");
+  ExpectRejected(
+      [&](std::string* b) {
+        copy_name(b, kSectionProperties, kSnapshotNameEntrySize, 0, 1);
+      },
+      "property names are not sorted and unique");
+}
+
+TEST_F(SnapshotRuleTest, RejectsAnEntitySlotTableThatMissesAnEntity) {
+  const size_t slots =
+      image::FindSection(RuleImage(), kSectionEntitySlots).size / 4;
+  ExpectRejected(
+      [&](std::string* b) {
+        for (size_t s = 0; s < slots; ++s) {
+          SetField(b, kSectionEntitySlots, 4, s, 0, 0xFFFFFFFFu);
+        }
+      },
+      "entity slot table holds 0 entities");
+  // Move every entity one slot on: still one slot each, but an entity
+  // whose home slot is now empty cannot be found.
+  ExpectRejected(
+      [&](std::string* b) {
+        std::vector<uint32_t> moved(slots);
+        for (size_t s = 0; s < slots; ++s) {
+          moved[(s + 1) % slots] = image::GetU32(
+              *b, FieldAt(*b, kSectionEntitySlots, 4, s, 0));
+        }
+        for (size_t s = 0; s < slots; ++s) {
+          SetField(b, kSectionEntitySlots, 4, s, 0, moved[s]);
+        }
+      },
+      "entity slot table does not lead to entity");
+}
+
+TEST_F(SnapshotRuleTest, RejectsUnsortedOrDuplicateBlocks) {
+  // Block 1 (animal, hilly) -> (animal, cute): a duplicate of block 0.
+  ExpectRejected(
+      [&](std::string* b) {
+        SetField(b, kSectionBlocks, kSnapshotBlockEntrySize, 1, 1, 0);
+      },
+      "blocks are not sorted and unique by (type, property)");
+  // Block 0 -> (city, cute): after block 1 (animal, hilly).
+  ExpectRejected(
+      [&](std::string* b) {
+        SetField(b, kSectionBlocks, kSnapshotBlockEntrySize, 0, 0, 1);
+      },
+      "blocks are not sorted and unique by (type, property)");
+}
+
+TEST_F(SnapshotRuleTest, RejectsEntityIndicesThatDoNotIncreaseInABlock) {
+  // Block 0's second record (koala) becomes kitten's: a second record for
+  // one entity. Then spider's becomes koala's: out of order after it.
+  ExpectRejected(
+      [&](std::string* b) {
+        SetField(b, kSectionRecords, kSnapshotRecordSize, 1, 2, 0);
+      },
+      "block entity indices do not increase");
+  ExpectRejected(
+      [&](std::string* b) {
+        SetField(b, kSectionRecords, kSnapshotRecordSize, 0, 2, 2);
+      },
+      "block entity indices do not increase");
+}
+
+TEST_F(SnapshotRuleTest, RejectsBadPostingLists) {
+  // Block 0's postings are [kitten 0, koala 1]; spider is record 2.
+  ExpectRejected(
+      [&](std::string* b) { SetField(b, kSectionPostings, 4, 1, 0, 2); },
+      "posting list holds a negative record");
+  ExpectRejected(
+      [&](std::string* b) { SetField(b, kSectionPostings, 4, 1, 0, 0); },
+      "posting list holds a record twice");
+  ExpectRejected(
+      [&](std::string* b) {
+        SetField(b, kSectionPostings, 4, 0, 0, 1);
+        SetField(b, kSectionPostings, 4, 1, 0, 0);
+      },
+      "posting list is out of posterior order");
+  ExpectRejected(
+      [&](std::string* b) { SetField(b, kSectionPostings, 4, 1, 0, 7); },
+      "posting list entry out of range");
+}
+
+TEST_F(SnapshotRuleTest, RejectsBadPairRunEntries) {
+  // Pairs: kitten (cute, b0, r0); koala (cute, b0, r1), (hilly, b1, r0);
+  // lisbon (hilly, b2, r0); spider (cute, b0, r2).
+  for (const auto& [field, value] :
+       {std::pair(0, 9u), std::pair(1, 3u), std::pair(2, 3u)}) {
+    ExpectRejected(
+        [&](std::string* b) {
+          SetField(b, kSectionPairs, kSnapshotPairEntrySize, 0, field, value);
+        },
+        "pair-run entry out of range");
+  }
+  ExpectRejected(
+      [&](std::string* b) {
+        SetField(b, kSectionPairs, kSnapshotPairEntrySize, 0, 2, 1);
+      },
+      "pair-run entry points at another entity's record");
+  ExpectRejected(
+      [&](std::string* b) {
+        SetField(b, kSectionPairs, kSnapshotPairEntrySize, 2, 1, 0);
+        SetField(b, kSectionPairs, kSnapshotPairEntrySize, 2, 2, 1);
+      },
+      "pair-run entry points at another property's record");
+  // koala's run repeats its (cute, b0, r1) entry.
+  ExpectRejected(
+      [&](std::string* b) {
+        SetField(b, kSectionPairs, kSnapshotPairEntrySize, 2, 0, 0);
+        SetField(b, kSectionPairs, kSnapshotPairEntrySize, 2, 1, 0);
+        SetField(b, kSectionPairs, kSnapshotPairEntrySize, 2, 2, 1);
+      },
+      "pair run is not sorted by property");
+}
+
+TEST_F(SnapshotRuleTest, RejectsProvenanceOutOfOrderOrOutOfBounds) {
+  // Entries (kitten, cute) refs [0, 1) and (lisbon, hilly) refs [1, 2).
+  ExpectRejected(
+      [&](std::string* b) {
+        SetField(b, kSectionProvenance, kSnapshotProvenanceEntrySize, 1, 0,
+                 0);
+        SetField(b, kSectionProvenance, kSnapshotProvenanceEntrySize, 1, 1,
+                 0);
+      },
+      "provenance is not sorted and unique by (entity, property)");
+  ExpectRejected(
+      [&](std::string* b) {
+        SetField(b, kSectionProvenance, kSnapshotProvenanceEntrySize, 1, 3,
+                 2);
+      },
+      "provenance refs out of bounds");
+  ExpectRejected(
+      [&](std::string* b) {
+        SetField(b, kSectionProvenance, kSnapshotProvenanceEntrySize, 0, 1,
+                 7);
+      },
+      "provenance references beyond its name tables");
 }
 
 }  // namespace

@@ -17,9 +17,15 @@ Budgets:
   3. Disarmed profiler scopes: 4 x BM_ProfileScopeDisarmed costs < 1% of
      one BM_AnnotateSentence. A mined sentence crosses ~4 scopes
      (tokenize, match, parse, extract).
+  4. Snapshot load: BM_OpinionIndexLoad, a whole OpinionIndex::Load of the
+     48k-opinion snapshot, takes <= 80 ns per opinion (items are
+     opinions).
+  5. Type scans: BM_OpinionIndexTypeScan (limit-10 scans over all 96
+     blocks) answers >= 1/25 of BM_OpinionIndexHotLookup's items/s: a scan
+     reads its slice of the block's posting list, not the whole block.
 
 Each budget prints its value next to its threshold; the exit status is 1
-when any budget fails or any of the four benchmarks is missing.
+when any budget fails or any of the gated benchmarks is missing.
 """
 import argparse
 import json
@@ -32,6 +38,8 @@ BENCHMARKS = (
     "BM_AdminQuery/1",
     "BM_ProfileScopeDisarmed",
     "BM_AnnotateSentence",
+    "BM_OpinionIndexLoad",
+    "BM_OpinionIndexTypeScan",
 )
 
 
@@ -67,6 +75,8 @@ def main():
     scope_share = 4 * cpu_ns(medians["BM_ProfileScopeDisarmed"]) / cpu_ns(
         medians["BM_AnnotateSentence"]
     )
+    load_ns = 1e9 / medians["BM_OpinionIndexLoad"]["items_per_second"]
+    scans = medians["BM_OpinionIndexTypeScan"]["items_per_second"]
     budgets = [
         ("hot point lookups", f"{lookups:.0f}/s", ">= 100000/s",
          lookups >= 100000),
@@ -74,6 +84,10 @@ def main():
          traced >= 0.5 * untraced),
         ("4 x disarmed scope / sentence", f"{100 * scope_share:.3f}%", "< 1%",
          scope_share < 0.01),
+        ("snapshot load per opinion", f"{load_ns:.1f} ns", "<= 80 ns",
+         load_ns <= 80),
+        ("type scans / hot lookups", f"{scans / lookups:.4f}", ">= 0.04",
+         scans * 25 >= lookups),
     ]
     for name, value, threshold, ok in budgets:
         print(f"{'OK  ' if ok else 'FAIL'} {name:30} {value:>14}  {threshold}")
