@@ -427,7 +427,7 @@ void BM_OpinionIndexHotLookup(benchmark::State& state) {
   for (auto _ : state) {
     const auto& [entity, property] = pairs[i++ % pairs.size()];
     auto opinion = index.Lookup(entity, property);
-    SURVEYOR_CHECK(opinion.ok());
+    SURVEYOR_CHECK(opinion->ok());
     benchmark::DoNotOptimize(opinion);
   }
   state.SetItemsProcessed(state.iterations());
@@ -448,8 +448,9 @@ void BM_OpinionIndexLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_OpinionIndexLoad);
 
-// Limit-10 type scans cycling over all 96 (type, property) blocks.
-// perf-budgets holds scans/s >= hot point lookups/s / 25.
+// Limit-10 type scans cycling over all 96 (type, property) blocks, each
+// of the ten answers decoded. perf-budgets holds scans/s >= hot point
+// lookups/s / 25.
 void BM_OpinionIndexTypeScan(benchmark::State& state) {
   const serving::OpinionIndex& index = SharedIndex();
   std::vector<std::pair<std::string, std::string>> blocks;
@@ -463,8 +464,10 @@ void BM_OpinionIndexTypeScan(benchmark::State& state) {
   for (auto _ : state) {
     const auto& [type, property] = blocks[i++ % blocks.size()];
     auto scan = index.QueryType(type, property, 10);
-    SURVEYOR_CHECK(scan.size() == 10);
-    benchmark::DoNotOptimize(scan);
+    SURVEYOR_CHECK(scan->size() == 10);
+    for (const serving::ServedOpinion& answer : *scan) {
+      benchmark::DoNotOptimize(answer);
+    }
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -499,6 +502,41 @@ void BM_AdminQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AdminQuery)->Arg(0)->Arg(1);
+
+// A 32-pair /v1/query/batch through AdminServer::Handle with the
+// production defaults of AdminServerOptions (the /1 of BM_AdminQuery/1):
+// parse, one pin, the lookups and the rendered body. Items are pairs.
+// perf-budgets holds its cost per pair to <= 4 hot point lookups.
+void BM_AdminBatch(benchmark::State& state) {
+  constexpr size_t kPairsPerBatch = 32;
+  obs::MetricRegistry metrics;
+  serving::QueryService service(&SharedIndex(), nullptr, &metrics);
+  obs::AdminServer server(&metrics, nullptr, nullptr,
+                          obs::AdminServerOptions{});
+  service.Register(&server);
+  const auto pairs = HotPairs();
+  std::vector<std::string> bodies;
+  for (size_t b = 0; b < pairs.size() / kPairsPerBatch; ++b) {
+    std::string body = "{\"queries\":[";
+    for (size_t k = 0; k < kPairsPerBatch; ++k) {
+      const auto& [entity, property] = pairs[b * kPairsPerBatch + k];
+      if (k > 0) body += ',';
+      body += "{\"entity\":\"" + entity + "\",\"property\":\"" + property +
+              "\"}";
+    }
+    bodies.push_back(body + "]}");
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const obs::AdminResponse response =
+        server.Handle("POST", "/v1/query/batch", bodies[i++ % bodies.size()]);
+    SURVEYOR_CHECK(response.status == 200);
+    benchmark::DoNotOptimize(response);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kPairsPerBatch));
+}
+BENCHMARK(BM_AdminBatch)->Arg(1);
 
 }  // namespace
 }  // namespace surveyor

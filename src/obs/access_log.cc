@@ -13,30 +13,44 @@ AccessLog::AccessLog(size_t capacity)
   entries_.reserve(std::min<size_t>(capacity_, kDefaultCapacity));
 }
 
-void AccessLog::Append(AccessLogEntry entry) {
+void AccessLog::Append(const AccessLogRequest& request) {
   MutexLock lock(mutex_);
-  entry.sequence = next_sequence_++;
-  const bool error = entry.status >= 400;
   // Counter-map growth is bounded: beyond kMaxEndpoints distinct
   // endpoints, new ones aggregate under "other" (a 404 scan must not grow
   // memory without bound).
-  std::string key = entry.endpoint.empty() ? "other" : entry.endpoint;
+  std::string_view key = request.endpoint.empty() ? "other" : request.endpoint;
   auto it = by_endpoint_.find(key);
   if (it == by_endpoint_.end() && by_endpoint_.size() >= kMaxEndpoints) {
     key = "other";
     it = by_endpoint_.find(key);
   }
   if (it == by_endpoint_.end()) {
-    it = by_endpoint_.emplace(std::move(key), Counts{}).first;
+    it = by_endpoint_.emplace(std::string(key), Counts{}).first;
   }
   it->second.requests += 1;
-  if (error) it->second.errors += 1;
+  if (request.status >= 400) it->second.errors += 1;
+
+  AccessLogEntry* slot;
   if (entries_.size() < capacity_) {
-    entries_.push_back(std::move(entry));
-    return;
+    slot = &entries_.emplace_back();
+  } else {
+    slot = &entries_[next_slot_];
+    next_slot_ = (next_slot_ + 1) % capacity_;
   }
-  entries_[next_slot_] = std::move(entry);
-  next_slot_ = (next_slot_ + 1) % capacity_;
+  // assign() reuses the capacity the slot's strings grew for the entry
+  // they held before.
+  slot->sequence = next_sequence_++;
+  slot->unix_seconds = request.unix_seconds;
+  slot->method.assign(request.method);
+  slot->target.assign(request.target);
+  slot->endpoint.assign(request.endpoint);
+  slot->status = request.status;
+  slot->response_bytes = request.response_bytes;
+  slot->latency_seconds = request.latency_seconds;
+  slot->trace_id = request.trace_id;
+  slot->sampled = request.sampled;
+  slot->slow = request.slow;
+  slot->stats = request.stats;
 }
 
 std::vector<AccessLogEntry> AccessLog::Snapshot() const {

@@ -2,6 +2,7 @@
 #define SURVEYOR_OBS_ACCESS_LOG_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -17,17 +18,21 @@ namespace obs {
 /// One completed request as the access log saw it. Written by
 /// ~RequestScope for every request (sampled or not), so /requestz shows
 /// the full recent traffic while /tracez only shows retained traces.
-struct AccessLogEntry {
+/// `String` is std::string for the entries the log keeps and hands out
+/// (AccessLogEntry), std::string_view for the request Append copies from
+/// (AccessLogRequest).
+template <typename String>
+struct BasicAccessLogEntry {
   /// Monotonically increasing across the log's lifetime; gaps mean the
-  /// ring evicted entries in between.
+  /// ring evicted entries in between. Assigned by Append.
   int64_t sequence = 0;
   /// Wall-clock completion time (unix seconds), for display only.
   double unix_seconds = 0.0;
-  std::string method;
+  String method;
   /// Request target (path + query), truncated to a bounded length.
-  std::string target;
+  String target;
   /// Normalized endpoint the per-endpoint counters aggregate under.
-  std::string endpoint;
+  String endpoint;
   int status = 0;
   size_t response_bytes = 0;
   double latency_seconds = 0.0;
@@ -37,19 +42,25 @@ struct AccessLogEntry {
   bool slow = false;
   RequestStats stats;
 };
+using AccessLogEntry = BasicAccessLogEntry<std::string>;
+using AccessLogRequest = BasicAccessLogEntry<std::string_view>;
 
 /// Bounded structured access log plus per-endpoint request/error counters
-/// for the admin plane itself. Thread-safe; appends are mutex-protected
-/// (the admin plane serves one scraper, never a hot loop).
+/// for the admin plane and the /v1 API it serves. Thread-safe: every
+/// request appends under one mutex, so an append is kept short — it
+/// copies three short strings into a ring slot whose strings keep their
+/// capacity, and finds its endpoint counter without building a key, so a
+/// warm log appends without allocating.
 class AccessLog {
  public:
   explicit AccessLog(size_t capacity = kDefaultCapacity);
   AccessLog(const AccessLog&) = delete;
   AccessLog& operator=(const AccessLog&) = delete;
 
-  /// Appends one entry (assigning its sequence number), evicting the
-  /// oldest when full, and bumps the endpoint counters.
-  void Append(AccessLogEntry entry) SURVEYOR_EXCLUDES(mutex_);
+  /// Appends one request (assigning its sequence number), overwriting the
+  /// oldest entry when full, and bumps the endpoint counters. The
+  /// request's views are copied before Append returns.
+  void Append(const AccessLogRequest& request) SURVEYOR_EXCLUDES(mutex_);
 
   /// The buffered entries, oldest first.
   std::vector<AccessLogEntry> Snapshot() const SURVEYOR_EXCLUDES(mutex_);
@@ -98,7 +109,8 @@ class AccessLog {
   std::vector<AccessLogEntry> entries_ SURVEYOR_GUARDED_BY(mutex_);
   size_t next_slot_ SURVEYOR_GUARDED_BY(mutex_) = 0;
   int64_t next_sequence_ SURVEYOR_GUARDED_BY(mutex_) = 0;
-  std::map<std::string, Counts> by_endpoint_ SURVEYOR_GUARDED_BY(mutex_);
+  std::map<std::string, Counts, std::less<>> by_endpoint_
+      SURVEYOR_GUARDED_BY(mutex_);
 };
 
 }  // namespace obs

@@ -174,7 +174,7 @@ AdminResponse AdminServer::Handle(std::string_view method,
                      options_.access_log_capacity == 0 ? nullptr
                                                        : &access_log_,
                      method, target);
-  const AdminResponse response = Dispatch(method, target, body, &scope);
+  AdminResponse response = Dispatch(method, target, body, &scope);
   scope.set_status(response.status);
   scope.set_response_bytes(response.body.size());
   return response;

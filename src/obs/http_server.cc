@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <system_error>
@@ -55,28 +56,31 @@ std::string_view ReasonPhrase(int status) {
   }
 }
 
-/// Serializes a handler response to wire bytes. HEAD keeps the
-/// Content-Length of the body it suppresses (RFC 9110 §9.3.2).
-std::string SerializeResponse(const HttpResponse& response, bool keep_alive,
-                              bool head) {
-  std::string out;
-  out.reserve(response.body.size() + 160);
-  out += "HTTP/1.1 ";
-  out += ReasonPhrase(response.status);
-  out += "\r\nContent-Type: ";
-  out += response.content_type;
-  out += "\r\nContent-Length: ";
-  out += std::to_string(response.body.size());
+/// Appends a handler response's wire bytes to `out` (a connection's
+/// reused output buffer). HEAD keeps the Content-Length of the body it
+/// suppresses (RFC 9110 §9.3.2).
+void AppendResponse(const HttpResponse& response, bool keep_alive, bool head,
+                    std::string* out) {
+  char length[24];
+  const auto length_end =
+      std::to_chars(length, length + sizeof(length), response.body.size())
+          .ptr;
+  out->reserve(out->size() + response.body.size() + 160);
+  out->append("HTTP/1.1 ");
+  out->append(ReasonPhrase(response.status));
+  out->append("\r\nContent-Type: ");
+  out->append(response.content_type);
+  out->append("\r\nContent-Length: ");
+  out->append(length, static_cast<size_t>(length_end - length));
   for (const auto& [name, value] : response.headers) {
-    out += "\r\n";
-    out += name;
-    out += ": ";
-    out += value;
+    out->append("\r\n");
+    out->append(name);
+    out->append(": ");
+    out->append(value);
   }
-  out += keep_alive ? "\r\nConnection: keep-alive\r\n\r\n"
-                    : "\r\nConnection: close\r\n\r\n";
-  if (!head) out += response.body;
-  return out;
+  out->append(keep_alive ? "\r\nConnection: keep-alive\r\n\r\n"
+                         : "\r\nConnection: close\r\n\r\n");
+  if (!head) out->append(response.body);
 }
 
 /// Wire bytes for a transport-level plain-text response (429 shed, 431
@@ -94,7 +98,9 @@ std::string SimpleResponseBytes(int status, std::string_view body,
         std::string(extra_header.substr(0, colon)),
         std::string(extra_header.substr(colon + 2)));
   }
-  return SerializeResponse(response, keep_alive, /*head=*/false);
+  std::string out;
+  AppendResponse(response, keep_alive, /*head=*/false, &out);
+  return out;
 }
 
 char AsciiLower(char c) {
@@ -434,9 +440,10 @@ bool HttpServer::Serve(Connection* conn, bool dequeued, Connection** next) {
           handler_(conn->method, conn->target, conn->body);
       const bool keep_alive =
           conn->keep_alive && !draining_.load(std::memory_order_relaxed);
-      // Requests are only parsed once `out` has drained.
-      conn->out =
-          SerializeResponse(response, keep_alive, conn->method == "HEAD");
+      // Requests are only parsed once `out` has drained, so the response
+      // goes into the empty buffer, reusing its capacity.
+      AppendResponse(response, keep_alive, conn->method == "HEAD",
+                     &conn->out);
       conn->in.erase(0, conn->consumed);  // the request views die here
       conn->method = conn->target = conn->body = {};
       if (!keep_alive) conn->close_after_write = true;

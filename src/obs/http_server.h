@@ -24,10 +24,11 @@ namespace obs {
 
 /// One materialized HTTP response. `headers` carries endpoint-specific
 /// extras (e.g. Retry-After) on top of the Content-Type / Content-Length
-/// / Connection headers the transport always writes.
+/// / Connection headers the transport always writes. `content_type` is a
+/// view, so it must outlive the response: a string literal.
 struct HttpResponse {
   int status = 200;
-  std::string content_type = "text/plain; charset=utf-8";
+  std::string_view content_type = "text/plain; charset=utf-8";
   std::string body;
   std::vector<std::pair<std::string, std::string>> headers;
 };

@@ -1,56 +1,74 @@
 #include "obs/json_writer.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 
+#include "util/hotpath.h"
 #include "util/logging.h"
 
 namespace surveyor {
 namespace obs {
 
+SURVEYOR_HOT_FUNCTION
 void AppendJsonEscaped(std::string_view text, std::string* out) {
-  for (const char c : text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  // Appends each run of bytes that need no escape in one call.
+  size_t run = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
-        *out += "\\\"";
+        out->append("\\\"");
         break;
       case '\\':
-        *out += "\\\\";
+        out->append("\\\\");
         break;
       case '\n':
-        *out += "\\n";
+        out->append("\\n");
         break;
       case '\r':
-        *out += "\\r";
+        out->append("\\r");
         break;
       case '\t':
-        *out += "\\t";
+        out->append("\\t");
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buffer;
-        } else {
-          *out += c;
-        }
+      default: {
+        const char escape[6] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                kHex[c & 0xf]};
+        out->append(escape, sizeof(escape));
+      }
     }
   }
+  out->append(text.data() + run, text.size() - run);
+}
+
+SURVEYOR_HOT_FUNCTION
+void AppendJsonNumber(double value, std::string* out) {
+  if (!std::isfinite(value)) {
+    out->append("null");
+    return;
+  }
+  char buffer[32];
+  std::to_chars_result result;
+  // Integral values print without a fraction so counters stay readable.
+  if (value == std::floor(value) && std::fabs(value) < 9.007199254740992e15) {
+    result = std::to_chars(buffer, buffer + sizeof(buffer),
+                           static_cast<long long>(value));
+  } else {
+    // The same digits as printf("%.10g").
+    result = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                           std::chars_format::general, 10);
+  }
+  out->append(buffer, static_cast<size_t>(result.ptr - buffer));
 }
 
 std::string JsonNumber(double value) {
-  if (!std::isfinite(value)) return "null";
-  // Integral values print without a fraction so counters stay readable.
-  if (value == std::floor(value) && std::fabs(value) < 9.007199254740992e15) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%lld",
-                  static_cast<long long>(value));
-    return buffer;
-  }
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.10g", value);
-  return buffer;
+  std::string out;
+  AppendJsonNumber(value, &out);
+  return out;
 }
 
 void JsonWriter::Prefix() {
@@ -103,7 +121,7 @@ JsonWriter& JsonWriter::Key(std::string_view key) {
 
 JsonWriter& JsonWriter::Value(double value) {
   Prefix();
-  out_ += JsonNumber(value);
+  AppendJsonNumber(value, &out_);
   return *this;
 }
 

@@ -54,11 +54,17 @@ class JsonWriter {
   bool after_key_ = false;
 };
 
-/// Appends `text` to `out` with JSON string escaping (no quotes added).
+/// Appends `text` to `out` with JSON string escaping (no quotes added):
+/// quote, backslash and control bytes are escaped, every other byte
+/// (UTF-8 included) is copied as is.
 void AppendJsonEscaped(std::string_view text, std::string* out);
 
-/// Renders a double the way JSON expects: integral values without an
-/// exponent where possible, non-finite values as null.
+/// Appends a double the way JSON expects: integral values as integers,
+/// others with 10 significant digits (printf's "%.10g"), non-finite
+/// values as null.
+void AppendJsonNumber(double value, std::string* out);
+
+/// AppendJsonNumber into a fresh string.
 std::string JsonNumber(double value);
 
 }  // namespace obs

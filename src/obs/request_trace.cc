@@ -1,9 +1,10 @@
 #include "obs/request_trace.h"
 
-#include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 #include "obs/access_log.h"
+#include "obs/metrics.h"
 
 namespace surveyor {
 namespace obs {
@@ -23,10 +24,6 @@ RequestContext* CurrentRequestContext() { return tls_request_context; }
 }  // namespace internal
 
 namespace {
-
-/// Longest request target retained on traces and access-log entries; a
-/// hostile query string must not balloon the rings.
-constexpr size_t kMaxTargetBytes = 256;
 
 double UnixSecondsNow() {
   return std::chrono::duration<double>(
@@ -125,48 +122,81 @@ void RequestTracer::AppendPrometheusText(std::string* out) const {
   }
 }
 
-namespace {
+namespace internal {
 
-std::string RootSpanName(std::string_view method, std::string_view target) {
-  std::string_view path = PathOnly(target);
-  if (path.size() > kMaxTargetBytes) path = path.substr(0, kMaxTargetBytes);
-  std::string name;
-  name.reserve(method.size() + 1 + path.size());
-  name.append(method);
-  name.push_back(' ');
-  name.append(path);
-  return name;
-}
-
-internal::RequestContext MakeContext(RequestTracer* tracer,
-                                     AccessLog* access_log,
-                                     std::string_view method,
-                                     std::string_view target) {
-  internal::RequestContext context;
-  context.tracer = tracer;
-  context.access_log = access_log;
-  context.start = std::chrono::steady_clock::now();
-  context.trace.method.assign(method);
-  context.trace.target.assign(target.substr(
-      0, std::min<size_t>(target.size(), kMaxTargetBytes)));
-  context.trace.start_unix_seconds = UnixSecondsNow();
+RequestContext::RequestContext(RequestTracer* request_tracer,
+                               AccessLog* log, std::string_view method_text,
+                               std::string_view target_text)
+    : tracer(request_tracer),
+      access_log(log),
+      start(std::chrono::steady_clock::now()),
+      start_unix_seconds(UnixSecondsNow()) {
+  method_text = method_text.substr(0, kMaxMethodBytes);
+  target_text = target_text.substr(0, kMaxTargetBytes);
+  std::memcpy(line, method_text.data(), method_text.size());
+  line[method_text.size()] = ' ';
+  std::memcpy(line + method_text.size() + 1, target_text.data(),
+              target_text.size());
+  method = std::string_view(line, method_text.size());
+  target = std::string_view(line + method_text.size() + 1, target_text.size());
+  root_name = std::string_view(
+      line, method_text.size() + 1 + PathOnly(target_text).size());
   if (tracer != nullptr) {
-    context.trace.trace_id = tracer->NextTraceId();
-    context.trace.sampled = RequestTracer::SampleDecision(
-        context.trace.trace_id, tracer->options().sample_rate);
-    context.recording = tracer->armed();
-    context.max_spans = tracer->options().max_spans_per_trace;
-    context.slow_threshold_seconds =
-        tracer->options().slow_threshold_seconds;
-    if (context.recording) {
-      context.trace.spans.reserve(
-          std::min<size_t>(context.max_spans, 16));
-    }
+    trace_id = tracer->NextTraceId();
+    sampled =
+        RequestTracer::SampleDecision(trace_id, tracer->options().sample_rate);
+    recording = tracer->armed();
+    max_spans = tracer->options().max_spans_per_trace;
+    slow_threshold_seconds = tracer->options().slow_threshold_seconds;
   }
-  return context;
 }
 
-}  // namespace
+void RequestContext::RecordSpan(const SpanRecord& span) {
+  if (num_spans >= max_spans) {
+    ++dropped_spans;
+    return;
+  }
+  if (num_spans < spans.size()) {
+    spans[num_spans] = span;
+  } else {
+    more_spans.push_back(span);
+  }
+  ++num_spans;
+}
+
+RequestTrace RequestContext::ToTrace(double duration_seconds,
+                                     bool slow) const {
+  RequestTrace trace;
+  trace.trace_id = trace_id;
+  trace.sampled = sampled;
+  trace.slow = slow;
+  trace.method.assign(method);
+  trace.target.assign(target);
+  trace.status = status;
+  trace.response_bytes = response_bytes;
+  trace.start_unix_seconds = start_unix_seconds;
+  trace.duration_seconds = duration_seconds;
+  trace.dropped_spans = dropped_spans;
+  trace.stats = stats;
+  trace.spans.reserve(num_spans);
+  // Every span of a request ran on the thread that keeps it.
+  const uint32_t thread_index = CurrentThreadIndex();
+  for (size_t i = 0; i < num_spans; ++i) {
+    const SpanRecord& record =
+        i < spans.size() ? spans[i] : more_spans[i - spans.size()];
+    TraceSpan& span = trace.spans.emplace_back();
+    span.id = record.id;
+    span.parent_id = record.parent_id;
+    span.name.assign(record.name);
+    span.thread_index = thread_index;
+    span.start_seconds =
+        std::chrono::duration<double>(record.start - start).count();
+    span.duration_seconds = record.duration_seconds;
+  }
+  return trace;
+}
+
+}  // namespace internal
 
 RequestScope::ContextInstaller::ContextInstaller(
     internal::RequestContext* context)
@@ -180,64 +210,63 @@ RequestScope::ContextInstaller::~ContextInstaller() {
 
 RequestScope::RequestScope(RequestTracer* tracer, AccessLog* access_log,
                            std::string_view method, std::string_view target)
-    : context_(MakeContext(tracer, access_log, method, target)),
+    : context_(tracer, access_log, method, target),
       installer_(&context_),
-      root_span_(RootSpanName(method, target)),
-      endpoint_(PathOnly(context_.trace.target)) {}
+      root_span_(context_.root_name),
+      endpoint_(PathOnly(context_.target)) {}
 
 RequestScope::~RequestScope() {
   // Close the root span while the context is still installed, so it lands
   // in the request-local buffer like every child span.
   root_span_.End();
-  RequestTrace& trace = context_.trace;
-  trace.duration_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() -
-                               context_.start)
-                               .count();
-  trace.slow = context_.slow_threshold_seconds > 0.0 &&
-               trace.duration_seconds >= context_.slow_threshold_seconds;
+  const double duration_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    context_.start)
+          .count();
+  const bool slow = context_.slow_threshold_seconds > 0.0 &&
+                    duration_seconds >= context_.slow_threshold_seconds;
   if (context_.access_log != nullptr) {
-    AccessLogEntry entry;
-    entry.unix_seconds = trace.start_unix_seconds;
-    entry.method = trace.method;
-    entry.target = trace.target;
+    AccessLogRequest entry;
+    entry.unix_seconds = context_.start_unix_seconds;
+    entry.method = context_.method;
+    entry.target = context_.target;
     entry.endpoint = endpoint_;
-    entry.status = trace.status;
-    entry.response_bytes = trace.response_bytes;
-    entry.latency_seconds = trace.duration_seconds;
-    entry.trace_id = trace.trace_id;
-    entry.sampled = trace.sampled || trace.slow;
-    entry.slow = trace.slow;
-    entry.stats = trace.stats;
-    context_.access_log->Append(std::move(entry));
+    entry.status = context_.status;
+    entry.response_bytes = context_.response_bytes;
+    entry.latency_seconds = duration_seconds;
+    entry.trace_id = context_.trace_id;
+    entry.sampled = context_.sampled || slow;
+    entry.slow = slow;
+    entry.stats = context_.stats;
+    context_.access_log->Append(entry);
   }
   if (context_.tracer != nullptr) {
-    context_.tracer->CountRequest(trace.sampled, trace.slow);
-    if (trace.sampled || trace.slow) {
-      context_.tracer->Keep(std::move(trace));
+    context_.tracer->CountRequest(context_.sampled, slow);
+    if (context_.sampled || slow) {
+      context_.tracer->Keep(context_.ToTrace(duration_seconds, slow));
     }
   }
 }
 
 RequestStats* CurrentRequestStats() {
   internal::RequestContext* context = internal::CurrentRequestContext();
-  return context == nullptr ? nullptr : &context->trace.stats;
+  return context == nullptr ? nullptr : &context->stats;
 }
 
 uint64_t CurrentTraceId() {
   internal::RequestContext* context = internal::CurrentRequestContext();
-  return context == nullptr ? 0 : context->trace.trace_id;
+  return context == nullptr ? 0 : context->trace_id;
 }
 
 void ForceSampleCurrentRequest() {
   internal::RequestContext* context = internal::CurrentRequestContext();
-  if (context != nullptr) context->trace.sampled = true;
+  if (context != nullptr) context->sampled = true;
 }
 
 uint64_t CurrentSampledTraceId() {
   internal::RequestContext* context = internal::CurrentRequestContext();
-  if (context == nullptr || !context->trace.sampled) return 0;
-  return context->trace.trace_id;
+  if (context == nullptr || !context->sampled) return 0;
+  return context->trace_id;
 }
 
 std::string TraceIdHex(uint64_t trace_id) {

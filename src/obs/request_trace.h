@@ -1,8 +1,10 @@
 #ifndef SURVEYOR_OBS_REQUEST_TRACE_H_
 #define SURVEYOR_OBS_REQUEST_TRACE_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -65,19 +67,80 @@ class RequestTracer;
 
 namespace internal {
 
+/// Longest method and request target kept on traces and access-log
+/// entries; hostile request lines must not balloon the rings.
+inline constexpr size_t kMaxMethodBytes = 32;
+inline constexpr size_t kMaxTargetBytes = 256;
+
+/// Spans a request records without allocating; one that opens more keeps
+/// the rest (up to the per-trace cap) on the heap.
+inline constexpr size_t kInlineSpans = 16;
+
+/// One closed span of a request as recorded: `name` is a view of the span
+/// name's literal (the root span's is a view of the request line), and
+/// ids count from 1 within the trace.
+struct SpanRecord {
+  std::string_view name;
+  uint32_t id = 0;
+  uint32_t parent_id = 0;
+  std::chrono::steady_clock::time_point start;
+  double duration_seconds = 0.0;
+};
+
 /// Thread-local state of the request currently being served. Bridge
 /// between RequestScope (owner) and ScopedSpan (trace.cc routes spans of
-/// an armed request here instead of the global Tracer). Internal: use
-/// RequestScope / CurrentRequestStats() / CurrentSampledTraceId().
+/// an armed request here instead of the global Tracer). Nothing in it
+/// allocates for a request that opens at most kInlineSpans spans; the
+/// strings of a RequestTrace are built only when the tracer keeps it.
+/// Internal: use RequestScope / CurrentRequestStats() /
+/// CurrentSampledTraceId().
 struct RequestContext {
+  RequestContext(RequestTracer* request_tracer, AccessLog* log,
+                 std::string_view method_text, std::string_view target_text);
+  RequestContext(const RequestContext&) = delete;
+  RequestContext& operator=(const RequestContext&) = delete;
+
+  /// Keeps a closed span, or counts it dropped once max_spans are kept.
+  void RecordSpan(const SpanRecord& span);
+
+  /// The retained form of this request: strings copied, span times
+  /// relative to the request start.
+  RequestTrace ToTrace(double duration_seconds, bool slow) const;
+
   RequestTracer* tracer = nullptr;
   AccessLog* access_log = nullptr;
-  /// Collect spans into `trace.spans` (tracer armed at admission).
+  /// Collect spans (tracer armed at admission).
   bool recording = false;
   size_t max_spans = 0;
   double slow_threshold_seconds = 0.0;
   std::chrono::steady_clock::time_point start;
-  RequestTrace trace;
+  /// Wall-clock request start (unix seconds), for display only.
+  double start_unix_seconds = 0.0;
+  uint64_t trace_id = 0;
+  /// Head-sampled at admission (or forced).
+  bool sampled = false;
+  int status = 0;
+  size_t response_bytes = 0;
+  RequestStats stats;
+
+  /// "METHOD TARGET", each bounded; the views below point into it.
+  char line[kMaxMethodBytes + 1 + kMaxTargetBytes];
+  std::string_view method;
+  std::string_view target;
+  /// "METHOD /path": the root span's name.
+  std::string_view root_name;
+
+  /// The request-local span stack: the innermost open span (0 at the
+  /// root) and the last id handed out.
+  uint32_t current_span = 0;
+  uint32_t last_span_id = 0;
+  /// Closed spans in closing order: the first kInlineSpans in place, the
+  /// rest in `more_spans`.
+  std::array<SpanRecord, kInlineSpans> spans;
+  std::vector<SpanRecord> more_spans;
+  size_t num_spans = 0;
+  /// Spans not recorded because the per-trace cap was hit.
+  int64_t dropped_spans = 0;
 };
 
 /// The active request context of this thread; nullptr outside a request.
@@ -164,9 +227,11 @@ class RequestTracer {
 /// RAII request scope: assigns a trace id, installs the thread-local
 /// request context (so SURVEYOR_SPANs underneath attach to this request),
 /// opens the root span "METHOD /path", and on destruction makes the
-/// keep/drop decision and appends one access-log entry. The handler fills
-/// in status / response bytes / endpoint via the setters. Must be
-/// destroyed on the thread that created it.
+/// keep/drop decision and appends one access-log entry. The method and
+/// target are copied (bounded) into the scope, so the caller's strings
+/// need not outlive it. The handler fills in status / response bytes /
+/// endpoint via the setters. Must be destroyed on the thread that created
+/// it.
 class RequestScope {
  public:
   /// `tracer` must outlive the scope; `access_log` may be null (no entry
@@ -178,18 +243,15 @@ class RequestScope {
   RequestScope(const RequestScope&) = delete;
   RequestScope& operator=(const RequestScope&) = delete;
 
-  void set_status(int status) { context_.trace.status = status; }
-  void set_response_bytes(size_t bytes) {
-    context_.trace.response_bytes = bytes;
-  }
+  void set_status(int status) { context_.status = status; }
+  void set_response_bytes(size_t bytes) { context_.response_bytes = bytes; }
   /// Normalized endpoint name for the per-endpoint counters ("/metrics",
-  /// a registered handler prefix, "other"). Defaults to the request path.
-  void set_endpoint(std::string_view endpoint) {
-    endpoint_.assign(endpoint);
-  }
+  /// a registered handler prefix, "other"); it must outlive the scope.
+  /// Defaults to the request path.
+  void set_endpoint(std::string_view endpoint) { endpoint_ = endpoint; }
 
-  uint64_t trace_id() const { return context_.trace.trace_id; }
-  bool sampled() const { return context_.trace.sampled; }
+  uint64_t trace_id() const { return context_.trace_id; }
+  bool sampled() const { return context_.sampled; }
 
  private:
   /// Installs/restores the thread-local context; declared before the root
@@ -203,7 +265,7 @@ class RequestScope {
   internal::RequestContext context_;
   ContextInstaller installer_;
   ScopedSpan root_span_;
-  std::string endpoint_;
+  std::string_view endpoint_;
 };
 
 /// The stats of the request being served on this thread; nullptr when no

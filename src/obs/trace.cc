@@ -102,31 +102,36 @@ std::vector<TraceSpan> Tracer::Snapshot() const {
 uint64_t CurrentSpanId() { return tls_current_span; }
 
 void ScopedSpan::Start(std::string_view name, uint64_t parent_id) {
-  Tracer& tracer = Tracer::Global();
   internal::RequestContext* request = internal::CurrentRequestContext();
-  const bool request_recording = request != nullptr && request->recording;
-  if (!request_recording && !tracer.enabled()) return;
+  if (request != nullptr && request->recording) {
+    // Request spans stay request-local: recorded into the scope's buffer
+    // on End(), with request-local ids, no ActiveSpan registration and
+    // no global-tracer contention on the serving path.
+    recording_ = true;
+    request_ = request;
+    name_ = name;
+    id_ = ++request->last_span_id;
+    parent_id_for_record_ = request->current_span;
+    request->current_span = static_cast<uint32_t>(id_);
+    start_ = std::chrono::steady_clock::now();
+    return;
+  }
+  Tracer& tracer = Tracer::Global();
+  if (!tracer.enabled()) return;
   recording_ = true;
   restore_parent_ = true;
   id_ = tracer.NextId();
   saved_parent_ = tls_current_span;
   tls_current_span = id_;
-  name_ = std::string(name);
+  name_ = name;
   // Stash the parent in the saved slot only for linkage; the span record
   // carries the explicit parent.
   parent_id_for_record_ = parent_id;
   start_ = std::chrono::steady_clock::now();
-  if (request_recording) {
-    // Request spans stay request-local: recorded into the scope's buffer
-    // on End(), with no ActiveSpan registration and no global-tracer
-    // contention on the serving path.
-    request_ = request;
-    return;
-  }
   ActiveSpan active;
   active.id = id_;
   active.parent_id = parent_id;
-  active.name = name_;
+  active.name = std::string(name_);
   active.thread_index = CurrentThreadIndex();
   active.start_seconds = SecondsSince(tracer.epoch(), start_);
   tracer.RegisterActive(std::move(active));
@@ -155,18 +160,10 @@ void ScopedSpan::End() {
     // Record only while the owning RequestScope is still installed on
     // this thread; a span that outlives its request has nowhere to go.
     if (internal::CurrentRequestContext() != request) return;
-    TraceSpan span;
-    span.id = id_;
-    span.parent_id = parent_id_for_record_;
-    span.name = std::move(name_);
-    span.thread_index = CurrentThreadIndex();
-    span.start_seconds = SecondsSince(request->start, start_);
-    span.duration_seconds = final_seconds_;
-    if (request->trace.spans.size() < request->max_spans) {
-      request->trace.spans.push_back(std::move(span));
-    } else {
-      ++request->trace.dropped_spans;
-    }
+    request->current_span = static_cast<uint32_t>(parent_id_for_record_);
+    request->RecordSpan({name_, static_cast<uint32_t>(id_),
+                         static_cast<uint32_t>(parent_id_for_record_), start_,
+                         final_seconds_});
     return;
   }
   Tracer& tracer = Tracer::Global();
@@ -174,7 +171,7 @@ void ScopedSpan::End() {
   TraceSpan span;
   span.id = id_;
   span.parent_id = parent_id_for_record_;
-  span.name = std::move(name_);
+  span.name = std::string(name_);
   span.thread_index = CurrentThreadIndex();
   span.start_seconds = SecondsSince(tracer.epoch(), start_);
   span.duration_seconds = final_seconds_;

@@ -107,16 +107,20 @@ class Tracer {
 uint64_t CurrentSpanId();
 
 /// RAII span: records wall time, thread index and parent linkage into the
-/// global tracer — or, while a RequestScope is live on this thread, into
-/// that request's local span buffer (no global lock, start times relative
+/// global tracer — or, while an armed RequestScope is live on this thread,
+/// into that request's local span buffer: ids count from 1 within the
+/// trace, the parent is the request's innermost open span, and nothing is
+/// locked, allocated or written outside the request (start times relative
 /// to the request start). When neither is active the constructor is one
-/// thread-local read plus one atomic load and nothing else runs.
+/// thread-local read plus one atomic load and nothing else runs. `name`
+/// is viewed, not copied: it must outlive the span (a literal does).
 class ScopedSpan {
  public:
   /// Parent is the innermost live span of the current thread.
   explicit ScopedSpan(std::string_view name);
   /// Explicit parent, for spans that start on a different thread than the
   /// logical parent (e.g. extraction shards under the "extract" span).
+  /// A request span ignores it: its parent is the request's open span.
   ScopedSpan(std::string_view name, uint64_t parent_id);
   ~ScopedSpan();
 
@@ -144,7 +148,7 @@ class ScopedSpan {
   uint64_t saved_parent_ = 0;
   uint64_t parent_id_for_record_ = 0;
   double final_seconds_ = 0.0;
-  std::string name_;
+  std::string_view name_;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -30,36 +30,22 @@ std::string_view ApiErrorCode(int status) {
   }
 }
 
-std::string ApiErrorJson(int status, std::string_view message) {
-  obs::JsonWriter writer;
-  writer.BeginObject()
-      .Key("error")
-      .BeginObject()
-      .Key("code")
-      .Value(ApiErrorCode(status))
-      .Key("message")
-      .Value(message)
-      .EndObject()
-      .EndObject();
-  return writer.str();
+void AppendApiErrorJson(std::string_view code, std::string_view message,
+                        std::string* out) {
+  out->append("{\"error\":{\"code\":\"");
+  obs::AppendJsonEscaped(code, out);
+  out->append("\",\"message\":\"");
+  obs::AppendJsonEscaped(message, out);
+  out->append("\"}}");
 }
 
 obs::AdminResponse ApiError(int status, std::string_view code,
                             std::string_view message) {
-  obs::JsonWriter writer;
-  writer.BeginObject()
-      .Key("error")
-      .BeginObject()
-      .Key("code")
-      .Value(code)
-      .Key("message")
-      .Value(message)
-      .EndObject()
-      .EndObject();
   obs::AdminResponse response;
   response.status = status;
   response.content_type = "application/json";
-  response.body = writer.str() + "\n";
+  AppendApiErrorJson(code, message, &response.body);
+  response.body += '\n';
   return response;
 }
 
@@ -67,13 +53,17 @@ obs::AdminResponse ApiError(int status, std::string_view message) {
   return ApiError(status, ApiErrorCode(status), message);
 }
 
+void BeginApiData(std::string* body) { body->append("{\"data\":"); }
+
+void EndApiData(std::string* body) { body->append("}\n"); }
+
 obs::AdminResponse ApiData(std::string_view json_value) {
   obs::AdminResponse response;
   response.content_type = "application/json";
   response.body.reserve(json_value.size() + 12);
-  response.body += "{\"data\":";
+  BeginApiData(&response.body);
   response.body += json_value;
-  response.body += "}\n";
+  EndApiData(&response.body);
   return response;
 }
 

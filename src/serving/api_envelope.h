@@ -31,15 +31,21 @@ obs::AdminResponse ApiError(int status, std::string_view message);
 obs::AdminResponse ApiError(int status, std::string_view code,
                             std::string_view message);
 
-/// Serialized {"error":{...}} JSON object (no trailing newline) for
-/// embedding inside a larger document — the per-entry error shape in
-/// /v1/query/batch results.
-std::string ApiErrorJson(int status, std::string_view message);
+/// Appends the {"error":{...}} JSON object (no trailing newline) — the
+/// body of ApiError and the per-entry error shape in /v1/query/batch
+/// results.
+void AppendApiErrorJson(std::string_view code, std::string_view message,
+                        std::string* out);
 
 /// A success envelope: wraps an already-serialized JSON value as
 /// {"data": value}. The value must be exactly one JSON value (object,
 /// array, or scalar), e.g. a JsonWriter's str().
 obs::AdminResponse ApiData(std::string_view json_value);
+
+/// The success envelope written in place, for a body rendered straight
+/// into the response: BeginApiData, exactly one JSON value, EndApiData.
+void BeginApiData(std::string* body);
+void EndApiData(std::string* body);
 
 }  // namespace serving
 }  // namespace surveyor

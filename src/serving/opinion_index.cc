@@ -23,16 +23,16 @@ const std::string& LowerScratch(std::string_view text) {
   return scratch;
 }
 
-/// Decodes one record of `block` into an answer, names resolved and the
-/// provenance samples attached.
-ServedOpinion Materialize(const Snapshot& snapshot,
+/// The one decode: a record of `block` as an answer whose names and
+/// provenance are views into the mapping.
+SURVEYOR_HOT_FUNCTION
+ServedOpinion ReadOpinion(const Snapshot& snapshot,
                           const Snapshot::BlockView& block, uint32_t record) {
-  SURVEYOR_SPAN("snapshot.materialize");
   const Snapshot::RecordView view = Snapshot::ReadRecord(block.records, record);
   ServedOpinion opinion;
-  opinion.entity = std::string(snapshot.EntityName(view.entity_index));
-  opinion.type = std::string(snapshot.TypeName(block.type_index));
-  opinion.property = std::string(snapshot.PropertyName(block.property_index));
+  opinion.entity = snapshot.EntityName(view.entity_index);
+  opinion.type = snapshot.TypeName(block.type_index);
+  opinion.property = snapshot.PropertyName(block.property_index);
   opinion.posterior = view.posterior;
   opinion.polarity = view.polarity;
   opinion.degraded = block.degraded;
@@ -125,24 +125,22 @@ Status OpinionIndex::LoadGeneration(const std::string& path,
 }
 
 SURVEYOR_HOT_FUNCTION
-StatusOr<ServedOpinion> OpinionIndex::Lookup(std::string_view entity,
-                                             std::string_view property) const {
-  SURVEYOR_SPAN("opinion_index.lookup");
-  lookups_->Increment();
-  const GenerationPtr generation = this->generation();
-  if (generation == nullptr) {
-    return Status::FailedPrecondition("no snapshot loaded");
-  }
-  return LookupIn(*generation, entity, property);
+ServedOpinion ScanRange::operator[](size_t i) const {
+  return ReadOpinion(*snapshot_, block_,
+                     Snapshot::ReadPosting(block_.postings, i));
 }
 
 SURVEYOR_HOT_FUNCTION
-StatusOr<ServedOpinion> OpinionIndex::LookupIn(
-    const LoadedGeneration& generation, std::string_view entity,
+StatusOr<Snapshot::RecordLoc> OpinionIndex::Locate(
+    const GenerationPtr& generation, std::string_view entity,
     std::string_view property) const {
+  lookups_->Increment();
+  if (generation == nullptr) {
+    return Status::FailedPrecondition("no snapshot loaded");
+  }
   // The scratch is reused for the property find below; only the found
   // index survives each find, never the key string.
-  const Snapshot& snapshot = generation.snapshot();
+  const Snapshot& snapshot = generation->snapshot();
   const uint32_t entity_index = snapshot.FindEntity(LowerScratch(entity));
   if (entity_index == Snapshot::kNone) {
     not_found_->Increment();
@@ -155,64 +153,97 @@ StatusOr<ServedOpinion> OpinionIndex::LookupIn(
     return Status::NotFound("no opinion for entity '" + std::string(entity) +
                             "' property '" + std::string(property) + "'");
   }
-  return Materialize(snapshot, snapshot.blocks()[loc.block], loc.record);
+  return loc;
 }
 
-std::vector<StatusOr<ServedOpinion>> OpinionIndex::BatchLookup(
-    const std::vector<std::pair<std::string, std::string>>& pairs) const {
-  std::vector<StatusOr<ServedOpinion>> out;
-  out.reserve(pairs.size());
-  // Pin once: the whole batch is answered from one generation even if a
-  // swap lands mid-batch.
-  const GenerationPtr generation = this->generation();
-  for (const auto& [entity, property] : pairs) {
-    SURVEYOR_SPAN("opinion_index.lookup");
-    lookups_->Increment();
-    if (generation == nullptr) {
-      out.push_back(Status::FailedPrecondition("no snapshot loaded"));
-    } else {
-      out.push_back(LookupIn(*generation, entity, property));
-    }
-  }
-  return out;
+SURVEYOR_HOT_FUNCTION
+StatusOr<ServedOpinion> OpinionIndex::Lookup(const GenerationPtr& generation,
+                                             std::string_view entity,
+                                             std::string_view property) const {
+  SURVEYOR_SPAN("opinion_index.lookup");
+  const StatusOr<Snapshot::RecordLoc> loc =
+      Locate(generation, entity, property);
+  if (!loc.ok()) return loc.status();
+  SURVEYOR_SPAN("snapshot.materialize");
+  const Snapshot& snapshot = generation->snapshot();
+  return ReadOpinion(snapshot, snapshot.blocks()[loc->block], loc->record);
 }
 
-std::vector<ServedOpinion> OpinionIndex::QueryType(std::string_view type,
-                                                   std::string_view property,
-                                                   size_t limit) const {
-  std::vector<ServedOpinion> out;
-  const GenerationPtr pinned = this->generation();
-  if (pinned == nullptr) return out;
-  const Snapshot& snapshot = pinned->snapshot();
-  const uint32_t b =
-      snapshot.FindBlock(snapshot.FindType(ToLower(type)),
-                         snapshot.FindProperty(ToLower(property)));
-  if (b == Snapshot::kNone) return out;
+SURVEYOR_HOT_FUNCTION
+StatusOr<ServedOpinion> OpinionIndex::Find(const GenerationPtr& generation,
+                                           std::string_view entity,
+                                           std::string_view property) const {
+  const StatusOr<Snapshot::RecordLoc> loc =
+      Locate(generation, entity, property);
+  if (!loc.ok()) return loc.status();
+  const Snapshot& snapshot = generation->snapshot();
+  return ReadOpinion(snapshot, snapshot.blocks()[loc->block], loc->record);
+}
+
+SURVEYOR_HOT_FUNCTION
+ScanRange OpinionIndex::QueryType(const GenerationPtr& generation,
+                                  std::string_view type,
+                                  std::string_view property,
+                                  size_t limit) const {
+  if (generation == nullptr) return {};
+  const Snapshot& snapshot = generation->snapshot();
+  const uint32_t type_index = snapshot.FindType(LowerScratch(type));
+  const uint32_t b = snapshot.FindBlock(
+      type_index, snapshot.FindProperty(LowerScratch(property)));
+  if (b == Snapshot::kNone) return {};
   // The block's posting list is already in scan order: a scan is a slice.
   const Snapshot::BlockView block = snapshot.blocks()[b];
-  const size_t count =
-      limit == 0 ? block.positive_count
-                 : std::min<size_t>(limit, block.positive_count);
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    out.push_back(
-        Materialize(snapshot, block, Snapshot::ReadPosting(block.postings, i)));
-  }
-  return out;
+  return {&snapshot, block,
+          limit == 0 ? block.positive_count
+                     : std::min<size_t>(limit, block.positive_count)};
 }
 
-std::vector<std::string> OpinionIndex::PrefixScan(std::string_view prefix,
-                                                  size_t limit) const {
-  std::vector<std::string> out;
-  const GenerationPtr pinned = this->generation();
-  if (pinned == nullptr) return out;
-  const Snapshot& snapshot = pinned->snapshot();
-  const auto [begin, end] = snapshot.EntityPrefixRange(ToLower(prefix));
-  for (uint32_t e = begin; e < end && (limit == 0 || out.size() < limit);
-       ++e) {
-    out.emplace_back(snapshot.EntityName(e));
+SURVEYOR_HOT_FUNCTION
+NameRange OpinionIndex::PrefixScan(const GenerationPtr& generation,
+                                   std::string_view prefix,
+                                   size_t limit) const {
+  if (generation == nullptr) return {};
+  const Snapshot& snapshot = generation->snapshot();
+  const auto [begin, end] = snapshot.EntityPrefixRange(LowerScratch(prefix));
+  const uint32_t count =
+      limit == 0 ? end - begin
+                 : static_cast<uint32_t>(std::min<size_t>(limit, end - begin));
+  return {&snapshot, begin, count};
+}
+
+Pinned<StatusOr<ServedOpinion>> OpinionIndex::Lookup(
+    std::string_view entity, std::string_view property) const {
+  GenerationPtr generation = this->generation();
+  StatusOr<ServedOpinion> answer = Lookup(generation, entity, property);
+  return {std::move(generation), std::move(answer)};
+}
+
+Pinned<std::vector<StatusOr<ServedOpinion>>> OpinionIndex::BatchLookup(
+    const std::vector<std::pair<std::string, std::string>>& pairs) const {
+  // Pin once: the whole batch is answered from one generation even if a
+  // swap lands mid-batch.
+  GenerationPtr generation = this->generation();
+  std::vector<StatusOr<ServedOpinion>> answers;
+  answers.reserve(pairs.size());
+  for (const auto& [entity, property] : pairs) {
+    answers.push_back(Find(generation, entity, property));
   }
-  return out;
+  return {std::move(generation), std::move(answers)};
+}
+
+Pinned<ScanRange> OpinionIndex::QueryType(std::string_view type,
+                                          std::string_view property,
+                                          size_t limit) const {
+  GenerationPtr generation = this->generation();
+  const ScanRange answers = QueryType(generation, type, property, limit);
+  return {std::move(generation), answers};
+}
+
+Pinned<NameRange> OpinionIndex::PrefixScan(std::string_view prefix,
+                                           size_t limit) const {
+  GenerationPtr generation = this->generation();
+  const NameRange names = PrefixScan(generation, prefix, limit);
+  return {std::move(generation), names};
 }
 
 }  // namespace serving

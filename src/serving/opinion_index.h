@@ -21,16 +21,61 @@
 namespace surveyor {
 namespace serving {
 
-/// One answer of the query engine: an opinion with every name resolved and
-/// the supporting-statement samples attached, ready to serialize.
+/// One answer of the query engine: views into the mapped snapshot of the
+/// generation that was pinned to find it. It holds no pin of its own, so
+/// it is valid only while that pin is held — a request pins once and
+/// renders every answer before it lets go, and the self-pinning query
+/// methods hand the pin back with the answer (Pinned).
 struct ServedOpinion {
-  std::string entity;
-  std::string type;
-  std::string property;
+  std::string_view entity;
+  std::string_view type;
+  std::string_view property;
   double posterior = 0.5;
   Polarity polarity = Polarity::kNeutral;
   bool degraded = false;
-  std::vector<StatementRef> provenance;
+  Snapshot::ProvenanceRange provenance;
+};
+
+/// A type scan's answers, strongest first: a slice of one block's posting
+/// list, each answer decoded on access. Valid, like ServedOpinion, while
+/// the scanned generation is pinned.
+class ScanRange {
+ public:
+  ScanRange() = default;
+  ScanRange(const Snapshot* snapshot, const Snapshot::BlockView& block,
+            size_t count)
+      : snapshot_(snapshot), block_(block), count_(count) {}
+  size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  ServedOpinion operator[](size_t i) const;
+  DecodingIterator<ScanRange> begin() const { return {*this, 0}; }
+  DecodingIterator<ScanRange> end() const { return {*this, count_}; }
+
+ private:
+  const Snapshot* snapshot_ = nullptr;
+  Snapshot::BlockView block_;
+  size_t count_ = 0;
+};
+
+/// Entity names in snapshot casing and name order: a run of the mapped
+/// name table. Valid while the generation is pinned.
+class NameRange {
+ public:
+  NameRange() = default;
+  NameRange(const Snapshot* snapshot, uint32_t begin, uint32_t count)
+      : snapshot_(snapshot), begin_(begin), count_(count) {}
+  size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  std::string_view operator[](size_t i) const {
+    return snapshot_->EntityName(begin_ + static_cast<uint32_t>(i));
+  }
+  DecodingIterator<NameRange> begin() const { return {*this, 0}; }
+  DecodingIterator<NameRange> end() const { return {*this, count_}; }
+
+ private:
+  const Snapshot* snapshot_ = nullptr;
+  uint32_t begin_ = 0;
+  uint32_t count_ = 0;
 };
 
 struct OpinionIndexOptions {
@@ -46,9 +91,8 @@ struct OpinionIndexOptions {
 /// index, so this holds no container: Load is an open plus a validation
 /// pass. Immutable once published, shared out by std::shared_ptr so
 /// in-flight queries pin the generation they started on while a newer one
-/// swaps in — RCU with shared_ptr as the grace period. Every answer is
-/// decoded from the pinned snapshot, so no answer outlives the snapshot it
-/// came from.
+/// swaps in — RCU with shared_ptr as the grace period. Every answer is a
+/// view into the pinned snapshot, valid while the pin is held.
 class LoadedGeneration {
  public:
   LoadedGeneration() = default;
@@ -81,13 +125,36 @@ class LoadedGeneration {
 /// regardless of concurrent swaps.
 using GenerationPtr = std::shared_ptr<const LoadedGeneration>;
 
+/// An answer together with the pin on the generation it was read from —
+/// what the self-pinning query methods return. The views inside the
+/// answer point into that generation's mapping, so they are valid exactly
+/// as long as this object is. A request that answers several things pins
+/// once (OpinionIndex::generation()) and calls the methods that take the
+/// pin instead.
+template <typename T>
+class Pinned {
+ public:
+  Pinned(GenerationPtr generation, T value)
+      : generation_(std::move(generation)), value_(std::move(value)) {}
+  const T& operator*() const { return value_; }
+  const T* operator->() const { return &value_; }
+  /// nullptr when nothing was loaded.
+  const GenerationPtr& generation() const { return generation_; }
+
+ private:
+  // Declared first, so the pin is released after the views.
+  GenerationPtr generation_;
+  T value_;
+};
+
 /// The online half of Surveyor: loads opinion snapshot generations and
 /// answers the paper's two query shapes — point lookups ("is this kitten
 /// cute?") and type scans ("safe cities") — plus the prefix scan an
 /// autocomplete box needs. Every query method is const, thread-safe, and
-/// runs entirely against the generation it pins on entry, so answers are
-/// internally consistent even while Load publishes a newer generation
-/// with one pointer swap. A failed Load keeps the previous generation
+/// runs entirely against one pinned generation — the caller's, or one it
+/// pins on entry and returns with the answer — so answers are internally
+/// consistent even while Load publishes a newer generation with one
+/// pointer swap. A failed Load keeps the previous generation
 /// serving and increments surveyor_generation_swap_failures_total. Name
 /// matching is case-insensitive, like the knowledge base.
 class OpinionIndex {
@@ -130,40 +197,66 @@ class OpinionIndex {
     return generation == nullptr ? 0 : generation->id();
   }
 
-  /// The mined opinion for one (entity, property) pair. kNotFound both
-  /// for an unknown entity and for a known entity with no opinion on the
-  /// property — the same contract as OpinionStore::Lookup, so callers can
-  /// treat the offline store and the online index interchangeably. The
-  /// messages differ so operators can tell the two cases apart.
-  StatusOr<ServedOpinion> Lookup(std::string_view entity,
+  /// The mined opinion for one (entity, property) pair, read from
+  /// `generation` — a pin the caller holds (nullptr answers
+  /// FailedPrecondition). kNotFound both for an unknown entity and for a
+  /// known entity with no opinion on the property — the same contract as
+  /// OpinionStore::Lookup, so callers can treat the offline store and the
+  /// online index interchangeably. The messages differ so operators can
+  /// tell the two cases apart. Traced as opinion_index.lookup, with the
+  /// decode under snapshot.materialize.
+  StatusOr<ServedOpinion> Lookup(const GenerationPtr& generation,
+                                 std::string_view entity,
                                  std::string_view property) const;
 
-  /// One lookup per pair, preserving order; individual misses are
-  /// per-entry kNotFound, never a whole-batch failure. The whole batch is
-  /// answered from one pinned generation.
-  std::vector<StatusOr<ServedOpinion>> BatchLookup(
+  /// Lookup without spans of its own: one entry of a batch, which is
+  /// traced as one span however many pairs it holds.
+  StatusOr<ServedOpinion> Find(const GenerationPtr& generation,
+                               std::string_view entity,
+                               std::string_view property) const;
+
+  /// Subjective query ("safe cities") on `generation`: entities of `type`
+  /// whose dominant opinion affirms `property`, strongest posterior first,
+  /// at most `limit` results (0 = no limit). Mirrors OpinionStore::Query.
+  /// Empty when the pin is null or the block does not exist.
+  ScanRange QueryType(const GenerationPtr& generation, std::string_view type,
+                      std::string_view property, size_t limit = 0) const;
+
+  /// Entity names on `generation` starting with `prefix`
+  /// (case-insensitive), sorted, at most `limit` (0 = no limit). Names
+  /// come back in snapshot casing.
+  NameRange PrefixScan(const GenerationPtr& generation,
+                       std::string_view prefix, size_t limit = 0) const;
+
+  // The same queries on the serving generation, each pinning it for
+  // itself and returning the pin with the answer.
+
+  Pinned<StatusOr<ServedOpinion>> Lookup(std::string_view entity,
+                                         std::string_view property) const;
+
+  /// One Find per pair, preserving order; individual misses are per-entry
+  /// kNotFound, never a whole-batch failure. The whole batch is answered
+  /// from one pin.
+  Pinned<std::vector<StatusOr<ServedOpinion>>> BatchLookup(
       const std::vector<std::pair<std::string, std::string>>& pairs) const;
 
-  /// Subjective query ("safe cities"): entities of `type` whose dominant
-  /// opinion affirms `property`, strongest posterior first, at most
-  /// `limit` results (0 = no limit). Mirrors OpinionStore::Query.
-  std::vector<ServedOpinion> QueryType(std::string_view type,
-                                       std::string_view property,
-                                       size_t limit = 0) const;
+  Pinned<ScanRange> QueryType(std::string_view type,
+                              std::string_view property,
+                              size_t limit = 0) const;
 
-  /// Entity names starting with `prefix` (case-insensitive), sorted, at
-  /// most `limit` (0 = no limit). Names come back in snapshot casing.
-  std::vector<std::string> PrefixScan(std::string_view prefix,
-                                      size_t limit = 0) const;
+  Pinned<NameRange> PrefixScan(std::string_view prefix,
+                               size_t limit = 0) const;
 
   /// The registry holding the lookup and generation counters (the
   /// configured one, or the index-local fallback).
   obs::MetricRegistry& metrics() const { return *metrics_; }
 
  private:
-  StatusOr<ServedOpinion> LookupIn(const LoadedGeneration& generation,
-                                   std::string_view entity,
-                                   std::string_view property) const;
+  /// Where `generation` keeps the pair's record; counts the lookup and
+  /// any miss.
+  StatusOr<Snapshot::RecordLoc> Locate(const GenerationPtr& generation,
+                                       std::string_view entity,
+                                       std::string_view property) const;
 
   OpinionIndexOptions options_;
   /// Fallback registry when options_.metrics is null.

@@ -1,112 +1,149 @@
 #include "serving/query_service.h"
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
-#include <map>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "model/opinion.h"
 #include "obs/json_writer.h"
 #include "obs/request_trace.h"
 #include "obs/trace.h"
-#include "model/opinion.h"
 #include "serving/api_envelope.h"
+#include "util/hotpath.h"
 #include "util/profile_tag.h"
 
 namespace surveyor {
 namespace serving {
 namespace {
 
-/// Decodes %XX and '+' in a URL query component.
-std::string UrlDecode(std::string_view text) {
-  auto hex = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  };
-  std::string out;
-  out.reserve(text.size());
-  for (size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '+') {
-      out.push_back(' ');
-    } else if (text[i] == '%' && i + 2 < text.size() &&
-               hex(text[i + 1]) >= 0 && hex(text[i + 2]) >= 0) {
-      out.push_back(
-          static_cast<char>(hex(text[i + 1]) * 16 + hex(text[i + 2])));
-      i += 2;
-    } else {
-      out.push_back(text[i]);
-    }
-  }
-  return out;
+/// Body bytes reserved per answer and for the envelope around them: an
+/// answer without provenance renders to 100-150 bytes for typical names,
+/// so a body rarely grows past its reservation.
+constexpr size_t kAnswerBytes = 192;
+constexpr size_t kEnvelopeBytes = 32;
+
+/// The /v1/query parameters, as views into the target or, for a component
+/// that held a %XX or '+' escape, into the decode scratch. A parameter
+/// given twice takes its last value; one given without '=' is empty.
+struct QueryParams {
+  std::string_view entity;
+  std::string_view property;
+  std::string_view type;
+  std::string_view prefix;
+  std::string_view limit;
+};
+
+int HexDigit(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
 }
 
-std::map<std::string, std::string> ParseQueryParams(std::string_view target) {
-  std::map<std::string, std::string> params;
+/// Splits the target's query string into QueryParams. Components are
+/// URL-decoded (%XX and '+'); one without an escape is used in place, and
+/// one with an escape is decoded onto the end of `scratch`, which is
+/// reserved for the whole query string first, so no earlier view moves.
+SURVEYOR_HOT_FUNCTION
+QueryParams ParseQueryParams(std::string_view target, std::string* scratch) {
+  QueryParams params;
   const size_t query = target.find('?');
   if (query == std::string_view::npos) return params;
   std::string_view rest = target.substr(query + 1);
+  if (rest.find_first_of("%+") != std::string_view::npos) {
+    scratch->reserve(rest.size());
+  }
+  const auto decode = [scratch](std::string_view text) {
+    if (text.find_first_of("%+") == std::string_view::npos) return text;
+    const size_t begin = scratch->size();
+    for (size_t i = 0; i < text.size(); ++i) {
+      if (text[i] == '+') {
+        scratch->push_back(' ');
+      } else if (text[i] == '%' && i + 2 < text.size() &&
+                 HexDigit(text[i + 1]) >= 0 && HexDigit(text[i + 2]) >= 0) {
+        scratch->push_back(static_cast<char>(HexDigit(text[i + 1]) * 16 +
+                                             HexDigit(text[i + 2])));
+        i += 2;
+      } else {
+        scratch->push_back(text[i]);
+      }
+    }
+    return std::string_view(*scratch).substr(begin);
+  };
   while (!rest.empty()) {
     const size_t amp = rest.find('&');
-    const std::string_view pair =
-        amp == std::string_view::npos ? rest : rest.substr(0, amp);
+    const std::string_view pair = rest.substr(0, amp);
     rest = amp == std::string_view::npos ? std::string_view()
                                          : rest.substr(amp + 1);
+    if (pair.empty()) continue;
     const size_t eq = pair.find('=');
-    if (eq == std::string_view::npos) {
-      if (!pair.empty()) params[UrlDecode(pair)] = "";
-    } else {
-      params[UrlDecode(pair.substr(0, eq))] = UrlDecode(pair.substr(eq + 1));
+    const std::string_view key = decode(pair.substr(0, eq));
+    const std::string_view value = eq == std::string_view::npos
+                                       ? std::string_view()
+                                       : decode(pair.substr(eq + 1));
+    if (key == "entity") {
+      params.entity = value;
+    } else if (key == "property") {
+      params.property = value;
+    } else if (key == "type") {
+      params.type = value;
+    } else if (key == "prefix") {
+      params.prefix = value;
+    } else if (key == "limit") {
+      params.limit = value;
     }
   }
   return params;
 }
 
-void WriteOpinion(obs::JsonWriter* writer, const ServedOpinion& opinion) {
-  writer->BeginObject()
-      .Key("entity")
-      .Value(opinion.entity)
-      .Key("type")
-      .Value(opinion.type)
-      .Key("property")
-      .Value(opinion.property)
-      .Key("posterior")
-      .Value(opinion.posterior)
-      .Key("polarity")
-      .Value(PolarityName(opinion.polarity))
-      .Key("degraded")
-      .Value(opinion.degraded);
-  if (!opinion.provenance.empty()) {
-    writer->Key("provenance").BeginArray();
-    for (const StatementRef& ref : opinion.provenance) {
-      writer->BeginObject()
-          .Key("doc_id")
-          .Value(ref.doc_id)
-          .Key("sentence")
-          .Value(ref.sentence_index)
-          .Key("positive")
-          .Value(ref.positive)
-          .EndObject();
-    }
-    writer->EndArray();
+/// The limit= value, read the way strtol reads a number (leading
+/// whitespace, an optional sign, decimal digits) and taken only when all
+/// of it is a positive number; `fallback` otherwise, and as the cap.
+SURVEYOR_HOT_FUNCTION
+size_t ParseLimit(std::string_view raw, size_t fallback) {
+  const size_t digits = raw.find_first_not_of(" \t\n\v\f\r");
+  if (digits == std::string_view::npos) return fallback;
+  raw.remove_prefix(digits);
+  const bool negative = raw.front() == '-';
+  if (raw.front() == '+' || raw.front() == '-') raw.remove_prefix(1);
+  uint64_t value = 0;
+  const auto [end, error] =
+      std::from_chars(raw.data(), raw.data() + raw.size(), value);
+  if (end == raw.data() || end != raw.data() + raw.size() || negative ||
+      value == 0 || error != std::errc()) {
+    return fallback;
   }
-  writer->EndObject();
+  return static_cast<size_t>(std::min<uint64_t>(fallback, value));
 }
 
 /// Strict scanner for the one JSON shape /v1/query/batch accepts:
 /// {"queries":[{"entity":"..","property":".."}, ...]}. Unknown string
 /// keys inside a query object are ignored; anything else is a parse
-/// error — a query API should reject what it would silently drop.
+/// error — a query API should reject what it would silently drop. Strings
+/// come back as views into the body; one holding an escape is decoded
+/// onto the end of `scratch`, reserved for the whole body on first use,
+/// so no earlier view moves.
 class BatchParser {
  public:
-  explicit BatchParser(std::string_view text) : text_(text) {}
+  using Query = std::pair<std::string_view, std::string_view>;
 
-  bool Parse(std::vector<std::pair<std::string, std::string>>* out) {
+  BatchParser(std::string_view text, std::string* scratch)
+      : text_(text), scratch_(scratch) {}
+
+  /// Parses the whole body into `out`, reserving room for up to
+  /// `expected` queries.
+  SURVEYOR_HOT_FUNCTION
+  bool Parse(size_t expected, std::vector<Query>* out) {
+    // A query object opens with '{', so the braces bound the count.
+    out->reserve(std::min<size_t>(
+        expected, std::count(text_.begin(), text_.end(), '{')));
     SkipWs();
     if (!Consume('{')) return false;
     SkipWs();
-    std::string key;
+    std::string_view key;
     if (!ParseString(&key) || key != "queries") return false;
     SkipWs();
     if (!Consume(':')) return false;
@@ -115,9 +152,9 @@ class BatchParser {
     SkipWs();
     if (!Consume(']')) {
       for (;;) {
-        std::string entity, property;
-        if (!ParseQueryObject(&entity, &property)) return false;
-        out->emplace_back(std::move(entity), std::move(property));
+        Query query;
+        if (!ParseQueryObject(&query)) return false;
+        out->push_back(query);
         SkipWs();
         if (Consume(',')) {
           SkipWs();
@@ -150,45 +187,69 @@ class BatchParser {
     return false;
   }
 
-  bool ParseString(std::string* out) {
+  SURVEYOR_HOT_FUNCTION
+  bool ParseString(std::string_view* out) {
     if (!Consume('"')) return false;
-    out->clear();
+    const size_t begin = pos_;
     while (pos_ < text_.size()) {
       const char c = text_[pos_++];
-      if (c == '"') return true;
+      if (c == '"') {
+        *out = text_.substr(begin, pos_ - 1 - begin);
+        return true;
+      }
       if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'n': out->push_back('\n'); break;
-          case 't': out->push_back('\t'); break;
-          case 'r': out->push_back('\r'); break;
-          default: return false;  // \uXXXX et al.: not needed for names
-        }
-      } else {
-        out->push_back(c);
+        pos_ = begin;
+        return DecodeString(out);
       }
     }
     return false;
   }
 
-  bool ParseQueryObject(std::string* entity, std::string* property) {
+  /// ParseString for a string holding an escape, from its first byte.
+  SURVEYOR_HOT_FUNCTION
+  bool DecodeString(std::string_view* out) {
+    // Decoded strings are shorter than their text, so one reservation for
+    // the whole body holds every one of them.
+    if (scratch_->capacity() < text_.size()) scratch_->reserve(text_.size());
+    const size_t begin = scratch_->size();
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_++];
+      if (c == '"') {
+        *out = std::string_view(*scratch_).substr(begin);
+        return true;
+      }
+      if (c != '\\') {
+        scratch_->push_back(c);
+        continue;
+      }
+      if (pos_ >= text_.size()) return false;
+      switch (text_[pos_++]) {
+        case '"': scratch_->push_back('"'); break;
+        case '\\': scratch_->push_back('\\'); break;
+        case '/': scratch_->push_back('/'); break;
+        case 'n': scratch_->push_back('\n'); break;
+        case 't': scratch_->push_back('\t'); break;
+        case 'r': scratch_->push_back('\r'); break;
+        default: return false;  // \uXXXX et al.: not needed for names
+      }
+    }
+    return false;
+  }
+
+  bool ParseQueryObject(Query* query) {
     SkipWs();
     if (!Consume('{')) return false;
     SkipWs();
     if (Consume('}')) return true;  // empty object -> empty names -> 404s
     for (;;) {
-      std::string key, value;
+      std::string_view key, value;
       if (!ParseString(&key)) return false;
       SkipWs();
       if (!Consume(':')) return false;
       SkipWs();
       if (!ParseString(&value)) return false;
-      if (key == "entity") *entity = std::move(value);
-      if (key == "property") *property = std::move(value);
+      if (key == "entity") query->first = value;
+      if (key == "property") query->second = value;
       SkipWs();
       if (Consume(',')) {
         SkipWs();
@@ -199,19 +260,59 @@ class BatchParser {
   }
 
   std::string_view text_;
+  std::string* scratch_;
   size_t pos_ = 0;
 };
 
-size_t ParseLimit(const std::map<std::string, std::string>& params,
-                  size_t fallback) {
-  auto it = params.find("limit");
-  if (it == params.end() || it->second.empty()) return fallback;
-  char* end = nullptr;
-  const long value = std::strtol(it->second.c_str(), &end, 10);
-  if (end != it->second.c_str() + it->second.size() || value <= 0) {
-    return fallback;
+int HttpStatusOf(const Status& status) {
+  return status.code() == StatusCode::kNotFound ? 404 : 500;
+}
+
+/// An empty 200 application/json response.
+obs::AdminResponse JsonResponse() {
+  obs::AdminResponse response;
+  response.content_type = "application/json";
+  return response;
+}
+
+SURVEYOR_HOT_FUNCTION
+void AppendInteger(int64_t value, std::string* out) {
+  char buffer[24];
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out->append(buffer, static_cast<size_t>(result.ptr - buffer));
+}
+
+/// Appends one answer: {"entity","type","property","posterior",
+/// "polarity","degraded"} plus "provenance" when the pair has samples.
+SURVEYOR_HOT_FUNCTION
+void AppendOpinion(const ServedOpinion& opinion, std::string* out) {
+  out->append("{\"entity\":\"");
+  obs::AppendJsonEscaped(opinion.entity, out);
+  out->append("\",\"type\":\"");
+  obs::AppendJsonEscaped(opinion.type, out);
+  out->append("\",\"property\":\"");
+  obs::AppendJsonEscaped(opinion.property, out);
+  out->append("\",\"posterior\":");
+  obs::AppendJsonNumber(opinion.posterior, out);
+  out->append(",\"polarity\":\"");
+  obs::AppendJsonEscaped(PolarityName(opinion.polarity), out);
+  out->append(opinion.degraded ? "\",\"degraded\":true"
+                               : "\",\"degraded\":false");
+  if (!opinion.provenance.empty()) {
+    out->append(",\"provenance\":[");
+    for (size_t i = 0; i < opinion.provenance.size(); ++i) {
+      const StatementRef ref = opinion.provenance[i];
+      out->append(i == 0 ? "{\"doc_id\":" : ",{\"doc_id\":");
+      AppendInteger(ref.doc_id, out);
+      out->append(",\"sentence\":");
+      AppendInteger(ref.sentence_index, out);
+      out->append(ref.positive ? ",\"positive\":true}"
+                               : ",\"positive\":false}");
+    }
+    out->append("]}");
+    return;
   }
-  return std::min(fallback, static_cast<size_t>(value));
+  out->append("}");
 }
 
 }  // namespace
@@ -282,6 +383,7 @@ obs::AdminResponse QueryService::Handle(std::string_view method,
   return response;
 }
 
+SURVEYOR_HOT_FUNCTION
 obs::AdminResponse QueryService::HandleQuery(std::string_view method,
                                              std::string_view target) const {
   SURVEYOR_PROFILE_SCOPE("query");
@@ -290,48 +392,65 @@ obs::AdminResponse QueryService::HandleQuery(std::string_view method,
     return ApiError(405,
                     "/v1/query is GET-only; POST /v1/query/batch instead");
   }
-  const auto params = ParseQueryParams(target);
-  const auto has = [&params](const char* name) {
-    auto it = params.find(name);
-    return it != params.end() && !it->second.empty();
-  };
+  // NOLINTNEXTLINE_HOTPATH(no-heap-alloc) empty unless a value is escaped
+  std::string scratch;
+  const QueryParams params = ParseQueryParams(target, &scratch);
 
-  if (has("entity") && has("property")) {
+  if (!params.entity.empty() && !params.property.empty()) {
     SURVEYOR_SPAN("query_service.point");
-    const StatusOr<ServedOpinion> result =
-        index_->Lookup(params.at("entity"), params.at("property"));
-    if (!result.ok()) {
-      const int status =
-          result.status().code() == StatusCode::kNotFound ? 404 : 500;
+    const GenerationPtr generation = index_->generation();
+    const StatusOr<ServedOpinion> answer =
+        index_->Lookup(generation, params.entity, params.property);
+    if (!answer.ok()) {
       rejected_->Increment();
-      return ApiError(status, result.status().message());
+      return ApiError(HttpStatusOf(answer.status()),
+                      answer.status().message());
     }
-    obs::JsonWriter writer;
-    WriteOpinion(&writer, *result);
-    return ApiData(writer.str());
+    obs::AdminResponse response = JsonResponse();
+    response.body.reserve(kEnvelopeBytes + kAnswerBytes);
+    BeginApiData(&response.body);
+    AppendOpinion(*answer, &response.body);
+    EndApiData(&response.body);
+    return response;
   }
 
-  if (has("type") && has("property")) {
+  if (!params.type.empty() && !params.property.empty()) {
     SURVEYOR_SPAN("query_service.type_scan");
-    const std::vector<ServedOpinion> results =
-        index_->QueryType(params.at("type"), params.at("property"),
-                          ParseLimit(params, options_.max_results));
-    obs::JsonWriter writer;
-    writer.BeginObject().Key("results").BeginArray();
-    for (const ServedOpinion& opinion : results) WriteOpinion(&writer, opinion);
-    writer.EndArray().EndObject();
-    return ApiData(writer.str());
+    const GenerationPtr generation = index_->generation();
+    const ScanRange answers =
+        index_->QueryType(generation, params.type, params.property,
+                          ParseLimit(params.limit, options_.max_results));
+    obs::AdminResponse response = JsonResponse();
+    response.body.reserve(kEnvelopeBytes + answers.size() * kAnswerBytes);
+    BeginApiData(&response.body);
+    response.body.append("{\"results\":[");
+    for (size_t i = 0; i < answers.size(); ++i) {
+      if (i > 0) response.body.push_back(',');
+      AppendOpinion(answers[i], &response.body);
+    }
+    response.body.append("]}");
+    EndApiData(&response.body);
+    return response;
   }
 
-  if (has("prefix")) {
+  if (!params.prefix.empty()) {
     SURVEYOR_SPAN("query_service.prefix");
-    const std::vector<std::string> names = index_->PrefixScan(
-        params.at("prefix"), ParseLimit(params, options_.max_results));
-    obs::JsonWriter writer;
-    writer.BeginObject().Key("entities").BeginArray();
-    for (const std::string& name : names) writer.Value(name);
-    writer.EndArray().EndObject();
-    return ApiData(writer.str());
+    const GenerationPtr generation = index_->generation();
+    const NameRange names = index_->PrefixScan(
+        generation, params.prefix,
+        ParseLimit(params.limit, options_.max_results));
+    obs::AdminResponse response = JsonResponse();
+    response.body.reserve(kEnvelopeBytes + kAnswerBytes);
+    BeginApiData(&response.body);
+    response.body.append("{\"entities\":[");
+    for (size_t i = 0; i < names.size(); ++i) {
+      response.body.append(i == 0 ? "\"" : ",\"");
+      obs::AppendJsonEscaped(names[i], &response.body);
+      response.body.push_back('"');
+    }
+    response.body.append("]}");
+    EndApiData(&response.body);
+    return response;
   }
 
   rejected_->Increment();
@@ -339,6 +458,7 @@ obs::AdminResponse QueryService::HandleQuery(std::string_view method,
                   "need entity=&property=, type=&property=, or prefix=");
 }
 
+SURVEYOR_HOT_FUNCTION
 obs::AdminResponse QueryService::HandleBatch(std::string_view method,
                                              std::string_view body) const {
   SURVEYOR_PROFILE_SCOPE("query");
@@ -349,8 +469,11 @@ obs::AdminResponse QueryService::HandleBatch(std::string_view method,
     rejected_->Increment();
     return ApiError(405, "/v1/query/batch is POST-only");
   }
-  std::vector<std::pair<std::string, std::string>> queries;
-  if (!BatchParser(body).Parse(&queries)) {
+  // NOLINTNEXTLINE_HOTPATH(no-heap-alloc) empty unless a string is escaped
+  std::string scratch;
+  // NOLINTNEXTLINE_HOTPATH(no-heap-alloc) reserved once by Parse
+  std::vector<BatchParser::Query> queries;
+  if (!BatchParser(body, &scratch).Parse(options_.max_batch + 1, &queries)) {
     rejected_->Increment();
     return ApiError(400,
                     "body must be {\"queries\":[{\"entity\":..,"
@@ -361,24 +484,30 @@ obs::AdminResponse QueryService::HandleBatch(std::string_view method,
     return ApiError(400, "batch too large (max " +
                              std::to_string(options_.max_batch) + ")");
   }
+  // One span for the whole batch, however many pairs it holds: each
+  // answer is rendered as it is found, from one pin.
   SURVEYOR_SPAN("query_service.batch");
-  const std::vector<StatusOr<ServedOpinion>> results =
-      index_->BatchLookup(queries);
-  obs::JsonWriter writer;
-  writer.BeginObject().Key("results").BeginArray();
-  for (const StatusOr<ServedOpinion>& result : results) {
-    if (result.ok()) {
-      WriteOpinion(&writer, *result);
+  const GenerationPtr generation = index_->generation();
+  obs::AdminResponse response = JsonResponse();
+  response.body.reserve(kEnvelopeBytes + queries.size() * kAnswerBytes);
+  BeginApiData(&response.body);
+  response.body.append("{\"results\":[");
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (i > 0) response.body.push_back(',');
+    const StatusOr<ServedOpinion> answer =
+        index_->Find(generation, queries[i].first, queries[i].second);
+    if (answer.ok()) {
+      AppendOpinion(*answer, &response.body);
     } else {
       // Per-entry misses reuse the envelope's error object so batch
       // entries parse exactly like top-level failures.
-      const int status =
-          result.status().code() == StatusCode::kNotFound ? 404 : 500;
-      writer.RawValue(ApiErrorJson(status, result.status().message()));
+      AppendApiErrorJson(ApiErrorCode(HttpStatusOf(answer.status())),
+                         answer.status().message(), &response.body);
     }
   }
-  writer.EndArray().EndObject();
-  return ApiData(writer.str());
+  response.body.append("]}");
+  EndApiData(&response.body);
+  return response;
 }
 
 }  // namespace serving

@@ -501,7 +501,7 @@ Snapshot::ProvenanceKey Snapshot::ProvenanceKeyAt(size_t i) const {
           Field(provenance_, kSnapshotProvenanceEntrySize, i, 1)};
 }
 
-std::vector<StatementRef> Snapshot::Provenance(uint32_t entity,
+Snapshot::ProvenanceRange Snapshot::Provenance(uint32_t entity,
                                                uint32_t property) const {
   auto key = [this](uint32_t i) {
     const ProvenanceKey k = ProvenanceKeyAt(i);
@@ -510,24 +510,22 @@ std::vector<StatementRef> Snapshot::Provenance(uint32_t entity,
   const uint32_t i = PartitionPoint(0, num_provenance_, [&](uint32_t mid) {
     return key(mid) < std::pair(entity, property);
   });
-  std::vector<StatementRef> refs;
   if (i == num_provenance_ || key(i) != std::pair(entity, property)) {
-    return refs;
+    return {};
   }
   const uint32_t begin =
       Field(provenance_, kSnapshotProvenanceEntrySize, i, 2);
-  const uint32_t count =
-      Field(provenance_, kSnapshotProvenanceEntrySize, i, 3);
-  refs.reserve(count);
-  for (uint32_t r = begin; r < begin + count; ++r) {
-    const char* p = refs_.data() + size_t{r} * kSnapshotRefSize;
-    StatementRef ref;
-    ref.doc_id = static_cast<int64_t>(DecodeU64(p));
-    ref.sentence_index = static_cast<int>(DecodeU32(p + 8));
-    ref.positive = DecodeU32(p + 12) != 0;
-    refs.push_back(ref);
-  }
-  return refs;
+  return {refs_.data() + size_t{begin} * kSnapshotRefSize,
+          Field(provenance_, kSnapshotProvenanceEntrySize, i, 3)};
+}
+
+StatementRef Snapshot::ProvenanceRange::operator[](size_t i) const {
+  const char* p = refs_ + i * kSnapshotRefSize;
+  StatementRef ref;
+  ref.doc_id = static_cast<int64_t>(DecodeU64(p));
+  ref.sentence_index = static_cast<int>(DecodeU32(p + 8));
+  ref.positive = DecodeU32(p + 12) != 0;
+  return ref;
 }
 
 Status Snapshot::Open(const std::string& path) {

@@ -3,9 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -185,6 +187,43 @@ class SnapshotWriter {
       provenance_;
 };
 
+/// Iteration over a view that decodes its i-th element on access: `View`
+/// has operator[](size_t), which returns by value. The iterator holds a
+/// copy of the (small) view, so it may outlive a temporary view, but never
+/// the mapping the view reads.
+template <typename View>
+class DecodingIterator {
+ public:
+  using iterator_category = std::input_iterator_tag;
+  using value_type =
+      std::remove_cvref_t<decltype(std::declval<const View&>()[0])>;
+  using difference_type = std::ptrdiff_t;
+  using pointer = void;
+  using reference = value_type;
+
+  DecodingIterator() = default;
+  DecodingIterator(const View& view, size_t index)
+      : view_(view), index_(index) {}
+  value_type operator*() const { return view_[index_]; }
+  DecodingIterator& operator++() {
+    ++index_;
+    return *this;
+  }
+  DecodingIterator operator++(int) {
+    DecodingIterator previous = *this;
+    ++index_;
+    return previous;
+  }
+  /// Iterators compare by position: only those of one view are compared.
+  bool operator==(const DecodingIterator& other) const {
+    return index_ == other.index_;
+  }
+
+ private:
+  View view_{};
+  size_t index_ = 0;
+};
+
 /// Read side: validates the whole file at Open and then answers from the
 /// mapping. A Snapshot is immutable once open; concurrent readers need no
 /// synchronization. The Find* methods take names already ASCII-lowercased
@@ -235,30 +274,14 @@ class Snapshot {
   /// access.
   class BlockRange {
    public:
-    class Iterator {
-     public:
-      Iterator(const Snapshot* snapshot, uint32_t index)
-          : snapshot_(snapshot), index_(index) {}
-      BlockView operator*() const { return snapshot_->Block(index_); }
-      Iterator& operator++() {
-        ++index_;
-        return *this;
-      }
-      bool operator==(const Iterator& other) const = default;
-
-     private:
-      const Snapshot* snapshot_;
-      uint32_t index_;
-    };
-
     explicit BlockRange(const Snapshot* snapshot) : snapshot_(snapshot) {}
     size_t size() const { return snapshot_->num_blocks_; }
     bool empty() const { return size() == 0; }
-    BlockView operator[](uint32_t index) const {
-      return snapshot_->Block(index);
+    BlockView operator[](size_t index) const {
+      return snapshot_->Block(static_cast<uint32_t>(index));
     }
-    Iterator begin() const { return Iterator(snapshot_, 0); }
-    Iterator end() const { return Iterator(snapshot_, snapshot_->num_blocks_); }
+    DecodingIterator<BlockRange> begin() const { return {*this, 0}; }
+    DecodingIterator<BlockRange> end() const { return {*this, size()}; }
 
    private:
     const Snapshot* snapshot_;
@@ -300,9 +323,26 @@ class Snapshot {
   };
   size_t num_provenance() const { return num_provenance_; }
   ProvenanceKey ProvenanceKeyAt(size_t i) const;
-  /// The pair's supporting-statement samples, decoded; empty when none.
-  std::vector<StatementRef> Provenance(uint32_t entity,
-                                       uint32_t property) const;
+
+  /// One pair's supporting-statement samples: a run of the mapped ref
+  /// array, each ref decoded on access. Valid while the snapshot is open.
+  class ProvenanceRange {
+   public:
+    ProvenanceRange() = default;
+    ProvenanceRange(const char* refs, uint32_t count)
+        : refs_(refs), count_(count) {}
+    size_t size() const { return count_; }
+    bool empty() const { return count_ == 0; }
+    StatementRef operator[](size_t i) const;
+    DecodingIterator<ProvenanceRange> begin() const { return {*this, 0}; }
+    DecodingIterator<ProvenanceRange> end() const { return {*this, size()}; }
+
+   private:
+    const char* refs_ = nullptr;
+    uint32_t count_ = 0;
+  };
+  /// The pair's samples; empty when it has none.
+  ProvenanceRange Provenance(uint32_t entity, uint32_t property) const;
 
  private:
   BlockView Block(uint32_t index) const;

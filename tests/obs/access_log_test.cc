@@ -3,15 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace surveyor {
 namespace obs {
 namespace {
 
-AccessLogEntry MakeEntry(const std::string& endpoint, int status,
-                         double latency_seconds) {
-  AccessLogEntry entry;
+/// A request whose strings view `endpoint`: the caller's argument lives
+/// until the Append around the call returns.
+AccessLogRequest MakeEntry(std::string_view endpoint, int status,
+                           double latency_seconds) {
+  AccessLogRequest entry;
   entry.method = "GET";
   entry.target = endpoint;
   entry.endpoint = endpoint;

@@ -120,7 +120,10 @@ TEST(GenerationSwapTest, QueriesStayConsistentAcross100LiveSwaps) {
       int i = t;
       while (!done.load(std::memory_order_relaxed)) {
         const std::string entity = "entity" + std::to_string(i % kEntities);
-        const auto opinion = index.Lookup(entity, "score");
+        // The answer holds its generation pinned, so its views stay valid
+        // while swaps retire that generation from the index.
+        const auto pinned = index.Lookup(entity, "score");
+        const StatusOr<ServedOpinion>& opinion = *pinned;
         if (opinion.ok()) {
           answers.fetch_add(1, std::memory_order_relaxed);
           const int64_t code = DecodePosterior(opinion->posterior);
@@ -143,7 +146,8 @@ TEST(GenerationSwapTest, QueriesStayConsistentAcross100LiveSwaps) {
   // generation — a swap landing mid-scan must not mix rows.
   readers.emplace_back([&index, &done, &inconsistencies, &answers] {
     while (!done.load(std::memory_order_relaxed)) {
-      const auto rows = index.QueryType("thing", "score");
+      const auto scan = index.QueryType("thing", "score");
+      const ScanRange& rows = *scan;
       if (rows.empty()) continue;
       answers.fetch_add(1, std::memory_order_relaxed);
       const int64_t generation = (DecodePosterior(rows[0].posterior) - 1) / 100;
@@ -161,7 +165,8 @@ TEST(GenerationSwapTest, QueriesStayConsistentAcross100LiveSwaps) {
   // Thread 3: prefix scans. Exactly one generation marker may exist.
   readers.emplace_back([&index, &done, &inconsistencies, &answers] {
     while (!done.load(std::memory_order_relaxed)) {
-      const auto markers = index.PrefixScan("marker-");
+      const auto scan = index.PrefixScan("marker-");
+      const NameRange& markers = *scan;
       if (markers.empty()) continue;
       answers.fetch_add(1, std::memory_order_relaxed);
       if (markers.size() != 1) {
@@ -250,7 +255,7 @@ TEST(GenerationSwapTest, SwapFaultKeepsOldGenerationServing) {
         index.LoadGeneration(WriteGenerationSnapshot(2, dir), 2).ok());
   }
   EXPECT_EQ(index.generation_id(), 1u);
-  EXPECT_TRUE(index.Lookup("entity0", "score").ok());
+  EXPECT_TRUE(index.Lookup("entity0", "score")->ok());
   EXPECT_EQ(index.metrics()
                 .GetCounter("surveyor_generation_swap_failures_total")
                 ->Value(),

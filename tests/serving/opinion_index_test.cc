@@ -76,8 +76,10 @@ TEST_F(OpinionIndexTest, PointLookupResolvesNamesAndProvenance) {
   ASSERT_TRUE(index.Load(WriteTestSnapshot("point.surv")).ok());
   ASSERT_TRUE(index.loaded());
 
-  const auto opinion = index.Lookup("kitten", "cute");
+  const auto pinned = index.Lookup("kitten", "cute");
+  const StatusOr<ServedOpinion>& opinion = *pinned;
   ASSERT_TRUE(opinion.ok()) << opinion.status();
+  EXPECT_EQ(pinned.generation(), index.generation());
   EXPECT_EQ(opinion->entity, "Kitten");
   EXPECT_EQ(opinion->type, "animal");
   EXPECT_EQ(opinion->property, "cute");
@@ -87,13 +89,14 @@ TEST_F(OpinionIndexTest, PointLookupResolvesNamesAndProvenance) {
   EXPECT_EQ(opinion->provenance[0].doc_id, 42);
 
   // Name matching is case-insensitive, like the knowledge base.
-  EXPECT_TRUE(index.Lookup("KITTEN", "CUTE").ok());
+  EXPECT_TRUE(index.Lookup("KITTEN", "CUTE")->ok());
 }
 
 TEST_F(OpinionIndexTest, LookupBeforeLoadIsFailedPrecondition) {
   OpinionIndex index;
-  EXPECT_EQ(index.Lookup("kitten", "cute").status().code(),
+  EXPECT_EQ(index.Lookup("kitten", "cute")->status().code(),
             StatusCode::kFailedPrecondition);
+  EXPECT_EQ(index.Lookup("kitten", "cute").generation(), nullptr);
 }
 
 // The regression at the heart of satellite (c): the offline store and the
@@ -121,21 +124,21 @@ TEST_F(OpinionIndexTest, NotFoundSemanticsMatchOpinionStore) {
   // Known entity, no opinion on the property.
   EXPECT_EQ(store.Lookup(kitten, "haunted").status().code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(index.Lookup("kitten", "haunted").status().code(),
+  EXPECT_EQ(index.Lookup("kitten", "haunted")->status().code(),
             StatusCode::kNotFound);
 
   // Entity with no opinions at all (the store's closest analog of an
   // unknown name is an id it holds nothing for).
   EXPECT_EQ(store.Lookup(ghost, "cute").status().code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(index.Lookup("ghost", "cute").status().code(),
+  EXPECT_EQ(index.Lookup("ghost", "cute")->status().code(),
             StatusCode::kNotFound);
 
   // The index distinguishes the two cases in the message for operators.
-  EXPECT_NE(index.Lookup("ghost", "cute").status().message().find(
+  EXPECT_NE(index.Lookup("ghost", "cute")->status().message().find(
                 "unknown entity"),
             std::string::npos);
-  EXPECT_NE(index.Lookup("kitten", "haunted").status().message().find(
+  EXPECT_NE(index.Lookup("kitten", "haunted")->status().message().find(
                 "no opinion"),
             std::string::npos);
 }
@@ -143,8 +146,9 @@ TEST_F(OpinionIndexTest, NotFoundSemanticsMatchOpinionStore) {
 TEST_F(OpinionIndexTest, BatchLookupAnswersPerEntryInOrder) {
   OpinionIndex index;
   ASSERT_TRUE(index.Load(WriteTestSnapshot("batch.surv")).ok());
-  const auto results = index.BatchLookup(
+  const auto batch = index.BatchLookup(
       {{"kitten", "cute"}, {"nobody", "cute"}, {"lisbon", "hilly"}});
+  const std::vector<StatusOr<ServedOpinion>>& results = *batch;
   ASSERT_EQ(results.size(), 3u);
   EXPECT_TRUE(results[0].ok());
   EXPECT_EQ(results[0]->entity, "Kitten");
@@ -157,26 +161,28 @@ TEST_F(OpinionIndexTest, QueryTypeIsPositiveOnlyStrongestFirst) {
   OpinionIndex index;
   ASSERT_TRUE(index.Load(WriteTestSnapshot("scan.surv")).ok());
 
-  const auto cute = index.QueryType("animal", "cute");
+  const auto scan = index.QueryType("animal", "cute");
+  const ScanRange& cute = *scan;
   ASSERT_EQ(cute.size(), 2u);  // spider's negative opinion is excluded
   EXPECT_EQ(cute[0].entity, "Kitten");
   EXPECT_EQ(cute[1].entity, "Koala");
 
-  EXPECT_EQ(index.QueryType("animal", "cute", 1).size(), 1u);
-  EXPECT_TRUE(index.QueryType("animal", "hilly").empty());
-  EXPECT_TRUE(index.QueryType("volcano", "cute").empty());
+  EXPECT_EQ(index.QueryType("animal", "cute", 1)->size(), 1u);
+  EXPECT_TRUE(index.QueryType("animal", "hilly")->empty());
+  EXPECT_TRUE(index.QueryType("volcano", "cute")->empty());
 }
 
 TEST_F(OpinionIndexTest, PrefixScanIsSortedAndCaseInsensitive) {
   OpinionIndex index;
   ASSERT_TRUE(index.Load(WriteTestSnapshot("prefix.surv")).ok());
-  const auto matches = index.PrefixScan("k");
+  const auto scan = index.PrefixScan("k");
+  const NameRange& matches = *scan;
   ASSERT_EQ(matches.size(), 2u);
   EXPECT_EQ(matches[0], "Kitten");
   EXPECT_EQ(matches[1], "Koala");
-  EXPECT_EQ(index.PrefixScan("KIT").size(), 1u);
-  EXPECT_EQ(index.PrefixScan("k", 1).size(), 1u);
-  EXPECT_TRUE(index.PrefixScan("zz").empty());
+  EXPECT_EQ(index.PrefixScan("KIT")->size(), 1u);
+  EXPECT_EQ(index.PrefixScan("k", 1)->size(), 1u);
+  EXPECT_TRUE(index.PrefixScan("zz")->empty());
 }
 
 TEST_F(OpinionIndexTest, FailedLoadKeepsServingThePreviousSnapshot) {
@@ -189,7 +195,7 @@ TEST_F(OpinionIndexTest, FailedLoadKeepsServingThePreviousSnapshot) {
   ASSERT_TRUE(strict.Load(WriteTestSnapshot("stable2.surv")).ok());
   EXPECT_FALSE(strict.Load(testing::TempDir() + "/does-not-exist.surv").ok());
   EXPECT_TRUE(strict.loaded());
-  EXPECT_TRUE(strict.Lookup("kitten", "cute").ok());
+  EXPECT_TRUE(strict.Lookup("kitten", "cute")->ok());
   // The failed load neither advanced the generation nor went uncounted.
   EXPECT_EQ(strict.generation_id(), 1u);
   EXPECT_EQ(strict.metrics()
@@ -258,7 +264,7 @@ TEST_F(OpinionIndexTest, ConcurrentLookupsAreSafe) {
         const bool expect_ok =
             (property == "cute" && entity != "nobody" && entity != "lisbon") ||
             (entity == "lisbon" && property == "hilly");
-        if (opinion.ok() != expect_ok) failures.fetch_add(1);
+        if (opinion->ok() != expect_ok) failures.fetch_add(1);
       }
     });
   }
@@ -266,8 +272,8 @@ TEST_F(OpinionIndexTest, ConcurrentLookupsAreSafe) {
   EXPECT_EQ(failures.load(), 0);
 
   const auto opinion = index.Lookup("kitten", "cute");
-  ASSERT_TRUE(opinion.ok());
-  EXPECT_DOUBLE_EQ(opinion->posterior, 0.97);
+  ASSERT_TRUE(opinion->ok());
+  EXPECT_DOUBLE_EQ(opinion->value().posterior, 0.97);
 }
 
 // --- Brute-force oracle -----------------------------------------------------
@@ -371,11 +377,23 @@ OracleWorld MakeOracleWorld() {
   return world;
 }
 
+/// An answer the index must give, owning its strings and refs (a
+/// ServedOpinion only views a pinned snapshot).
+struct ExpectedOpinion {
+  std::string entity;
+  std::string type;
+  std::string property;
+  double posterior = 0.5;
+  Polarity polarity = Polarity::kNeutral;
+  bool degraded = false;
+  std::vector<StatementRef> provenance;
+};
+
 /// The answer the index must give for `opinion`: names as written, the
 /// block's degraded flag, the pair's provenance.
-ServedOpinion Expected(const OracleWorld& world,
-                       const SnapshotOpinion& opinion) {
-  ServedOpinion served;
+ExpectedOpinion Expected(const OracleWorld& world,
+                         const SnapshotOpinion& opinion) {
+  ExpectedOpinion served;
   served.entity = opinion.entity;
   served.type = opinion.type;
   served.property = opinion.property;
@@ -391,7 +409,7 @@ ServedOpinion Expected(const OracleWorld& world,
   return served;
 }
 
-void ExpectSameAnswer(const ServedOpinion& want, const ServedOpinion& got,
+void ExpectSameAnswer(const ExpectedOpinion& want, const ServedOpinion& got,
                       const std::string& context) {
   EXPECT_EQ(got.entity, want.entity) << context;
   EXPECT_EQ(got.type, want.type) << context;
@@ -434,12 +452,13 @@ TEST_F(OpinionIndexTest, AgreesWithBruteForceOracle) {
     if (slot == nullptr || slot->type < opinion.type) slot = &opinion;
   }
   ASSERT_EQ(point.at({"Shared-Name", "cute"})->type, "type4");
+  const GenerationPtr pin = index.generation();
   for (const auto& [key, opinion] : point) {
-    const ServedOpinion want = Expected(world, *opinion);
+    const ExpectedOpinion want = Expected(world, *opinion);
     for (const auto& [entity, property] :
          {key, std::pair(Upper(key.first), Upper(key.second)),
           std::pair(MixedCase(key.first), MixedCase(key.second))}) {
-      const auto got = index.Lookup(entity, property);
+      const auto got = index.Lookup(pin, entity, property);
       ASSERT_TRUE(got.ok()) << entity << "/" << property << ": "
                             << got.status();
       ExpectSameAnswer(want, *got, entity + "/" + property);
@@ -448,13 +467,13 @@ TEST_F(OpinionIndexTest, AgreesWithBruteForceOracle) {
 
   // Misses keep today's messages.
   const auto unknown = index.Lookup("No-Such-Entity", "cute");
-  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(unknown.status().message(), "unknown entity 'No-Such-Entity'");
+  EXPECT_EQ(unknown->status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(unknown->status().message(), "unknown entity 'No-Such-Entity'");
   const auto no_property = index.Lookup("alpha-0", "Haunted");
-  EXPECT_EQ(no_property.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(no_property.status().message(),
+  EXPECT_EQ(no_property->status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(no_property->status().message(),
             "no opinion for entity 'alpha-0' property 'Haunted'");
-  EXPECT_EQ(index.Lookup("ghost-only", "cute").status().code(),
+  EXPECT_EQ(index.Lookup("ghost-only", "cute")->status().code(),
             StatusCode::kNotFound);
 
   // Type scans: positives of the (type, property) block, posterior
@@ -480,8 +499,8 @@ TEST_F(OpinionIndexTest, AgreesWithBruteForceOracle) {
       for (const size_t limit : {size_t{0}, size_t{1}, size_t{10}}) {
         const std::string context =
             type + "/" + property + " limit " + std::to_string(limit);
-        const auto got = index.QueryType(MixedCase(type), Upper(property),
-                                         limit);
+        const ScanRange got =
+            index.QueryType(pin, MixedCase(type), Upper(property), limit);
         const size_t want_size =
             limit == 0 ? ranked.size() : std::min(limit, ranked.size());
         ASSERT_EQ(got.size(), want_size) << context;
@@ -489,7 +508,7 @@ TEST_F(OpinionIndexTest, AgreesWithBruteForceOracle) {
             ranked[want_size]->posterior == ranked[want_size - 1]->posterior) {
           ++cuts_inside_ties;
         }
-        std::set<std::string> seen;
+        std::set<std::string_view> seen;
         for (size_t i = 0; i < got.size(); ++i) {
           EXPECT_EQ(got[i].posterior, ranked[i]->posterior) << context;
           EXPECT_TRUE(seen.insert(got[i].entity).second) << context;
@@ -531,7 +550,8 @@ TEST_F(OpinionIndexTest, AgreesWithBruteForceOracle) {
         if (limit > 0 && want.size() >= limit) break;
         want.push_back(name);
       }
-      EXPECT_EQ(index.PrefixScan(Upper(prefix), limit), want)
+      const auto got = index.PrefixScan(Upper(prefix), limit);
+      EXPECT_EQ(std::vector<std::string>(got->begin(), got->end()), want)
           << "prefix '" << prefix << "' limit " << limit;
     }
   }

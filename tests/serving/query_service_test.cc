@@ -238,6 +238,74 @@ TEST_F(QueryServiceTest, SampledQueryTraceShowsServingSpans) {
   EXPECT_TRUE(HasSpan(traces[0], "snapshot.materialize"));
 }
 
+/// The span named `name` in `trace`, or nullptr.
+const obs::TraceSpan* FindSpan(const obs::RequestTrace& trace,
+                               std::string_view name) {
+  for (const obs::TraceSpan& span : trace.spans) {
+    if (span.name == name) return &span;
+  }
+  return nullptr;
+}
+
+TEST_F(QueryServiceTest, PointTraceNestsLookupAndDecode) {
+  QueryService service(&index_, &stage_, &metrics_);
+  obs::AdminServerOptions options;
+  options.trace_sample_rate = 1.0;
+  options.slow_query_ms = 0.0;
+  obs::AdminServer server(&metrics_, &stage_, nullptr, options);
+  service.Register(&server);
+
+  EXPECT_EQ(
+      server.Handle("GET", "/v1/query?entity=kitten&property=cute").status,
+      200);
+  const std::vector<obs::RequestTrace> traces =
+      server.request_tracer().Snapshot();
+  ASSERT_EQ(traces.size(), 1u);
+  ASSERT_EQ(traces[0].spans.size(), 4u);
+  const obs::TraceSpan* root = FindSpan(traces[0], "GET /v1/query");
+  const obs::TraceSpan* point = FindSpan(traces[0], "query_service.point");
+  const obs::TraceSpan* lookup = FindSpan(traces[0], "opinion_index.lookup");
+  const obs::TraceSpan* decode = FindSpan(traces[0], "snapshot.materialize");
+  ASSERT_NE(root, nullptr);
+  ASSERT_NE(point, nullptr);
+  ASSERT_NE(lookup, nullptr);
+  ASSERT_NE(decode, nullptr);
+  EXPECT_EQ(root->parent_id, 0u);
+  EXPECT_EQ(point->parent_id, root->id);
+  EXPECT_EQ(lookup->parent_id, point->id);
+  EXPECT_EQ(decode->parent_id, lookup->id);
+}
+
+// A batch opens the same two spans however many pairs it answers, so a
+// max_batch batch keeps its whole trace under the per-trace span cap.
+TEST_F(QueryServiceTest, FullBatchTraceDropsNoSpans) {
+  QueryService service(&index_, &stage_, &metrics_);
+  obs::AdminServerOptions options;
+  options.trace_sample_rate = 1.0;
+  options.slow_query_ms = 0.0;
+  obs::AdminServer server(&metrics_, &stage_, nullptr, options);
+  service.Register(&server);
+
+  std::string body = "{\"queries\":[";
+  for (size_t i = 0; i < QueryServiceOptions().max_batch; ++i) {
+    if (i > 0) body += ',';
+    body += i % 3 == 2 ? "{\"entity\":\"nobody\",\"property\":\"cute\"}"
+                       : "{\"entity\":\"kitten\",\"property\":\"cute\"}";
+  }
+  body += "]}";
+  EXPECT_EQ(server.Handle("POST", "/v1/query/batch", body).status, 200);
+  const std::vector<obs::RequestTrace> traces =
+      server.request_tracer().Snapshot();
+  ASSERT_EQ(traces.size(), 1u);
+  EXPECT_EQ(traces[0].dropped_spans, 0);
+  ASSERT_EQ(traces[0].spans.size(), 2u);
+  const obs::TraceSpan* root = FindSpan(traces[0], "POST /v1/query/batch");
+  const obs::TraceSpan* batch = FindSpan(traces[0], "query_service.batch");
+  ASSERT_NE(root, nullptr);
+  ASSERT_NE(batch, nullptr);
+  EXPECT_EQ(batch->parent_id, root->id);
+}
+
 TEST_F(QueryServiceTest, SlowQueryIsTailCaptured) {
   QueryService service(&index_, &stage_, &metrics_);
   obs::AdminServerOptions options;

@@ -88,7 +88,7 @@ TEST_F(ReloadServiceTest, ReloadzSwapsToTheNewestPublish) {
   auto response = admin_.Handle("POST", "/v1/admin/reload");
   EXPECT_EQ(response.status, 200) << response.body;
   EXPECT_EQ(index_.generation_id(), 1u);
-  EXPECT_TRUE(index_.Lookup("kitten", "cute").ok());
+  EXPECT_TRUE(index_.Lookup("kitten", "cute")->ok());
 
   // A publish from *another* store handle (another process writing the
   // same directory): /v1/admin/reload must Refresh and pick it up.
@@ -100,8 +100,8 @@ TEST_F(ReloadServiceTest, ReloadzSwapsToTheNewestPublish) {
   response = admin_.Handle("POST", "/v1/admin/reload");
   EXPECT_EQ(response.status, 200) << response.body;
   EXPECT_EQ(index_.generation_id(), 2u);
-  EXPECT_TRUE(index_.Lookup("koala", "cute").ok());
-  EXPECT_EQ(index_.Lookup("kitten", "cute").status().code(),
+  EXPECT_TRUE(index_.Lookup("koala", "cute")->ok());
+  EXPECT_EQ(index_.Lookup("kitten", "cute")->status().code(),
             StatusCode::kNotFound);
   EXPECT_NE(response.body.find("\"previous\":1"), std::string::npos);
 }
@@ -115,7 +115,7 @@ TEST_F(ReloadServiceTest, ExplicitGenerationRollsBack) {
   const auto rollback = admin_.Handle("POST", "/v1/admin/reload?generation=1");
   EXPECT_EQ(rollback.status, 200) << rollback.body;
   EXPECT_EQ(index_.generation_id(), 1u);
-  EXPECT_TRUE(index_.Lookup("kitten", "cute").ok());
+  EXPECT_TRUE(index_.Lookup("kitten", "cute")->ok());
 
   // An id the store never had (or already pruned) is 404, not a crash.
   EXPECT_EQ(admin_.Handle("POST", "/v1/admin/reload?generation=9").status, 404);
@@ -143,7 +143,7 @@ TEST_F(ReloadServiceTest, FailedSwapKeepsOldGenerationAndCounts) {
   }
   // The old generation never stopped serving.
   EXPECT_EQ(index_.generation_id(), 1u);
-  EXPECT_TRUE(index_.Lookup("kitten", "cute").ok());
+  EXPECT_TRUE(index_.Lookup("kitten", "cute")->ok());
   EXPECT_EQ(metrics_.GetCounter("surveyor_reload_failures_total")->Value(),
             1);
   EXPECT_EQ(

@@ -179,8 +179,9 @@ void QueryEverything(const std::string& path, const Snapshot& snapshot) {
     const std::string entity(snapshot.EntityName(e));
     for (const char c : ToLower(entity)) alphabet.insert(c);
     for (uint32_t p = 0; p < snapshot.num_properties(); ++p) {
-      const auto answer =
+      const auto pinned =
           index.Lookup(entity, std::string(snapshot.PropertyName(p)));
+      const StatusOr<ServedOpinion>& answer = *pinned;
       if (answer.ok()) {
         EXPECT_EQ(ToLower(answer->entity), ToLower(entity));
       } else {
@@ -191,8 +192,9 @@ void QueryEverything(const std::string& path, const Snapshot& snapshot) {
   for (uint32_t t = 0; t < snapshot.num_types(); ++t) {
     for (uint32_t p = 0; p < snapshot.num_properties(); ++p) {
       for (const size_t limit : {size_t{0}, size_t{1}, size_t{10}}) {
-        const auto scan = index.QueryType(snapshot.TypeName(t),
-                                          snapshot.PropertyName(p), limit);
+        const auto pinned = index.QueryType(snapshot.TypeName(t),
+                                            snapshot.PropertyName(p), limit);
+        const ScanRange& scan = *pinned;
         if (limit > 0) {
           EXPECT_LE(scan.size(), limit);
         }

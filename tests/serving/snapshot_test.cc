@@ -130,7 +130,7 @@ TEST_F(SnapshotTest, RoundTripPreservesEverything) {
   const Snapshot::ProvenanceKey key = snapshot.ProvenanceKeyAt(0);
   EXPECT_EQ(snapshot.EntityName(key.entity_index), "kitten");
   EXPECT_EQ(snapshot.PropertyName(key.property_index), "cute");
-  const std::vector<StatementRef> refs =
+  const Snapshot::ProvenanceRange refs =
       snapshot.Provenance(key.entity_index, key.property_index);
   ASSERT_EQ(refs.size(), 2u);
   EXPECT_EQ(refs[0].doc_id, 1234);
@@ -192,11 +192,13 @@ TEST_F(SnapshotTest, ReadAndRebuildIsBitIdentical) {
   for (size_t i = 0; i < snapshot.num_provenance(); ++i) {
     const Snapshot::ProvenanceKey key = snapshot.ProvenanceKeyAt(i);
     const uint32_t type = snapshot.EntityType(key.entity_index);
+    const Snapshot::ProvenanceRange refs =
+        snapshot.Provenance(key.entity_index, key.property_index);
     rebuilt.AddProvenance(
         std::string(snapshot.EntityName(key.entity_index)),
         std::string(snapshot.TypeName(type)),
         std::string(snapshot.PropertyName(key.property_index)),
-        snapshot.Provenance(key.entity_index, key.property_index));
+        std::vector<StatementRef>(refs.begin(), refs.end()));
   }
   EXPECT_EQ(rebuilt.Serialize(), image);
 }

@@ -23,6 +23,10 @@ Budgets:
   5. Type scans: BM_OpinionIndexTypeScan (limit-10 scans over all 96
      blocks) answers >= 1/25 of BM_OpinionIndexHotLookup's items/s: a scan
      reads its slice of the block's posting list, not the whole block.
+  6. Batches: BM_AdminBatch/1, a 32-pair /v1/query/batch through
+     AdminServer::Handle with production defaults, costs <= 4 hot point
+     lookups per pair (items are pairs): parsing, tracing and rendering
+     add at most three lookups' worth to each pair's own lookup.
 
 Each budget prints its value next to its threshold; the exit status is 1
 when any budget fails or any of the gated benchmarks is missing.
@@ -40,6 +44,7 @@ BENCHMARKS = (
     "BM_AnnotateSentence",
     "BM_OpinionIndexLoad",
     "BM_OpinionIndexTypeScan",
+    "BM_AdminBatch/1",
 )
 
 
@@ -77,6 +82,7 @@ def main():
     )
     load_ns = 1e9 / medians["BM_OpinionIndexLoad"]["items_per_second"]
     scans = medians["BM_OpinionIndexTypeScan"]["items_per_second"]
+    batch_pairs = medians["BM_AdminBatch/1"]["items_per_second"]
     budgets = [
         ("hot point lookups", f"{lookups:.0f}/s", ">= 100000/s",
          lookups >= 100000),
@@ -88,6 +94,8 @@ def main():
          load_ns <= 80),
         ("type scans / hot lookups", f"{scans / lookups:.4f}", ">= 0.04",
          scans * 25 >= lookups),
+        ("batch pair / hot lookup", f"{lookups / batch_pairs:.2f}x",
+         "<= 4x", lookups <= 4 * batch_pairs),
     ]
     for name, value, threshold, ok in budgets:
         print(f"{'OK  ' if ok else 'FAIL'} {name:30} {value:>14}  {threshold}")
