@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "obs/build_info.h"
@@ -29,30 +30,11 @@ std::string_view PathOf(std::string_view target) {
   return query == std::string_view::npos ? target : target.substr(0, query);
 }
 
-/// Value of `key` in the target's query string, "" when absent:
-/// QueryParam("/tracez?format=text", "format") == "text".
-std::string_view QueryParam(std::string_view target, std::string_view key) {
-  const size_t question = target.find('?');
-  if (question == std::string_view::npos) return {};
-  std::string_view query = target.substr(question + 1);
-  while (!query.empty()) {
-    const size_t amp = query.find('&');
-    const std::string_view pair = query.substr(0, amp);
-    query = amp == std::string_view::npos ? std::string_view()
-                                          : query.substr(amp + 1);
-    const size_t eq = pair.find('=');
-    if (eq != std::string_view::npos && pair.substr(0, eq) == key) {
-      return pair.substr(eq + 1);
-    }
-  }
-  return {};
-}
-
 /// Parses a non-negative integer query parameter, `fallback` when absent
 /// or malformed.
 size_t SizeParam(std::string_view target, std::string_view key,
                  size_t fallback) {
-  const std::string_view raw = QueryParam(target, key);
+  const std::string_view raw = QueryParam(target, key).value_or("");
   if (raw.empty()) return fallback;
   size_t value = 0;
   for (const char c : raw) {
@@ -123,6 +105,24 @@ void WriteSpanTreeText(const std::vector<TraceSpan>& spans,
 }
 
 }  // namespace
+
+std::optional<std::string_view> QueryParam(std::string_view target,
+                                           std::string_view key) {
+  const size_t question = target.find('?');
+  if (question == std::string_view::npos) return std::nullopt;
+  std::string_view query = target.substr(question + 1);
+  while (!query.empty()) {
+    const size_t amp = query.find('&');
+    const std::string_view pair = query.substr(0, amp);
+    query = amp == std::string_view::npos ? std::string_view()
+                                          : query.substr(amp + 1);
+    const size_t eq = pair.find('=');
+    if (eq != std::string_view::npos && pair.substr(0, eq) == key) {
+      return pair.substr(eq + 1);
+    }
+  }
+  return std::nullopt;
+}
 
 namespace {
 
@@ -501,7 +501,7 @@ AdminResponse AdminServer::Profilez(std::string_view target) const {
   // seconds: the profile window, (0, 30]. Parsed as a double so sub-second
   // smoke windows work (?seconds=0.2).
   double seconds = 1.0;
-  const std::string seconds_raw(QueryParam(target, "seconds"));
+  const std::string seconds_raw(QueryParam(target, "seconds").value_or(""));
   if (!seconds_raw.empty()) {
     char* end = nullptr;
     seconds = std::strtod(seconds_raw.c_str(), &end);
@@ -512,7 +512,7 @@ AdminResponse AdminServer::Profilez(std::string_view target) const {
       return response;
     }
   }
-  const std::string_view format = QueryParam(target, "format");
+  const std::string_view format = QueryParam(target, "format").value_or("");
   if (!format.empty() && format != "folded" && format != "json") {
     response.status = 400;
     response.body = "format must be folded or json\n";

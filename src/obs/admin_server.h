@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -63,6 +64,12 @@ struct AdminServerOptions {
   /// Graceful-shutdown budget for draining in-flight requests.
   double drain_seconds = 5.0;
 };
+
+/// The value of `key` in the target's query string (its first
+/// occurrence), "" for "key=", nullopt when absent:
+/// QueryParam("/tracez?format=text", "format") == "text".
+std::optional<std::string_view> QueryParam(std::string_view target,
+                                           std::string_view key);
 
 /// One materialized HTTP response, exposed so tests can exercise the
 /// endpoint logic without a socket. An alias for the transport's

@@ -200,9 +200,8 @@ class OpinionIndex {
   /// The mined opinion for one (entity, property) pair, read from
   /// `generation` — a pin the caller holds (nullptr answers
   /// FailedPrecondition). kNotFound both for an unknown entity and for a
-  /// known entity with no opinion on the property — the same contract as
-  /// OpinionStore::Lookup, so callers can treat the offline store and the
-  /// online index interchangeably. The messages differ so operators can
+  /// known entity with no opinion on the property: a miss is one status
+  /// code whichever shape it has. The messages differ so operators can
   /// tell the two cases apart. Traced as opinion_index.lookup, with the
   /// decode under snapshot.materialize.
   StatusOr<ServedOpinion> Lookup(const GenerationPtr& generation,
@@ -216,8 +215,8 @@ class OpinionIndex {
                                std::string_view property) const;
 
   /// Subjective query ("safe cities") on `generation`: entities of `type`
-  /// whose dominant opinion affirms `property`, strongest posterior first,
-  /// at most `limit` results (0 = no limit). Mirrors OpinionStore::Query.
+  /// whose dominant opinion affirms `property`, strongest posterior first
+  /// with ties by entity name, at most `limit` results (0 = no limit).
   /// Empty when the pin is null or the block does not exist.
   ScanRange QueryType(const GenerationPtr& generation, std::string_view type,
                       std::string_view property, size_t limit = 0) const;

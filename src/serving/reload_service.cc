@@ -1,6 +1,9 @@
 #include "serving/reload_service.h"
 
+#include <charconv>
+#include <optional>
 #include <string>
+#include <system_error>
 
 #include "obs/json_writer.h"
 #include "obs/request_trace.h"
@@ -23,33 +26,18 @@ int HttpStatusFor(const Status& status) {
   }
 }
 
-/// Pulls `generation=N` out of the target's query string. Returns false
-/// on a malformed value; `*present` says whether the parameter appeared.
+/// Reads the target's `generation=N` into `*id` when present. Returns
+/// false unless the value is a decimal id that fits in 64 bits: a larger
+/// one must not wrap around to some other generation.
 bool ParseGenerationParam(std::string_view target, bool* present,
                           uint64_t* id) {
-  *present = false;
-  const size_t query = target.find('?');
-  if (query == std::string_view::npos) return true;
-  std::string_view rest = target.substr(query + 1);
-  while (!rest.empty()) {
-    const size_t amp = rest.find('&');
-    const std::string_view pair =
-        amp == std::string_view::npos ? rest : rest.substr(0, amp);
-    rest = amp == std::string_view::npos ? std::string_view()
-                                         : rest.substr(amp + 1);
-    constexpr std::string_view kKey = "generation=";
-    if (pair.substr(0, kKey.size()) != kKey) continue;
-    const std::string_view value = pair.substr(kKey.size());
-    if (value.empty()) return false;
-    uint64_t parsed = 0;
-    for (const char c : value) {
-      if (c < '0' || c > '9') return false;
-      parsed = parsed * 10 + static_cast<uint64_t>(c - '0');
-    }
-    *present = true;
-    *id = parsed;
-  }
-  return true;
+  const std::optional<std::string_view> value =
+      obs::QueryParam(target, "generation");
+  *present = value.has_value();
+  if (!*present) return true;
+  const char* end = value->data() + value->size();
+  const auto [parsed_end, error] = std::from_chars(value->data(), end, *id);
+  return error == std::errc() && parsed_end == end;
 }
 
 }  // namespace

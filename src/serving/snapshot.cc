@@ -478,6 +478,14 @@ uint32_t Snapshot::FindBlock(uint32_t type, uint32_t property) const {
   return b < num_blocks_ && key(b) == std::pair(type, property) ? b : kNone;
 }
 
+uint32_t Snapshot::FindRecord(const BlockView& block, uint32_t entity) {
+  const uint32_t r = PartitionPoint(0, block.record_count, [&](uint32_t mid) {
+    return ReadRecord(block.records, mid).entity_index < entity;
+  });
+  if (r == block.record_count) return kNone;
+  return ReadRecord(block.records, r).entity_index == entity ? r : kNone;
+}
+
 Snapshot::RecordLoc Snapshot::FindPair(uint32_t entity,
                                        uint32_t property) const {
   if (entity >= num_entities_) return {};

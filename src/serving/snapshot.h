@@ -136,8 +136,8 @@ class SnapshotWriter {
   void set_label(std::string label) { label_ = std::move(label); }
 
   /// Adds one opinion; a second Add for the same (type, entity, property)
-  /// replaces the first. Neutral-polarity opinions are rejected the same
-  /// way OpinionStore::Add rejects them: they carry no decision.
+  /// replaces the first. Neutral-polarity opinions are rejected: they
+  /// carry no decision.
   Status Add(const SnapshotOpinion& opinion);
 
   /// Adds supporting-statement samples for one (entity, property) pair.
@@ -307,6 +307,11 @@ class Snapshot {
       std::string_view lower_prefix) const;
   /// Index of the (type, property) block, or kNone.
   uint32_t FindBlock(uint32_t type, uint32_t property) const;
+  /// Index of `entity`'s record within `block`, or kNone: a binary
+  /// search, since Open proved a block's entity indices increase. Unlike
+  /// FindPair it answers for the block's type even when the entity's name
+  /// also has an opinion on the property under another type.
+  static uint32_t FindRecord(const BlockView& block, uint32_t entity);
 
   /// Where the answer to one (entity, property) pair lives; block is
   /// kNone when the entity has no opinion on the property.

@@ -1,9 +1,6 @@
 #include "surveyor/opinion_store.h"
 
-#include <algorithm>
-#include <cmath>
 #include <fstream>
-#include <sstream>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -24,66 +21,6 @@ void OpinionStore::AddAll(const PipelineResult& result) {
   for (const PairOpinion& opinion : result.Opinions()) Add(opinion);
 }
 
-StatusOr<PairOpinion> OpinionStore::Lookup(EntityId entity,
-                                           const std::string& property) const {
-  auto it = by_pair_.find({entity, property});
-  if (it == by_pair_.end()) {
-    return Status::NotFound("no opinion for entity " +
-                            std::to_string(entity) + " / '" + property + "'");
-  }
-  return it->second;
-}
-
-std::vector<PairOpinion> OpinionStore::Query(TypeId type,
-                                             const std::string& property,
-                                             size_t limit) const {
-  std::vector<PairOpinion> result;
-  for (const auto& [key, opinion] : by_pair_) {
-    if (opinion.type != type || opinion.property != property) continue;
-    if (opinion.polarity != Polarity::kPositive) continue;
-    result.push_back(opinion);
-  }
-  std::sort(result.begin(), result.end(),
-            [](const PairOpinion& a, const PairOpinion& b) {
-              if (a.probability != b.probability) {
-                return a.probability > b.probability;
-              }
-              return a.entity < b.entity;
-            });
-  if (limit > 0 && result.size() > limit) result.resize(limit);
-  return result;
-}
-
-std::vector<PairOpinion> OpinionStore::PropertiesOf(EntityId entity) const {
-  std::vector<PairOpinion> result;
-  for (auto it = by_pair_.lower_bound({entity, std::string()});
-       it != by_pair_.end() && it->first.first == entity; ++it) {
-    result.push_back(it->second);
-  }
-  std::sort(result.begin(), result.end(),
-            [](const PairOpinion& a, const PairOpinion& b) {
-              if (a.polarity != b.polarity) {
-                return a.polarity == Polarity::kPositive;
-              }
-              const double da = std::abs(a.probability - 0.5);
-              const double db = std::abs(b.probability - 0.5);
-              if (da != db) return da > db;
-              return a.property < b.property;
-            });
-  return result;
-}
-
-std::vector<std::pair<TypeId, std::string>> OpinionStore::Pairs() const {
-  std::vector<std::pair<TypeId, std::string>> pairs;
-  for (const auto& [key, opinion] : by_pair_) {
-    const std::pair<TypeId, std::string> pair{opinion.type, opinion.property};
-    if (pairs.empty() || pairs.back() != pair) pairs.push_back(pair);
-  }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  return pairs;
-}
-
 Status OpinionStore::Save(std::ostream& os) const {
   os << "# surveyor opinion store v1\n";
   for (const auto& [key, opinion] : by_pair_) {
@@ -96,66 +33,10 @@ Status OpinionStore::Save(std::ostream& os) const {
   return Status::OK();
 }
 
-Status OpinionStore::Load(std::istream& is) {
-  std::string line;
-  int line_number = 0;
-  while (std::getline(is, line)) {
-    ++line_number;
-    const std::string trimmed = Trim(line);
-    if (trimmed.empty() || trimmed[0] == '#') continue;
-    const std::vector<std::string> fields = Split(trimmed, '\t');
-    auto error = [&](const std::string& msg) {
-      return Status::InvalidArgument(
-          StrFormat("line %d: %s", line_number, msg.c_str()));
-    };
-    if (fields[0] != "opinion" || fields.size() != 6) {
-      return error("expected 'opinion' with 5 fields");
-    }
-    auto type = kb_->TypeByName(fields[1]);
-    if (!type.ok()) return error("unknown type '" + fields[1] + "'");
-    EntityId entity = kInvalidEntity;
-    for (EntityId candidate : kb_->EntitiesByName(fields[2])) {
-      if (kb_->entity(candidate).most_notable_type == *type) {
-        entity = candidate;
-      }
-    }
-    if (entity == kInvalidEntity) {
-      return error("unknown entity '" + fields[2] + "'");
-    }
-    PairOpinion opinion;
-    opinion.entity = entity;
-    opinion.type = *type;
-    opinion.property = fields[3];
-    if (fields[4] == "+") {
-      opinion.polarity = Polarity::kPositive;
-    } else if (fields[4] == "-") {
-      opinion.polarity = Polarity::kNegative;
-    } else {
-      return error("bad polarity '" + fields[4] + "'");
-    }
-    try {
-      opinion.probability = std::stod(fields[5]);
-    } catch (...) {
-      return error("bad probability '" + fields[5] + "'");
-    }
-    if (!(opinion.probability >= 0.0 && opinion.probability <= 1.0)) {
-      return error("probability out of range");
-    }
-    Add(opinion);
-  }
-  return Status::OK();
-}
-
 Status OpinionStore::SaveToFile(const std::string& path) const {
   std::ofstream os(path);
   if (!os) return Status::NotFound("cannot open '" + path + "' for writing");
   return Save(os);
-}
-
-Status OpinionStore::LoadFromFile(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) return Status::NotFound("cannot open '" + path + "'");
-  return Load(is);
 }
 
 }  // namespace surveyor

@@ -4,22 +4,21 @@
 #include <iosfwd>
 #include <map>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "kb/knowledge_base.h"
 #include "surveyor/pipeline.h"
-#include "util/statusor.h"
+#include "util/status.h"
 
 namespace surveyor {
 
-/// The knowledge base of subjective properties that Surveyor exists to
-/// build (paper Section 1): mined <entity, property, polarity, probability>
-/// tuples with the query shapes a search engine needs — "safe cities"
-/// (entities of a type with a property) and entity profiles (properties of
-/// an entity). Serializable to a line-oriented TSV format.
+/// The TSV export of mined opinions (`mine --out FILE`): one
+/// <type, entity, property, polarity, probability> line per pair, for
+/// people and for diffs. Nothing reads it back; the opinion snapshot
+/// (serving/snapshot.h) is the artifact every reader opens.
 class OpinionStore {
  public:
-  /// `kb` must outlive the store; it resolves names in queries and I/O.
+  /// `kb` must outlive the store; it resolves names on Save.
   explicit OpinionStore(const KnowledgeBase* kb);
 
   /// Inserts one opinion (replaces an existing tuple for the same pair).
@@ -30,35 +29,12 @@ class OpinionStore {
 
   size_t size() const { return by_pair_.size(); }
 
-  /// The mined opinion for one pair; NotFound when Surveyor produced no
-  /// output for it.
-  StatusOr<PairOpinion> Lookup(EntityId entity,
-                               const std::string& property) const;
-
-  /// Subjective query ("safe cities"): entities of `type` whose dominant
-  /// opinion affirms `property`, strongest probability first, at most
-  /// `limit` results (0 = no limit).
-  std::vector<PairOpinion> Query(TypeId type, const std::string& property,
-                                 size_t limit = 0) const;
-
-  /// Entity profile: every mined property of `entity`, affirmed first,
-  /// then by probability distance from 1/2.
-  std::vector<PairOpinion> PropertiesOf(EntityId entity) const;
-
-  /// All distinct (type, property) combinations present in the store.
-  std::vector<std::pair<TypeId, std::string>> Pairs() const;
-
-  // --- Serialization ------------------------------------------------------
-  /// Writes "opinion <tab> TYPE <tab> ENTITY <tab> PROPERTY <tab>
-  /// POLARITY <tab> PROBABILITY" lines.
+  /// Writes a "# surveyor opinion store v1" header, then "opinion <tab>
+  /// TYPE <tab> ENTITY <tab> PROPERTY <tab> POLARITY <tab> PROBABILITY"
+  /// lines in (entity id, property) order, the probability to 6 decimals.
   Status Save(std::ostream& os) const;
 
-  /// Parses the format written by Save. Entities are resolved against the
-  /// store's knowledge base; unknown entities are an error.
-  Status Load(std::istream& is);
-
   Status SaveToFile(const std::string& path) const;
-  Status LoadFromFile(const std::string& path);
 
  private:
   const KnowledgeBase* kb_;

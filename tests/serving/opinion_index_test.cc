@@ -13,9 +13,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "kb/knowledge_base.h"
 #include "serving/snapshot.h"
-#include "surveyor/opinion_store.h"
 #include "util/fault.h"
 #include "util/status.h"
 
@@ -99,47 +97,22 @@ TEST_F(OpinionIndexTest, LookupBeforeLoadIsFailedPrecondition) {
   EXPECT_EQ(index.Lookup("kitten", "cute").generation(), nullptr);
 }
 
-// The regression at the heart of satellite (c): the offline store and the
-// online index must agree that BOTH miss shapes — unknown entity, and
-// known entity with no opinion on the property — are kNotFound, so
-// callers can swap one for the other.
-TEST_F(OpinionIndexTest, NotFoundSemanticsMatchOpinionStore) {
-  KnowledgeBase kb;
-  const TypeId animal = kb.AddType("animal");
-  const EntityId kitten = kb.AddEntity("kitten", animal).value();
-  const EntityId ghost = kb.AddEntity("ghost", animal).value();
-
-  OpinionStore store(&kb);
-  PairOpinion mined;
-  mined.entity = kitten;
-  mined.type = animal;
-  mined.property = "cute";
-  mined.probability = 0.97;
-  mined.polarity = Polarity::kPositive;
-  store.Add(mined);
-
+// Both miss shapes — an unknown entity, and a known entity with no
+// opinion on the property — answer kNotFound, so a caller handles a miss
+// one way whatever its shape.
+TEST_F(OpinionIndexTest, NotFoundCoversBothMissShapes) {
   OpinionIndex index;
   ASSERT_TRUE(index.Load(WriteTestSnapshot("semantics.surv")).ok());
 
-  // Known entity, no opinion on the property.
-  EXPECT_EQ(store.Lookup(kitten, "haunted").status().code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(index.Lookup("kitten", "haunted")->status().code(),
-            StatusCode::kNotFound);
+  const auto no_opinion = index.Lookup("kitten", "haunted");
+  EXPECT_EQ(no_opinion->status().code(), StatusCode::kNotFound);
+  const auto unknown = index.Lookup("ghost", "cute");
+  EXPECT_EQ(unknown->status().code(), StatusCode::kNotFound);
 
-  // Entity with no opinions at all (the store's closest analog of an
-  // unknown name is an id it holds nothing for).
-  EXPECT_EQ(store.Lookup(ghost, "cute").status().code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(index.Lookup("ghost", "cute")->status().code(),
-            StatusCode::kNotFound);
-
-  // The index distinguishes the two cases in the message for operators.
-  EXPECT_NE(index.Lookup("ghost", "cute")->status().message().find(
-                "unknown entity"),
+  // The messages tell the two cases apart for operators.
+  EXPECT_NE(unknown->status().message().find("unknown entity"),
             std::string::npos);
-  EXPECT_NE(index.Lookup("kitten", "haunted")->status().message().find(
-                "no opinion"),
+  EXPECT_NE(no_opinion->status().message().find("no opinion"),
             std::string::npos);
 }
 

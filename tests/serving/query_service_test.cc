@@ -21,7 +21,6 @@
 #include "serving/opinion_index.h"
 #include "serving/snapshot.h"
 #include "surveyor/api.h"
-#include "surveyor/opinion_store.h"
 #include "util/fault.h"
 
 namespace surveyor {

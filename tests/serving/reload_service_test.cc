@@ -122,6 +122,24 @@ TEST_F(ReloadServiceTest, ExplicitGenerationRollsBack) {
   EXPECT_EQ(index_.generation_id(), 1u);
 }
 
+// An id past UINT64_MAX used to wrap: 2^64 + 1 rolled back to generation
+// 1, and 10^20 - 1 looked up 7766279631452241919. Both are malformed ids.
+TEST_F(ReloadServiceTest, IdBeyondUint64IsRejectedNotWrapped) {
+  ASSERT_TRUE(store_.PublishImage(MakeImage("Kitten")).ok());
+  ASSERT_TRUE(store_.PublishImage(MakeImage("Koala")).ok());
+  ASSERT_EQ(admin_.Handle("POST", "/v1/admin/reload").status, 200);
+  const std::string reload = "/v1/admin/reload?generation=";
+  for (const char* id : {"18446744073709551617", "99999999999999999999"}) {
+    const auto response = admin_.Handle("POST", reload + id);
+    EXPECT_EQ(response.status, 400) << id;
+    EXPECT_NE(response.body.find("must be a decimal id"), std::string::npos)
+        << response.body;
+  }
+  EXPECT_EQ(index_.generation_id(), 2u);
+  // The largest id still parses; the store just does not hold it.
+  EXPECT_EQ(admin_.Handle("POST", reload + "18446744073709551615").status, 404);
+}
+
 TEST_F(ReloadServiceTest, RepeatReloadWithoutNewPublishIsANoOp) {
   ASSERT_TRUE(store_.PublishImage(MakeImage("Kitten")).ok());
   ASSERT_EQ(admin_.Handle("POST", "/v1/admin/reload").status, 200);

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -57,6 +58,14 @@ std::string WriteTempFile(const std::string& name, const std::string& bytes) {
   return path;
 }
 
+/// The (type, property) block of an open snapshot; both names must exist.
+Snapshot::BlockView BlockOf(const Snapshot& snapshot, std::string_view type,
+                            std::string_view property) {
+  const uint32_t type_index = snapshot.FindType(type);
+  const uint32_t property_index = snapshot.FindProperty(property);
+  return snapshot.blocks()[snapshot.FindBlock(type_index, property_index)];
+}
+
 /// Snapshot opens must behave deterministically here even when the CI
 /// chaos job arms snapshot_read through the environment, so the fixture
 /// disarms fault injection for the test's scope (the repo-wide idiom for
@@ -69,7 +78,7 @@ class SnapshotTest : public testing::Test {
 
 TEST(SnapshotWriterTest, RejectsUnusableOpinions) {
   SnapshotWriter writer;
-  // Neutral opinions carry no decision — same contract as OpinionStore.
+  // Neutral opinions carry no decision.
   EXPECT_EQ(writer
                 .Add(MakeOpinion("kitten", "animal", "cute", 0.5,
                                  Polarity::kNeutral))
@@ -353,6 +362,54 @@ TEST_F(SnapshotTest, NamesAreCaseInsensitiveAndKeepTheSmallestSpelling) {
   EXPECT_EQ(snapshot.PropertyName(0), "CUTE");
   EXPECT_EQ(snapshot.FindEntity("kitten"), 0u);
   EXPECT_EQ(snapshot.FindEntity("puppy"), Snapshot::kNone);
+}
+
+TEST_F(SnapshotTest, FindRecordHitsAndMisses) {
+  const std::string path =
+      WriteTempFile("records.surv", MakeWriter().Serialize());
+  Snapshot snapshot;
+  ASSERT_TRUE(snapshot.Open(path).ok());
+  const Snapshot::BlockView cute = BlockOf(snapshot, "animal", "cute");
+  const uint32_t spider = snapshot.FindEntity("spider");
+  const uint32_t r = Snapshot::FindRecord(cute, spider);
+  ASSERT_NE(r, Snapshot::kNone);
+  EXPECT_EQ(Snapshot::ReadRecord(cute.records, r).entity_index, spider);
+  // lisbon is in the snapshot, but not in this block.
+  const uint32_t lisbon = snapshot.FindEntity("lisbon");
+  EXPECT_EQ(Snapshot::FindRecord(cute, lisbon), Snapshot::kNone);
+  EXPECT_EQ(Snapshot::FindRecord(cute, Snapshot::kNone), Snapshot::kNone);
+}
+
+// One name with an opinion on one property under two types: the pair run
+// keeps only the type sorting last, but each type's block answers its own
+// record.
+TEST_F(SnapshotTest, FindRecordAnswersPerTypeForASharedName) {
+  SnapshotWriter writer;
+  ASSERT_TRUE(writer
+                  .Add(MakeOpinion("jaguar", "animal", "fast", 0.93,
+                                   Polarity::kPositive))
+                  .ok());
+  ASSERT_TRUE(writer
+                  .Add(MakeOpinion("jaguar", "marque", "fast", 0.21,
+                                   Polarity::kNegative))
+                  .ok());
+  const std::string path = WriteTempFile("shared.surv", writer.Serialize());
+  Snapshot snapshot;
+  ASSERT_TRUE(snapshot.Open(path).ok());
+  const uint32_t jaguar = snapshot.FindEntity("jaguar");
+  const Snapshot::BlockView animal = BlockOf(snapshot, "animal", "fast");
+  const Snapshot::BlockView marque = BlockOf(snapshot, "marque", "fast");
+  const uint32_t in_animal = Snapshot::FindRecord(animal, jaguar);
+  const uint32_t in_marque = Snapshot::FindRecord(marque, jaguar);
+  ASSERT_NE(in_animal, Snapshot::kNone);
+  ASSERT_NE(in_marque, Snapshot::kNone);
+  EXPECT_EQ(Snapshot::ReadRecord(animal.records, in_animal).posterior, 0.93);
+  EXPECT_EQ(Snapshot::ReadRecord(marque.records, in_marque).posterior, 0.21);
+  // FindPair sees only the type sorting last.
+  const uint32_t fast = snapshot.FindProperty("fast");
+  const uint32_t marque_index = snapshot.FindType("marque");
+  EXPECT_EQ(snapshot.FindPair(jaguar, fast).block,
+            snapshot.FindBlock(marque_index, fast));
 }
 
 TEST_F(SnapshotTest, SnapshotReadFaultPointFiresAsInternal) {

@@ -6,55 +6,49 @@
 //       Scenarios: tiny, paper, bigcity, webscale.
 //
 //   surveyor_cli mine <dir> [--min-statements N] [--threshold T]
-//                     [--domain D] [--out FILE] [--provenance N]
+//                     [--domain D] [--snapshot FILE] [--publish DIR]
+//                     [--retain N] [--out FILE] [--provenance N]
 //                     [--report FILE] [--admin-port N] [--faults SPEC]
 //                     [--fault-seed N] [--profile FILE]
-//       Runs the full pipeline over <dir>/corpus.tsv with <dir>/kb.tsv and
-//       <dir>/lexicon.tsv; writes the mined opinions (default
-//       <dir>/opinions.tsv). With --snapshot FILE, also freezes them into
-//       a binary opinion snapshot `serve --snapshot` can answer queries
-//       from. Without --domain the corpus is streamed from
-//       disk with corrupt lines quarantined (counted, not fatal); with
-//       --domain it is loaded and filtered in memory. With --provenance
-//       N, also writes up to N supporting document references per pair to
-//       <dir>/provenance.tsv. With --report FILE, writes the JSON run
-//       report (metrics, tracing spans, EM diagnostics, degradation
-//       accounting; see DESIGN.md §7 and §9) to FILE. With --admin-port N
-//       (0 = off, the default), serves the live admin plane on
-//       127.0.0.1:N for the duration of the run: /metrics, /metrics.json,
-//       /healthz, /readyz, /statusz, /logz. With --faults SPEC (or the
-//       SURVEYOR_FAULTS env var), arms fault injection for a chaos run,
-//       e.g. --faults doc_read:0.01,em_fit:@3 (DESIGN.md §9). With
-//       --profile FILE (or the SURVEYOR_PROFILE env var), samples the
-//       run's CPU at 97 Hz, writes flamegraph.pl-ready folded stacks to
-//       FILE, and prints the per-stage attribution table (DESIGN.md §12).
+//       Mines <dir>/corpus.tsv with <dir>/kb.tsv and <dir>/lexicon.tsv into the
+//       opinion snapshot (--snapshot FILE, default <dir>/opinions.surv) that
+//       `serve` and the readers below answer from; --publish DIR also commits
+//       it as the next generation of DIR's store, keeping --retain N (default
+//       4; only with --publish), and --out FILE also exports the opinions as
+//       TSV. --provenance N keeps up to N supporting document references per
+//       pair in the snapshot. Without --domain the corpus is streamed with
+//       corrupt lines quarantined (counted, not fatal); with --domain it is
+//       loaded and filtered in memory. --report FILE writes the JSON run report
+//       (metrics, spans, EM diagnostics, degradation; DESIGN.md §7, §9).
+//       --admin-port N (0 = off, the default) serves the live admin plane on
+//       127.0.0.1:N for the run: /metrics, /metrics.json, /healthz, /readyz,
+//       /statusz, /logz. --faults SPEC (or SURVEYOR_FAULTS) arms fault
+//       injection, e.g. doc_read:0.01,em_fit:@3 (DESIGN.md §9). --profile FILE
+//       (or SURVEYOR_PROFILE) samples the run's CPU at 97 Hz, writes
+//       flamegraph.pl-ready folded stacks to FILE, and prints the per-stage
+//       attribution table (DESIGN.md §12).
 //
-//   surveyor_cli serve <dir> [mine flags] [--admin-port N]
 //   surveyor_cli serve --snapshot FILE [--admin-port N]
 //                      [--trace-sample-rate R] [--slow-query-ms MS]
 //   surveyor_cli serve --generations DIR [--retain N] [--admin-port N]
 //                      [--trace-sample-rate R] [--slow-query-ms MS]
-//       First form: mines like `mine`, writes an opinion snapshot
-//       (--snapshot FILE, default <dir>/opinions.surv) and keeps the
-//       process alive answering subjective queries over HTTP:
-//       /v1/query?entity=E&property=P, /v1/query?type=T&property=P,
-//       /v1/query?prefix=S and POST /v1/query/batch, next to the admin
-//       endpoints. Second form: skips mining and serves an existing
-//       snapshot directly. Third form: serves the newest committed
-//       generation of a crash-safe generation store (see `mine
-//       --publish`); POST /v1/admin/reload (optionally ?generation=N for a
-//       rollback) or SIGHUP hot-swaps generations without dropping a
-//       query, and /statusz grows a "generation" section (DESIGN.md
-//       §14). Admin port defaults to 8080 for serve.
-//       Every request gets a trace id; a fraction (--trace-sample-rate,
-//       default 0.01) plus everything slower than --slow-query-ms
-//       (default 250) keeps its span tree on /tracez, and /requestz shows
-//       the recent access log (DESIGN.md §11). With --publish DIR, mine
-//       commits the snapshot as the next generation of DIR's store
-//       (keeping --retain N generations, default 4).
+//       Keeps the process alive answering subjective queries over HTTP from a
+//       mined snapshot: /v1/query?entity=E&property=P,
+//       /v1/query?type=T&property=P, /v1/query?prefix=S and POST
+//       /v1/query/batch, next to the admin endpoints. First form: serves one
+//       snapshot file. Second form: serves the newest committed generation of a
+//       crash-safe generation store (see `mine --publish`); POST
+//       /v1/admin/reload (optionally ?generation=N for a rollback) or SIGHUP
+//       hot-swaps generations without dropping a query, and /statusz grows a
+//       "generation" section (DESIGN.md §14); --retain only goes with it.
+//       Admin port defaults to 8080. Every request gets a trace id; a fraction
+//       (--trace-sample-rate, default 0.01) plus everything slower than
+//       --slow-query-ms (default 250) keeps its span tree on /tracez, and
+//       /requestz shows the recent access log (DESIGN.md §11).
 //
 //   surveyor_cli query <dir> <type> <property> [limit]
-//       Answers a subjective query ("city big") from mined opinions.
+//       Answers a subjective query ("city big") from <dir>/opinions.surv,
+//       ranked as /v1/query?type=T&property=P ranks it.
 //
 //   surveyor_cli profile <dir> <entity>
 //       Prints every mined property of an entity.
@@ -64,20 +58,25 @@
 //       "profile <entity>", "quit".
 //
 //   surveyor_cli score <dir>
-//       Scores <dir>/opinions.tsv against the simulator's oracle
+//       Scores <dir>/opinions.surv against the simulator's oracle
 //       (<dir>/truth.tsv): coverage, precision and F1 per type and
 //       overall.
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -98,11 +97,14 @@
 #include "surveyor/opinion_store.h"
 #include "surveyor/pipeline.h"
 #include "text/lexicon_io.h"
+#include "util/durable_file.h"
 #include "util/string_util.h"
 #include "util/table.h"
 
 namespace surveyor {
 namespace {
+
+using serving::Snapshot;
 
 int Usage() {
   std::cerr
@@ -110,11 +112,9 @@ int Usage() {
       << "  surveyor_cli worldgen <tiny|paper|bigcity|webscale> <outdir> "
          "[authors]\n"
       << "  surveyor_cli mine <dir> [--min-statements N] [--threshold T]"
-         " [--domain D] [--out FILE] [--provenance N] [--report FILE]"
-         " [--snapshot FILE] [--publish DIR] [--retain N] [--admin-port N]"
+         " [--domain D] [--snapshot FILE] [--publish DIR] [--retain N]"
+         " [--out FILE] [--provenance N] [--report FILE] [--admin-port N]"
          " [--faults SPEC] [--fault-seed N] [--profile FILE]\n"
-      << "  surveyor_cli serve <dir> [mine flags] [--admin-port N]"
-         " [serving knobs]\n"
       << "  surveyor_cli serve --snapshot FILE [--admin-port N]"
          " [--trace-sample-rate R] [--slow-query-ms MS] [serving knobs]\n"
       << "  surveyor_cli serve --generations DIR [--retain N]"
@@ -271,21 +271,8 @@ int RunWorldgen(const std::vector<std::string>& args) {
   return 0;
 }
 
-struct LoadedWorkspace {
-  KnowledgeBase kb;
-  Lexicon lexicon;
-};
-
-StatusOr<LoadedWorkspace> LoadWorkspace(const std::string& dir) {
-  LoadedWorkspace ws;
-  SURVEYOR_ASSIGN_OR_RETURN(ws.kb, LoadKnowledgeBaseFromFile(dir + "/kb.tsv"));
-  SURVEYOR_ASSIGN_OR_RETURN(ws.lexicon,
-                            LoadLexiconFromFile(dir + "/lexicon.tsv"));
-  return ws;
-}
-
-/// `serve --snapshot FILE` / `serve --generations DIR`: no mining — load
-/// a frozen opinion snapshot (or the newest committed generation of a
+/// `serve --snapshot FILE` / `serve --generations DIR`: load a mined
+/// opinion snapshot (or the newest committed generation of a
 /// GenerationStore) and answer /v1/query until stopped. The readiness gate
 /// stays closed (503) from bind until the index finishes loading, so a
 /// scraper that races the startup never reads from a half-built index.
@@ -293,10 +280,11 @@ StatusOr<LoadedWorkspace> LoadWorkspace(const std::string& dir) {
 /// newest generation — the serve side of the mine -> publish -> serve ->
 /// re-mine -> reload loop; SIGHUP in snapshot mode re-loads the same
 /// file.
-int RunServeSnapshot(const std::vector<std::string>& args) {
+int RunServe(const std::vector<std::string>& args) {
   std::string snapshot_path;
   std::string generations_dir;
   size_t retain = 4;
+  bool retain_given = false;
   obs::AdminServerOptions admin_options;
   admin_options.port = 8080;
   for (size_t i = 0; i < args.size(); ++i) {
@@ -318,6 +306,7 @@ int RunServeSnapshot(const std::vector<std::string>& args) {
       generations_dir = value;
     } else if (flag == "--retain") {
       ok = ParseFlag(flag, value, &retain, 1);
+      retain_given = true;
     } else if (flag == "--admin-port") {
       ok = ParseFlag(flag, value, &admin_options.port);
     } else {
@@ -327,6 +316,10 @@ int RunServeSnapshot(const std::vector<std::string>& args) {
   }
   if (snapshot_path.empty() == generations_dir.empty()) {
     std::cerr << "serve needs exactly one of --snapshot or --generations\n";
+    return Usage();
+  }
+  if (retain_given && generations_dir.empty()) {
+    std::cerr << "--retain needs --generations\n";
     return Usage();
   }
 
@@ -404,25 +397,21 @@ int RunServeSnapshot(const std::vector<std::string>& args) {
   });
 }
 
-/// Shared implementation of `mine` and `serve` (serve = mine, write a
-/// snapshot, then stay alive answering /v1/query with the admin plane up).
-int RunMine(const std::vector<std::string>& args, bool serve) {
+/// `mine`: runs the pipeline over a workspace and writes the opinion
+/// snapshot, plus whatever else the flags ask for.
+int RunMine(const std::vector<std::string>& args) {
   if (args.empty()) return Usage();
-  if (serve && args[0].rfind("--", 0) == 0) return RunServeSnapshot(args);
   const std::string dir = args[0];
   SurveyorConfig config;
   std::string domain;
-  std::string out = dir + "/opinions.tsv";
+  std::string snapshot_path = dir + "/opinions.surv";
+  std::string out;
   std::string report_path;
-  std::string snapshot_path;
   std::string publish_dir;
   size_t publish_retain = 4;
+  bool retain_given = false;
   std::string profile_path;
-  // serve without an admin plane would just be a parked process, so it
-  // defaults to the conventional local admin port; mine defaults to off.
   obs::AdminServerOptions admin_options;
-  admin_options.port = serve ? 8080 : 0;
-  bool admin_enabled = serve;
   for (size_t i = 1; i < args.size(); ++i) {
     const std::string& flag = args[i];
     const bool known = flag == "--min-statements" || flag == "--threshold" ||
@@ -458,11 +447,9 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
       publish_dir = value;
     } else if (flag == "--retain") {
       ok = ParseFlag(flag, value, &publish_retain, 1);
+      retain_given = true;
     } else if (flag == "--admin-port") {
       ok = ParseFlag(flag, value, &admin_options.port);
-      // 0 disables for mine; serve binds an ephemeral port instead of
-      // running headless.
-      admin_enabled = serve || admin_options.port != 0;
     } else if (flag == "--faults") {
       config.fault_spec = value;
     } else if (flag == "--fault-seed") {
@@ -476,6 +463,10 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
     }
     if (!ok) return Usage();
   }
+  if (retain_given && publish_dir.empty()) {
+    std::cerr << "--retain needs --publish\n";
+    return Usage();
+  }
   // The env var mirrors the flag so wrappers (CI, scripts) can profile
   // without touching the command line — same pattern as SURVEYOR_FAULTS.
   if (profile_path.empty()) {
@@ -486,22 +477,15 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
   const Status config_status = config.Validate();
   if (!config_status.ok()) return Fail(config_status);
 
-  // The admin plane: a live registry + readiness machine the pipeline
-  // writes into, an OS resource sampler, the process log ring, and the
-  // HTTP server that serves all three while the run is in flight.
+  // The admin plane (--admin-port N, 0 = off): a live registry + readiness
+  // machine the pipeline writes into, an OS resource sampler, the process
+  // log ring, and the HTTP server that serves all three while the run is
+  // in flight.
   obs::MetricRegistry live_registry;
   obs::StageTracker stage_tracker;
   std::unique_ptr<obs::ResourceSampler> sampler;
   std::unique_ptr<obs::AdminServer> admin;
-  // The query path: serve mounts /v1/query on the admin server before it
-  // starts (handlers cannot be added to a live server); the index stays
-  // empty — and the endpoint 503s via the readiness gate — until mining
-  // finishes and the freshly written snapshot is loaded below.
-  serving::OpinionIndexOptions index_options;
-  index_options.metrics = &live_registry;
-  serving::OpinionIndex index(index_options);
-  serving::QueryService query_service(&index, &stage_tracker, &live_registry);
-  if (admin_enabled) {
+  if (admin_options.port != 0) {
     obs::LogRing::InstallGlobalTee();
     config.live_metrics = &live_registry;
     config.stage_tracker = &stage_tracker;
@@ -510,7 +494,6 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
     admin = std::make_unique<obs::AdminServer>(
         &live_registry, &stage_tracker, &obs::LogRing::Global(),
         admin_options);
-    if (serve) query_service.Register(admin.get());
     const Status started = admin->Start();
     if (!started.ok()) return Fail(started);
     std::cout << "admin plane on http://127.0.0.1:" << admin->port()
@@ -518,8 +501,10 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
               << " /requestz)\n";
   }
 
-  auto workspace = LoadWorkspace(dir);
-  if (!workspace.ok()) return Fail(workspace.status());
+  auto kb = LoadKnowledgeBaseFromFile(dir + "/kb.tsv");
+  if (!kb.ok()) return Fail(kb.status());
+  auto lexicon = LoadLexiconFromFile(dir + "/lexicon.tsv");
+  if (!lexicon.ok()) return Fail(lexicon.status());
 
   // Arm the sampling profiler around the mining run only (not workspace
   // loading), so the folded stacks answer "where do mining cycles go".
@@ -535,7 +520,7 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
     if (!profiling.ok()) return Fail(profiling);
   }
 
-  SurveyorPipeline pipeline(&workspace->kb, &workspace->lexicon, config);
+  SurveyorPipeline pipeline(&*kb, &*lexicon, config);
   StatusOr<PipelineResult> result = [&]() -> StatusOr<PipelineResult> {
     if (domain.empty()) {
       // Stream the corpus from disk — the snapshot posture: corrupt lines
@@ -575,55 +560,36 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
 
   if (!result.ok()) return Fail(result.status());
 
-  OpinionStore store(&workspace->kb);
-  store.AddAll(*result);
-  Status status = store.SaveToFile(out);
+  // Freeze the mined opinions (and any provenance samples) into the
+  // snapshot every reader opens. With --publish DIR the same image is
+  // committed as the next generation of a GenerationStore — the
+  // crash-safe hand-off a running `serve --generations` picks up via
+  // /v1/admin/reload or SIGHUP.
+  serving::SnapshotWriter writer;
+  writer.set_label("mine " + dir);
+  Status status = writer.AddResult(*result, *kb);
   if (!status.ok()) return Fail(status);
-
-  // Freeze the mined opinions into the binary snapshot the serving layer
-  // reads. serve always writes one (it is what /v1/query answers from);
-  // mine writes one only when asked via --snapshot. With --publish DIR
-  // the same image is committed as the next generation of a
-  // GenerationStore — the crash-safe hand-off a running `serve
-  // --generations` picks up via /v1/admin/reload or SIGHUP.
-  if (serve && snapshot_path.empty()) snapshot_path = dir + "/opinions.surv";
-  if (!snapshot_path.empty() || !publish_dir.empty()) {
-    serving::SnapshotWriter writer;
-    writer.set_label("mine " + dir);
-    status = writer.AddResult(*result, workspace->kb);
+  const std::string image = writer.Serialize();
+  status = WriteFileDurable(snapshot_path, image);
+  if (!status.ok()) return Fail(status);
+  if (!publish_dir.empty()) {
+    serving::GenerationStoreOptions store_options;
+    store_options.retain = publish_retain;
+    if (admin != nullptr) store_options.metrics = &live_registry;
+    serving::GenerationStore store(publish_dir, store_options);
+    status = store.Open();
     if (!status.ok()) return Fail(status);
-    if (!snapshot_path.empty()) {
-      status = writer.WriteToFile(snapshot_path);
-      if (!status.ok()) return Fail(status);
-      std::cout << "wrote opinion snapshot to " << snapshot_path << "\n";
-    }
-    if (!publish_dir.empty()) {
-      serving::GenerationStoreOptions store_options;
-      store_options.retain = publish_retain;
-      if (admin_enabled) store_options.metrics = &live_registry;
-      serving::GenerationStore store(publish_dir, store_options);
-      status = store.Open();
-      if (!status.ok()) return Fail(status);
-      StatusOr<uint64_t> published = store.PublishImage(writer.Serialize());
-      if (!published.ok()) return Fail(published.status());
-      std::cout << "published generation " << *published << " to "
-                << publish_dir << "\n";
-    }
+    StatusOr<uint64_t> published = store.PublishImage(image);
+    if (!published.ok()) return Fail(published.status());
+    std::cout << "published generation " << *published << " to "
+              << publish_dir << "\n";
   }
-
-  if (config.max_provenance_samples > 0) {
-    std::ofstream prov(dir + "/provenance.tsv");
-    if (!prov) return Fail(Status::NotFound("cannot write provenance.tsv"));
-    prov << "# entity <tab> property <tab> doc_id:sentence:polarity ...\n";
-    for (const auto& [key, refs] : result->provenance) {
-      prov << workspace->kb.entity(key.first).canonical_name << "\t"
-           << key.second;
-      for (const StatementRef& ref : refs) {
-        prov << "\t" << ref.doc_id << ":" << ref.sentence_index << ":"
-             << (ref.positive ? "+" : "-");
-      }
-      prov << "\n";
-    }
+  if (!out.empty()) {
+    OpinionStore tsv(&*kb);
+    tsv.AddAll(*result);
+    status = tsv.SaveToFile(out);
+    if (!status.ok()) return Fail(status);
+    std::cout << "exported opinions as TSV to " << out << "\n";
   }
 
   if (!report_path.empty()) {
@@ -644,7 +610,8 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
       static_cast<long long>(stats.num_documents),
       static_cast<long long>(stats.num_statements),
       static_cast<long long>(stats.num_kept_property_type_pairs),
-      static_cast<long long>(stats.num_property_type_pairs), out.c_str());
+      static_cast<long long>(stats.num_property_type_pairs),
+      snapshot_path.c_str());
 
   const obs::DegradationReport& degradation = result->report.degradation;
   if (degradation.degraded) {
@@ -663,39 +630,65 @@ int RunMine(const std::vector<std::string>& args, bool serve) {
       std::cout << "  " << note << "\n";
     }
   }
-
-  if (serve) {
-    // Park the process answering queries: load the snapshot just written
-    // into the query index, then flip readiness to "serving" — only now
-    // does /v1/query stop returning 503. The final counters and stage
-    // history stay scrapeable, and the mined store size is exported as a
-    // gauge.
-    status = index.Load(snapshot_path);
-    if (!status.ok()) return Fail(status);
-    stage_tracker.SetStage(obs::PipelineStage::kServing);
-    obs::Gauge* store_size =
-        live_registry.GetGauge("surveyor_opinion_store_size");
-    live_registry.SetHelp("surveyor_opinion_store_size",
-                          "Mined opinions held by the serving process.");
-    store_size->Set(static_cast<double>(store.size()));
-    std::cout << "serving; http://127.0.0.1:" << admin->port()
-              << "/v1/query?entity=E&property=P and /metrics (Ctrl-C to "
-                 "stop)\n";
-    ParkServing([&] {
-      const Status reloaded = index.Load(snapshot_path);
-      if (!reloaded.ok()) {
-        std::cerr << "SIGHUP reload failed: " << reloaded.ToString() << "\n";
-      }
-    });
-  }
   return 0;
 }
 
-StatusOr<OpinionStore> LoadOpinions(const LoadedWorkspace& workspace,
-                                    const std::string& dir) {
-  OpinionStore store(&workspace.kb);
-  SURVEYOR_RETURN_IF_ERROR(store.LoadFromFile(dir + "/opinions.tsv"));
-  return store;
+/// The readers' inputs: the workspace's knowledge base, and its opinion
+/// snapshot loaded into `index` through OpinionIndex::Load, whose bounded
+/// retries absorb a transient read failure.
+StatusOr<KnowledgeBase> OpenMined(const std::string& dir,
+                                  serving::OpinionIndex* index) {
+  SURVEYOR_ASSIGN_OR_RETURN(KnowledgeBase kb,
+                            LoadKnowledgeBaseFromFile(dir + "/kb.tsv"));
+  SURVEYOR_RETURN_IF_ERROR(index->Load(dir + "/opinions.surv"));
+  return kb;
+}
+
+/// A KB entity as the snapshot keys it: its name, and the blocks of its
+/// most-notable type. Readers answer through that type's blocks, so a
+/// name two types share still answers for the entity asked about.
+struct SnapshotEntity {
+  uint32_t name = Snapshot::kNone;
+  uint32_t type = Snapshot::kNone;
+};
+
+SnapshotEntity Resolve(const Snapshot& snapshot, const KnowledgeBase& kb,
+                       EntityId id) {
+  const Entity& entity = kb.entity(id);
+  return {snapshot.FindEntity(ToLower(entity.canonical_name)),
+          snapshot.FindType(ToLower(kb.TypeName(entity.most_notable_type)))};
+}
+
+/// One row of an entity profile.
+struct ProfileRow {
+  std::string_view property;
+  Polarity polarity = Polarity::kNeutral;
+  double posterior = 0.5;
+};
+
+/// Every mined property of KB entity `id`: affirmed first, then by the
+/// posterior's distance from 1/2, then by property name.
+std::vector<ProfileRow> Profile(const Snapshot& snapshot,
+                                const KnowledgeBase& kb, EntityId id) {
+  const SnapshotEntity entity = Resolve(snapshot, kb, id);
+  std::vector<ProfileRow> rows;
+  for (const Snapshot::BlockView& block : snapshot.blocks()) {
+    if (block.type_index != entity.type) continue;
+    const uint32_t r = Snapshot::FindRecord(block, entity.name);
+    if (r == Snapshot::kNone) continue;
+    const Snapshot::RecordView record = Snapshot::ReadRecord(block.records, r);
+    rows.push_back({snapshot.PropertyName(block.property_index),
+                    record.polarity, record.posterior});
+  }
+  const auto key = [](const ProfileRow& row) {
+    return std::tuple(row.polarity != Polarity::kPositive,
+                      -std::abs(row.posterior - 0.5), row.property);
+  };
+  std::sort(rows.begin(), rows.end(),
+            [&](const ProfileRow& a, const ProfileRow& b) {
+              return key(a) < key(b);
+            });
+  return rows;
 }
 
 int RunQuery(const std::vector<std::string>& args) {
@@ -703,18 +696,19 @@ int RunQuery(const std::vector<std::string>& args) {
   if (args.size() < 3) return Usage();
   size_t limit = 15;
   if (args.size() > 3 && !ParseFlag("limit", args[3], &limit)) return Usage();
-  auto workspace = LoadWorkspace(args[0]);
-  if (!workspace.ok()) return Fail(workspace.status());
-  auto store = LoadOpinions(*workspace, args[0]);
-  if (!store.ok()) return Fail(store.status());
-  auto type = workspace->kb.TypeByName(args[1]);
+  serving::OpinionIndex index;
+  auto kb = OpenMined(args[0], &index);
+  if (!kb.ok()) return Fail(kb.status());
+  auto type = kb->TypeByName(args[1]);
   if (!type.ok()) return Fail(type.status());
 
   TextTable table({args[2] + " " + Lexicon::Pluralize(args[1]),
                    "probability"});
-  for (const PairOpinion& opinion : store->Query(*type, args[2], limit)) {
-    table.AddRow({workspace->kb.entity(opinion.entity).canonical_name,
-                  TextTable::Num(opinion.probability, 3)});
+  // The pin is bound first: the answers are views into what it pins.
+  const auto scan = index.QueryType(args[1], args[2], limit);
+  for (const serving::ServedOpinion& opinion : *scan) {
+    table.AddRow({std::string(opinion.entity),
+                  TextTable::Num(opinion.posterior, 3)});
   }
   table.Print(std::cout);
   return 0;
@@ -723,24 +717,24 @@ int RunQuery(const std::vector<std::string>& args) {
 int RunProfile(const std::vector<std::string>& args) {
   if (HasUnknownFlag(args)) return Usage();
   if (args.size() < 2) return Usage();
-  auto workspace = LoadWorkspace(args[0]);
-  if (!workspace.ok()) return Fail(workspace.status());
-  auto store = LoadOpinions(*workspace, args[0]);
-  if (!store.ok()) return Fail(store.status());
-  const std::vector<EntityId> ids = workspace->kb.EntitiesByName(args[1]);
+  serving::OpinionIndex index;
+  auto kb = OpenMined(args[0], &index);
+  if (!kb.ok()) return Fail(kb.status());
+  const std::vector<EntityId> ids = kb->EntitiesByName(args[1]);
   if (ids.empty()) {
     return Fail(Status::NotFound("unknown entity '" + args[1] + "'"));
   }
 
+  const serving::GenerationPtr generation = index.generation();
   for (EntityId id : ids) {
-    const Entity& entity = workspace->kb.entity(id);
+    const Entity& entity = kb->entity(id);
     std::cout << entity.canonical_name << " ("
-              << workspace->kb.TypeName(entity.most_notable_type) << ")\n";
+              << kb->TypeName(entity.most_notable_type) << ")\n";
     TextTable table({"property", "polarity", "probability"});
-    for (const PairOpinion& opinion : store->PropertiesOf(id)) {
-      table.AddRow({opinion.property,
-                    std::string(PolarityName(opinion.polarity)),
-                    TextTable::Num(opinion.probability, 3)});
+    for (const ProfileRow& row : Profile(generation->snapshot(), *kb, id)) {
+      table.AddRow({std::string(row.property),
+                    std::string(PolarityName(row.polarity)),
+                    TextTable::Num(row.posterior, 3)});
     }
     table.Print(std::cout);
   }
@@ -750,12 +744,13 @@ int RunProfile(const std::vector<std::string>& args) {
 int RunRepl(const std::vector<std::string>& args) {
   if (HasUnknownFlag(args)) return Usage();
   if (args.empty()) return Usage();
-  auto workspace = LoadWorkspace(args[0]);
-  if (!workspace.ok()) return Fail(workspace.status());
-  auto store = LoadOpinions(*workspace, args[0]);
-  if (!store.ok()) return Fail(store.status());
+  serving::OpinionIndex index;
+  auto kb = OpenMined(args[0], &index);
+  if (!kb.ok()) return Fail(kb.status());
+  const serving::GenerationPtr generation = index.generation();
+  const Snapshot& snapshot = generation->snapshot();
 
-  std::cout << "subjective search over " << store->size()
+  std::cout << "subjective search over " << snapshot.num_opinions()
             << " mined opinions. Try \"city big\" or \"profile <entity>\"; "
                "\"quit\" exits.\n";
   std::string line;
@@ -766,33 +761,31 @@ int RunRepl(const std::vector<std::string>& args) {
     if (words[0] == "profile" && words.size() >= 2) {
       std::string name = words[1];
       for (size_t w = 2; w < words.size(); ++w) name += " " + words[w];
-      const std::vector<EntityId> ids = workspace->kb.EntitiesByName(name);
+      const std::vector<EntityId> ids = kb->EntitiesByName(name);
       if (ids.empty()) {
         std::cout << "unknown entity '" << name << "'\n";
         continue;
       }
-      for (const PairOpinion& opinion : store->PropertiesOf(ids[0])) {
-        std::cout << "  " << PolarityName(opinion.polarity) << " "
-                  << opinion.property << " ("
-                  << TextTable::Num(opinion.probability, 3) << ")\n";
+      for (const ProfileRow& row : Profile(snapshot, *kb, ids[0])) {
+        std::cout << "  " << PolarityName(row.polarity) << " " << row.property
+                  << " (" << TextTable::Num(row.posterior, 3) << ")\n";
       }
       continue;
     }
     if (words.size() >= 2) {
-      auto type = workspace->kb.TypeByName(words[0]);
-      if (!type.ok()) {
+      if (!kb->TypeByName(words[0]).ok()) {
         std::cout << "unknown type '" << words[0] << "'\n";
         continue;
       }
-      const auto results = store->Query(*type, words[1], 10);
+      const serving::ScanRange results =
+          index.QueryType(generation, words[0], words[1], 10);
       if (results.empty()) {
         std::cout << "no " << words[1] << " " << Lexicon::Pluralize(words[0])
                   << " found\n";
       }
-      for (const PairOpinion& opinion : results) {
-        std::cout << "  "
-                  << workspace->kb.entity(opinion.entity).canonical_name
-                  << " (" << TextTable::Num(opinion.probability, 3) << ")\n";
+      for (const serving::ServedOpinion& opinion : results) {
+        std::cout << "  " << opinion.entity << " ("
+                  << TextTable::Num(opinion.posterior, 3) << ")\n";
       }
       continue;
     }
@@ -804,13 +797,13 @@ int RunRepl(const std::vector<std::string>& args) {
 int RunScore(const std::vector<std::string>& args) {
   if (HasUnknownFlag(args)) return Usage();
   if (args.empty()) return Usage();
-  auto workspace = LoadWorkspace(args[0]);
-  if (!workspace.ok()) return Fail(workspace.status());
-  auto store = LoadOpinions(*workspace, args[0]);
-  if (!store.ok()) return Fail(store.status());
-  auto truth =
-      LoadGroundTruthFromFile(args[0] + "/truth.tsv", workspace->kb);
+  serving::OpinionIndex index;
+  auto kb = OpenMined(args[0], &index);
+  if (!kb.ok()) return Fail(kb.status());
+  auto truth = LoadGroundTruthFromFile(args[0] + "/truth.tsv", *kb);
   if (!truth.ok()) return Fail(truth.status());
+  const serving::GenerationPtr generation = index.generation();
+  const Snapshot& snapshot = generation->snapshot();
 
   // Per-type tallies plus an overall row.
   struct Tally {
@@ -821,15 +814,20 @@ int RunScore(const std::vector<std::string>& args) {
   std::map<TypeId, Tally> per_type;
   Tally overall;
   for (const auto& [key, polarity] : *truth) {
-    const TypeId type = workspace->kb.entity(key.first).most_notable_type;
+    const TypeId type = kb->entity(key.first).most_notable_type;
     Tally& tally = per_type[type];
     ++tally.total;
     ++overall.total;
-    auto mined = store->Lookup(key.first, key.second);
-    if (!mined.ok()) continue;
+    const SnapshotEntity entity = Resolve(snapshot, *kb, key.first);
+    const uint32_t b = snapshot.FindBlock(
+        entity.type, snapshot.FindProperty(ToLower(key.second)));
+    if (b == Snapshot::kNone) continue;
+    const Snapshot::BlockView block = snapshot.blocks()[b];
+    const uint32_t r = Snapshot::FindRecord(block, entity.name);
+    if (r == Snapshot::kNone) continue;
     ++tally.solved;
     ++overall.solved;
-    if (mined->polarity == polarity) {
+    if (Snapshot::ReadRecord(block.records, r).polarity == polarity) {
       ++tally.correct;
       ++overall.correct;
     }
@@ -850,7 +848,7 @@ int RunScore(const std::vector<std::string>& args) {
                   TextTable::Num(f1)});
   };
   for (const auto& [type, tally] : per_type) {
-    add_row(workspace->kb.TypeName(type), tally);
+    add_row(kb->TypeName(type), tally);
   }
   add_row("OVERALL", overall);
   table.Print(std::cout);
@@ -862,8 +860,8 @@ int Main(int argc, char** argv) {
   const std::string command = argv[1];
   std::vector<std::string> args(argv + 2, argv + argc);
   if (command == "worldgen") return RunWorldgen(args);
-  if (command == "mine") return RunMine(args, /*serve=*/false);
-  if (command == "serve") return RunMine(args, /*serve=*/true);
+  if (command == "mine") return RunMine(args);
+  if (command == "serve") return RunServe(args);
   if (command == "query") return RunQuery(args);
   if (command == "profile") return RunProfile(args);
   if (command == "repl") return RunRepl(args);
