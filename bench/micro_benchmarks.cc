@@ -24,6 +24,7 @@
 #include "serving/snapshot.h"
 #include "text/annotator.h"
 #include "text/tokenizer.h"
+#include "util/crc32.h"
 #include "util/fault.h"
 #include "util/logging.h"
 #include "util/profile_tag.h"
@@ -366,6 +367,20 @@ void BM_SpanUnderDisarmedScope(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SpanUnderDisarmedScope);
+
+// CRC-32 over 4 MiB, about one mined snapshot: Snapshot::Open checksums
+// every section before it validates anything.
+void BM_Crc32(benchmark::State& state) {
+  std::string bytes(4 << 20, '\0');
+  Rng rng(77);
+  for (char& c : bytes) c = static_cast<char>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(bytes));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32);
 
 // --- Serving lookups ---------------------------------------------------------
 // A synthetic snapshot of 8 types x 500 entities x 12 properties = 48k

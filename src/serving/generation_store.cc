@@ -13,6 +13,7 @@
 #include "util/durable_file.h"
 #include "util/fault.h"
 #include "util/logging.h"
+#include "util/mmap_file.h"
 #include "util/string_util.h"
 
 namespace surveyor {
@@ -246,13 +247,14 @@ Status GenerationStore::Refresh() {
 
 StatusOr<uint64_t> GenerationStore::PublishFile(
     const std::string& source_path) {
-  std::ifstream in(source_path, std::ios::binary);
-  if (!in) {
+  // Mapped, not streamed: PublishImage takes the image as one view.
+  MmapFile source;
+  const Status opened = source.Open(source_path);
+  if (opened.code() == StatusCode::kNotFound) {
     return Status::NotFound("cannot read snapshot '" + source_path + "'");
   }
-  std::string image((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  return PublishImage(image);
+  SURVEYOR_RETURN_IF_ERROR(opened);
+  return PublishImage(source.data());
 }
 
 StatusOr<uint64_t> GenerationStore::PublishImage(std::string_view image) {

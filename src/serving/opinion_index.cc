@@ -95,10 +95,13 @@ Status OpinionIndex::LoadGeneration(const std::string& path,
   if (!result.status.ok()) return fail(result.status);
   generation->loaded_at_ = std::chrono::steady_clock::now();
 
-  // The "generation_swap" fault simulates a load that dies after all the
+  // The "generation_swap" fault simulates a swap that dies after all the
   // I/O succeeded but before publication — the previous generation must
-  // keep serving and the failure must be visible on /metrics.
-  if (SURVEYOR_FAULT("generation_swap")) {
+  // keep serving and the failure must be visible on /metrics. A first load
+  // has no previous generation to keep serving, so it is not a swap and
+  // the point is not evaluated (DESIGN.md §14): a one-shot reader's only
+  // load fails only when its Open does.
+  if (loaded() && SURVEYOR_FAULT("generation_swap")) {
     return fail(
         Status::Internal("injected fault at generation_swap: " + path));
   }

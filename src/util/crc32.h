@@ -8,9 +8,12 @@ namespace surveyor {
 
 /// CRC-32 (IEEE 802.3, the zlib polynomial 0xEDB88320), the checksum the
 /// opinion snapshot format uses to detect bit rot and truncation per
-/// section. Table-driven, slice-by-8 (eight input bytes per step through
-/// eight 256-entry tables), so checking every section is a small part of
-/// a snapshot load.
+/// section. On x86-64 CPUs with PCLMULQDQ (checked once per process) it
+/// folds 64 bytes per step with 128-bit carry-less multiplies; elsewhere,
+/// and for inputs and tails under 64 bytes, it is table-driven slice-by-8
+/// (eight bytes per step through eight 256-entry tables). Both give the
+/// same values. On a 4-vCPU Xeon VM the folding runs at about 15 GB/s
+/// (BM_Crc32), slice-by-8 at about 1.7 GB/s.
 ///
 /// `Crc32(data)` checksums one buffer. For incremental use, seed with
 /// `kCrc32Init`, feed chunks through `Crc32Update`, and finalize with

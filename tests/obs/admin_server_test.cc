@@ -473,14 +473,18 @@ TEST(AdminServerSocketTest, ScrapesMetricsWhileWorkersIncrement) {
   ASSERT_GT(server.port(), 0);
 
   // Hammer the counter from workers while scraping over a real socket —
-  // the situation the admin plane exists for.
-  std::atomic<bool> stop{false};
+  // the situation the admin plane exists for. Each worker's work is
+  // bounded: four unbounded spinners could starve the server thread on a
+  // loaded machine until a scrape timed out.
+  constexpr int kIncrementsPerWorker = 250000;
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([counter, &stop] {
-      while (!stop.load()) counter->Increment();
+    workers.emplace_back([counter] {
+      for (int i = 0; i < kIncrementsPerWorker; ++i) counter->Increment();
     });
   }
+  // The last scrape must see a positive value.
+  while (counter->Value() == 0) std::this_thread::yield();
   std::string last;
   for (int i = 0; i < 10; ++i) {
     last = HttpGet(server.port(), "/metrics");
@@ -490,7 +494,6 @@ TEST(AdminServerSocketTest, ScrapesMetricsWhileWorkersIncrement) {
     EXPECT_NE(last.find("# TYPE surveyor_extraction_statements_total counter"),
               std::string::npos);
   }
-  stop.store(true);
   for (std::thread& worker : workers) worker.join();
 
   // The scraped value is a well-formed integer on its own sample line.

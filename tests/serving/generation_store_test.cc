@@ -89,6 +89,28 @@ TEST_F(GenerationStoreTest, PublishCommitsAndSurvivesReopen) {
   EXPECT_EQ(LabelOf(reopened.SnapshotPath(1)), "v1");
 }
 
+TEST_F(GenerationStoreTest, PublishFileRoundTripsAndMissingFileIsNotFound) {
+  const std::string root = FreshRoot("publish_file");
+  const std::string source = root + "-source.surv";
+  const std::string image = MakeImage("from a file");
+  {
+    std::ofstream out(source, std::ios::binary);
+    out << image;
+  }
+  GenerationStore store(root);
+  ASSERT_TRUE(store.Open().ok());
+  const auto published = store.PublishFile(source);
+  ASSERT_TRUE(published.ok()) << published.status();
+  EXPECT_EQ(*published, 1u);
+  EXPECT_EQ(LabelOf(store.SnapshotPath(1)), "from a file");
+  std::ifstream copy(store.SnapshotPath(1), std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(copy), {}), image);
+
+  const auto missing = store.PublishFile(root + "-no-such.surv");
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.latest(), 1u);
+}
+
 TEST_F(GenerationStoreTest, RefreshPicksUpAnotherProcessesPublish) {
   const std::string root = FreshRoot("refresh");
   GenerationStore serving(root);

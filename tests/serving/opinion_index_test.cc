@@ -218,6 +218,26 @@ TEST_F(OpinionIndexTest, RetriesAbsorbTransientSnapshotReadFaults) {
   EXPECT_TRUE(index.Load(path).ok());
 }
 
+// generation_swap models a swap that dies before publication. A first Load
+// has no generation to keep serving, so it is no swap and the point is not
+// evaluated: a one-shot reader's only Load cannot fail on it. The first
+// evaluation is the second Load's, which fails and keeps generation 1.
+TEST_F(OpinionIndexTest, FirstLoadIsNotASwapForTheSwapFault) {
+  ScopedFaults faults("generation_swap:@1");
+  OpinionIndex index;
+  ASSERT_TRUE(index.Load(WriteTestSnapshot("first-load.surv")).ok());
+  EXPECT_EQ(index.generation_id(), 1u);
+  EXPECT_TRUE(index.Lookup("kitten", "cute")->ok());
+
+  EXPECT_FALSE(index.Load(WriteTestSnapshot("first-swap.surv")).ok());
+  EXPECT_EQ(index.generation_id(), 1u);
+  EXPECT_TRUE(index.Lookup("kitten", "cute")->ok());
+  EXPECT_EQ(index.metrics()
+                .GetCounter("surveyor_generation_swap_failures_total")
+                ->Value(),
+            1);
+}
+
 // Hammer lookups from many threads; run under TSan in CI.
 TEST_F(OpinionIndexTest, ConcurrentLookupsAreSafe) {
   OpinionIndex index;

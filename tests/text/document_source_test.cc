@@ -91,6 +91,8 @@ TEST(FileDocumentSourceTest, ReportsErrors) {
 }
 
 TEST(FileDocumentSourceTest, QuarantineModeSkipsCorruptLines) {
+  // Exact counters: an environment-armed doc_read fault would add a retry.
+  ScopedFaults disarm{""};
   const std::string path = testing::TempDir() + "/quarantine_corpus.tsv";
   {
     std::ofstream os(path);

@@ -18,8 +18,9 @@ Budgets:
      one BM_AnnotateSentence. A mined sentence crosses ~4 scopes
      (tokenize, match, parse, extract).
   4. Snapshot load: BM_OpinionIndexLoad, a whole OpinionIndex::Load of the
-     48k-opinion snapshot, takes <= 80 ns per opinion (items are
-     opinions).
+     48k-opinion snapshot, takes <= 25 ns per opinion (items are
+     opinions). The CRC folds with carry-less multiplies and the
+     validator walks each table once: about 16 ns on a 4-vCPU Xeon VM.
   5. Type scans: BM_OpinionIndexTypeScan (limit-10 scans over all 96
      blocks) answers >= 1/25 of BM_OpinionIndexHotLookup's items/s: a scan
      reads its slice of the block's posting list, not the whole block.
@@ -90,8 +91,8 @@ def main():
          traced >= 0.5 * untraced),
         ("4 x disarmed scope / sentence", f"{100 * scope_share:.3f}%", "< 1%",
          scope_share < 0.01),
-        ("snapshot load per opinion", f"{load_ns:.1f} ns", "<= 80 ns",
-         load_ns <= 80),
+        ("snapshot load per opinion", f"{load_ns:.1f} ns", "<= 25 ns",
+         load_ns <= 25),
         ("type scans / hot lookups", f"{scans / lookups:.4f}", ">= 0.04",
          scans * 25 >= lookups),
         ("batch pair / hot lookup", f"{lookups / batch_pairs:.2f}x",

@@ -142,8 +142,11 @@ void OnSigHup(int) { g_sighup_pending = 1; }
 
 /// Parks a serving process forever, draining SIGHUP into `on_sighup`
 /// (a generation reload). The sleep is short so a signal is acted on
-/// promptly even though the handler itself does nothing.
+/// promptly even though the handler itself does nothing. The banner is
+/// flushed first: on a pipe nothing else would ever flush it, and a
+/// supervisor that asked for --admin-port 0 reads the port from it.
 [[noreturn]] void ParkServing(const std::function<void()>& on_sighup) {
+  std::cout.flush();
   std::signal(SIGHUP, OnSigHup);
   for (;;) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
