@@ -14,6 +14,7 @@
 #include "util/fault.h"
 #include "util/logging.h"
 #include "util/mmap_file.h"
+#include "util/retry.h"
 #include "util/string_util.h"
 
 namespace surveyor {
@@ -296,13 +297,17 @@ StatusOr<uint64_t> GenerationStore::PublishImage(std::string_view image) {
 
   // Validate before publication: a corrupt image (torn upstream file,
   // version skew) must be rejected here, not discovered by the first
-  // query after a swap.
+  // query after a swap. A transient read failure is retried as
+  // OpinionIndex retries it, so it does not fail the publish.
   {
     Snapshot probe;
-    const Status opened = probe.Open(tmp_snapshot);
-    if (!opened.ok()) {
+    const RetryResult opened =
+        RetryWithBackoff(RetryPolicy(), [&probe, &tmp_snapshot] {
+          return probe.Open(tmp_snapshot);
+        });
+    if (!opened.status.ok()) {
       return fail(Status::Internal("snapshot image failed validation: " +
-                                   std::string(opened.message())));
+                                   std::string(opened.status.message())));
     }
   }
 

@@ -1,13 +1,23 @@
 #include "serving/snapshot.h"
 
+#include <sched.h>
+
 #include <algorithm>
+#include <atomic>
+#include <barrier>
 #include <bit>
+#include <cstddef>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <optional>
+#include <system_error>
+#include <thread>
 #include <tuple>
 #include <utility>
 
 #include "obs/trace.h"
+#include "serving/snapshot_internal.h"
 #include "util/crc32.h"
 #include "util/durable_file.h"
 #include "util/fault.h"
@@ -558,7 +568,7 @@ Status Snapshot::Open(const std::string& path) {
   // snapshot (if any) untouched.
   Snapshot fresh;
   fresh.file_ = std::move(file);
-  SURVEYOR_RETURN_IF_ERROR(fresh.Validate(fresh.file_.data()));
+  SURVEYOR_RETURN_IF_ERROR(fresh.Validate(fresh.file_.data(), 0));
   *this = std::move(fresh);
   return Status::OK();
 }
@@ -568,8 +578,396 @@ Status Snapshot::Open(const std::string& path) {
 // the mapping without a bounds check: every index, offset and count is in
 // range, and every order a binary search, slot probe or slice relies on
 // holds. Each failure names its rule.
+//
+// Validate reads the header and the section table on the calling thread,
+// then runs the content passes. A pass runs its validators over `parts`
+// index ranges each: the caller and parts - 1 threads, started once per
+// Open, claim the ranges in walk order, and all meet at a barrier after
+// the pass, where the last to arrive reduces it and runs the sequential
+// checks that follow it. A pass starts only after every earlier one
+// passed, and holds validators that read only what earlier passes proved.
+// The failure reported is the one the sequential walk meets first:
+// validators in walk order, then ranges in index order, each range
+// stopping at its first failure. A range checks its first entry against
+// the entry before it, which an earlier range owns; where that entry is
+// broken, the earlier range fails first and its failure is the one
+// reported.
 
-Status Snapshot::Validate(std::string_view file) {
+namespace snapshot_internal {
+
+int UsableCpus() {
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  if (sched_getaffinity(0, sizeof(cpus), &cpus) != 0) return 1;
+  return std::max(1, CPU_COUNT(&cpus));
+}
+
+int DefaultParts(uint64_t opinions) {
+  const uint64_t by_size = opinions / kOpinionsPerPart;
+  const auto cpus = static_cast<uint64_t>(UsableCpus());
+  return static_cast<int>(std::clamp<uint64_t>(by_size, 1, cpus));
+}
+
+Status ValidateImage(std::string_view image, int parts) {
+  Snapshot snapshot;
+  return snapshot.Validate(image, std::max(1, parts));
+}
+
+}  // namespace snapshot_internal
+
+namespace {
+
+/// The validators in walk order.
+enum Check : size_t {
+  kCheckCrc,
+  kCheckTypeNames,
+  kCheckPropertyNames,
+  kCheckEntityNames,
+  kCheckSlotScan,
+  kCheckSlotProbes,
+  kCheckBlocks,
+  kCheckPairs,
+  kCheckProvenance,
+  kCheckEnd,
+};
+
+/// Pass p runs the validators [kPassBegin[p], kPassBegin[p + 1]): the
+/// CRCs; the names and the slot scan; the slot probes, which need the
+/// scan's count, and the blocks, which compare entity names; the pairs,
+/// which need the decoded blocks, and the provenance.
+constexpr size_t kPassBegin[] = {kCheckCrc, kCheckTypeNames, kCheckSlotProbes,
+                                 kCheckPairs, kCheckEnd};
+constexpr size_t kPassCount = std::size(kPassBegin) - 1;
+
+/// Start of range `part` of `parts` near-equal ranges over [0, n).
+uint64_t RangeBegin(uint64_t n, size_t part, size_t parts) {
+  return n * part / parts;
+}
+
+/// Where the last entry of `table` ends, when its u32 fields `start` and
+/// `start + 1` hold where it begins and how many it spans: the end of the
+/// walk's running sum once every entry began where the one before it
+/// ended. 0 for an empty table.
+uint64_t EndOfLast(std::string_view table, size_t width, size_t start) {
+  const size_t count = table.size() / width;
+  if (count == 0) return 0;
+  const uint64_t begin = Field(table, width, count - 1, start);
+  return begin + Field(table, width, count - 1, start + 1);
+}
+
+}  // namespace
+
+/// What the section table lists, up to its first broken entry.
+struct SectionTable {
+  std::string_view payloads[kSnapshotSectionCount];
+  uint32_t crcs[kSnapshotSectionCount] = {};
+  /// Entries before the first broken one.
+  uint32_t listed = 0;
+  /// The first broken entry's failure. The walk meets it after the CRC
+  /// checks of the listed sections, so the CRC pass reports it.
+  Status broken;
+};
+
+class Snapshot::Validation {
+ public:
+  Validation(Snapshot* snapshot, const SectionTable& table, size_t parts)
+      : snapshot_(*snapshot),
+        table_(table),
+        parts_(parts),
+        crc_pieces_(parts * kSnapshotSectionCount),
+        slot_counts_(parts),
+        block_begin_(parts + 1),
+        sync_(static_cast<std::ptrdiff_t>(parts), Completion{this}) {
+    StartPass(0);
+  }
+  Validation(const Validation&) = delete;
+  Validation& operator=(const Validation&) = delete;
+
+  /// Runs every pass on parts - 1 threads and the caller; returns once
+  /// they are joined.
+  Status Run() {
+    {
+      std::vector<std::jthread> helpers;
+      helpers.reserve(parts_ - 1);
+      for (size_t t = 1; t < parts_; ++t) {
+        try {
+          helpers.emplace_back([this] { Participate(/*helper=*/true); });
+        } catch (const std::system_error&) {
+          // No thread: the others claim its ranges, and the barrier
+          // stops counting it.
+          sync_.arrive_and_drop();
+        }
+      }
+      Participate(/*helper=*/false);
+    }
+    return result_;
+  }
+
+ private:
+  struct Completion {
+    Validation* validation;
+    void operator()() noexcept { validation->FinishPass(); }
+  };
+  /// One range's share of one section's CRC.
+  struct CrcPiece {
+    uint32_t crc = 0;
+    uint64_t size = 0;
+  };
+  struct SlotCount {
+    uint32_t occupied = 0;
+    bool out_of_range = false;
+  };
+
+  /// Claims ranges pass by pass. Only the caller reads the result, so a
+  /// helper leaves after its last pass without waiting at the barrier:
+  /// by the time Run joins it, it has mostly exited. noexcept: the others
+  /// would wait at the barrier forever for a participant an exception
+  /// (a failed allocation) took away, so one ends the process instead.
+  void Participate(bool helper) noexcept {
+    for (;;) {
+      for (size_t unit = Claim(); unit < units_; unit = Claim()) {
+        statuses_[unit] = RunRange(unit);
+      }
+      if (helper && pass_ + 1 == kPassCount) {
+        static_cast<void>(sync_.arrive());
+        return;
+      }
+      sync_.arrive_and_wait();
+      if (done_) return;
+    }
+  }
+
+  size_t Claim() { return next_unit_.fetch_add(1, std::memory_order_relaxed); }
+
+  void StartPass(size_t pass) {
+    pass_ = pass;
+    units_ = (kPassBegin[pass + 1] - kPassBegin[pass]) * parts_;
+    statuses_.assign(units_, Status::OK());
+    next_unit_.store(0, std::memory_order_relaxed);
+  }
+
+  /// The barrier's completion: runs on the last thread to arrive, before
+  /// any is released.
+  void FinishPass() {
+    const size_t first = kPassBegin[pass_];
+    const size_t last = kPassBegin[pass_ + 1];
+    size_t unit = 0;
+    for (size_t check = first; check < last; ++check) {
+      for (size_t part = 0; part < parts_; ++part, ++unit) {
+        if (!statuses_[unit].ok()) return Stop(std::move(statuses_[unit]));
+      }
+      Status concluded = Conclude(static_cast<Check>(check));
+      if (!concluded.ok()) return Stop(std::move(concluded));
+    }
+    if (pass_ + 1 == kPassCount) return Stop(Status::OK());
+    StartPass(pass_ + 1);
+  }
+
+  void Stop(Status result) {
+    result_ = std::move(result);
+    done_ = true;
+  }
+
+  /// Runs range `unit % parts` of the pass's validator `unit / parts`.
+  Status RunRange(size_t unit) {
+    const auto check = static_cast<Check>(kPassBegin[pass_] + unit / parts_);
+    const size_t part = unit % parts_;
+    const Snapshot& s = snapshot_;
+    auto begin = [&](uint64_t n) {
+      return static_cast<uint32_t>(RangeBegin(n, part, parts_));
+    };
+    auto end = [&](uint64_t n) {
+      return static_cast<uint32_t>(RangeBegin(n, part + 1, parts_));
+    };
+    switch (check) {
+      case kCheckCrc:
+        ChecksumRange(part);
+        return Status::OK();
+      case kCheckTypeNames:
+        return s.ValidateNames(s.types_, kSnapshotNameEntrySize, "type",
+                               begin(s.num_types_), end(s.num_types_));
+      case kCheckPropertyNames:
+        return s.ValidateNames(s.properties_, kSnapshotNameEntrySize,
+                               "property", begin(s.num_properties_),
+                               end(s.num_properties_));
+      case kCheckEntityNames:
+        return s.ValidateNames(s.entities_, kSnapshotEntityEntrySize,
+                               "entity", begin(s.num_entities_),
+                               end(s.num_entities_));
+      case kCheckSlotScan:
+        s.ScanEntitySlots(begin(num_slots_), end(num_slots_),
+                          &slot_counts_[part].occupied,
+                          &slot_counts_[part].out_of_range);
+        return Status::OK();
+      case kCheckSlotProbes:
+        return s.ValidateEntitySlots(begin(s.num_entities_),
+                                     end(s.num_entities_));
+      case kCheckBlocks:
+        return s.ValidateBlocks(block_begin_[part], block_begin_[part + 1],
+                                decoded_.data());
+      case kCheckPairs:
+        return s.ValidatePairs(begin(s.num_entities_), end(s.num_entities_),
+                               decoded_.data());
+      case kCheckProvenance:
+        return s.ValidateProvenance(begin(s.num_provenance_),
+                                    end(s.num_provenance_));
+      case kCheckEnd:
+        break;
+    }
+    return Status::OK();
+  }
+
+  /// The CRC of this range's bytes of each listed section, the sections'
+  /// payloads taken end to end.
+  void ChecksumRange(size_t part) {
+    uint64_t total = 0;
+    for (uint32_t i = 0; i < table_.listed; ++i) {
+      total += table_.payloads[i].size();
+    }
+    const uint64_t begin = RangeBegin(total, part, parts_);
+    const uint64_t end = RangeBegin(total, part + 1, parts_);
+    uint64_t section_begin = 0;
+    for (uint32_t i = 0; i < table_.listed; ++i) {
+      const std::string_view payload = table_.payloads[i];
+      const uint64_t from = std::max(begin, section_begin);
+      const uint64_t to = std::min(end, section_begin + payload.size());
+      if (from < to) {
+        CrcPiece& piece = crc_pieces_[part * kSnapshotSectionCount + i];
+        piece.size = to - from;
+        piece.crc = Crc32(payload.substr(from - section_begin, piece.size));
+      }
+      section_begin += payload.size();
+    }
+  }
+
+  /// The sequential checks the walk makes after `check`'s ranges.
+  Status Conclude(Check check) {
+    switch (check) {
+      case kCheckCrc:
+        return ConcludeCrc();
+      case kCheckSlotScan:
+        return ConcludeSlotScan();
+      case kCheckBlocks:
+        return ConcludeBlocks();
+      case kCheckPairs:
+        return ConcludePairs();
+      case kCheckProvenance:
+        return ConcludeProvenance();
+      default:
+        return Status::OK();
+    }
+  }
+
+  /// Joins each listed section's pieces and compares its CRC, then reads
+  /// the counts the content passes need.
+  Status ConcludeCrc() {
+    for (uint32_t i = 0; i < table_.listed; ++i) {
+      uint32_t crc = 0;  // the CRC of no bytes
+      for (size_t part = 0; part < parts_; ++part) {
+        const CrcPiece& piece = crc_pieces_[part * kSnapshotSectionCount + i];
+        if (piece.size != 0) crc = Crc32Combine(crc, piece.crc, piece.size);
+      }
+      if (crc != table_.crcs[i]) {
+        return Status::Internal("snapshot section " + std::to_string(i + 1) +
+                                " failed its CRC check (corrupt file)");
+      }
+    }
+    if (!table_.broken.ok()) return table_.broken;
+    Snapshot& s = snapshot_;
+    SURVEYOR_RETURN_IF_ERROR(s.ReadCounts(table_.payloads, &num_slots_));
+
+    // Block ranges hold near-equal shares of the records, which is where
+    // a block's work is. The block starts they are found by are not
+    // checked yet, so they only balance the ranges, which tile [0, blocks)
+    // whatever the starts hold.
+    decoded_.resize(s.num_blocks_);
+    block_begin_.front() = 0;
+    block_begin_.back() = s.num_blocks_;
+    for (size_t part = 1; part < parts_; ++part) {
+      const uint64_t share = RangeBegin(s.num_opinions_, part, parts_);
+      const uint32_t begin = PartitionPoint(0, s.num_blocks_, [&](uint32_t b) {
+        return Field(s.blocks_, kSnapshotBlockEntrySize, b, 3) < share;
+      });
+      block_begin_[part] = std::max(block_begin_[part - 1], begin);
+    }
+    return Status::OK();
+  }
+
+  Status ConcludeSlotScan() {
+    Snapshot& s = snapshot_;
+    if (!std::has_single_bit(num_slots_) ||
+        num_slots_ < 2 * uint64_t{s.num_entities_}) {
+      return Invalid(
+          "entity slot table is not a power of two of at least 2 x entities "
+          "slots");
+    }
+    s.slot_mask_ = num_slots_ - 1;
+    uint32_t occupied = 0;
+    for (const SlotCount& count : slot_counts_) {
+      if (count.out_of_range) return Invalid("entity slot out of range");
+      occupied += count.occupied;
+    }
+    if (occupied != s.num_entities_) {
+      return Invalid("entity slot table holds " + std::to_string(occupied) +
+                     " entities, the entity table " +
+                     std::to_string(s.num_entities_));
+    }
+    return Status::OK();
+  }
+
+  Status ConcludeBlocks() {
+    const Snapshot& s = snapshot_;
+    const size_t width = kSnapshotBlockEntrySize;
+    const uint64_t record_end = EndOfLast(s.blocks_, width, 3);
+    const uint64_t posting_end = EndOfLast(s.blocks_, width, 5);
+    if (record_end != s.num_opinions_ || posting_end != s.num_postings_) {
+      return Invalid("blocks do not cover the records and postings sections");
+    }
+    return Status::OK();
+  }
+
+  Status ConcludePairs() {
+    // With no entities there are no runs for the ranges to check.
+    const Snapshot& s = snapshot_;
+    if (s.num_entities_ == 0 && s.num_pairs_ != 0) {
+      return Invalid("entity pair runs out of range or order");
+    }
+    return Status::OK();
+  }
+
+  Status ConcludeProvenance() {
+    const Snapshot& s = snapshot_;
+    const size_t width = kSnapshotProvenanceEntrySize;
+    if (EndOfLast(s.provenance_, width, 2) != s.num_refs_) {
+      return Invalid("provenance refs out of bounds");
+    }
+    return Status::OK();
+  }
+
+  Snapshot& snapshot_;
+  const SectionTable& table_;
+  const size_t parts_;
+  uint32_t num_slots_ = 0;
+  /// Range-major: range r's piece of section i at r * sections + i.
+  std::vector<CrcPiece> crc_pieces_;
+  std::vector<SlotCount> slot_counts_;
+  /// Range r of the blocks is [block_begin_[r], block_begin_[r + 1]).
+  std::vector<uint32_t> block_begin_;
+  std::vector<BlockView> decoded_;
+
+  // Written by the completion while every participant waits at the
+  // barrier, so plain members: the barrier orders them.
+  size_t pass_ = 0;
+  /// The ranges of the pass's validators, validator-major.
+  size_t units_ = 0;
+  std::vector<Status> statuses_;
+  bool done_ = false;
+  Status result_;
+  std::atomic<size_t> next_unit_{0};
+  std::barrier<Completion> sync_;
+};
+
+Status Snapshot::Validate(std::string_view file, int parts) {
   if (file.size() < kSnapshotHeaderSize) {
     return Status::InvalidArgument("snapshot too small for a header");
   }
@@ -601,31 +999,41 @@ Status Snapshot::Validate(std::string_view file) {
     return Status::InvalidArgument("snapshot truncated in section table");
   }
 
-  std::string_view payloads[kSnapshotSectionCount];
-  for (uint32_t i = 0; i < section_count; ++i) {
+  SectionTable table;
+  for (; table.listed < section_count; ++table.listed) {
+    const uint32_t i = table.listed;
     const char* entry =
         file.data() + kSnapshotHeaderSize + kSnapshotSectionEntrySize * i;
     const uint32_t id = DecodeU32(entry);
-    const uint32_t crc = DecodeU32(entry + 4);
     const uint64_t offset = DecodeU64(entry + 8);
     const uint64_t size = DecodeU64(entry + 16);
     if (id != i + 1) {
-      return Invalid("section table must list sections 1.." +
-                     std::to_string(kSnapshotSectionCount) + " in order");
+      table.broken = Invalid("section table must list sections 1.." +
+                             std::to_string(kSnapshotSectionCount) +
+                             " in order");
+      break;
     }
     if (offset < table_end || offset > file.size() ||
         size > file.size() - offset) {
-      return Status::InvalidArgument("snapshot section out of bounds");
+      table.broken = Status::InvalidArgument("snapshot section out of bounds");
+      break;
     }
-    payloads[i] = file.substr(offset, size);
-    if (Crc32(payloads[i]) != crc) {
-      return Status::Internal("snapshot section " + std::to_string(id) +
-                              " failed its CRC check (corrupt file)");
-    }
+    table.payloads[i] = file.substr(offset, size);
+    table.crcs[i] = DecodeU32(entry + 4);
   }
+  if (parts == 0) {
+    const std::string_view records = table.payloads[kSectionRecords - 1];
+    const uint64_t opinions = records.size() / kSnapshotRecordSize;
+    parts = snapshot_internal::DefaultParts(opinions);
+  }
+  Validation validation(this, table, static_cast<size_t>(parts));
+  return validation.Run();
+}
 
+Status Snapshot::ReadCounts(
+    const std::string_view (&payloads)[kSnapshotSectionCount],
+    uint32_t* num_slots) {
   // --- section sizes give the table counts --------------------------------
-  uint32_t num_slots = 0;
   const struct {
     uint32_t id;
     size_t width;
@@ -638,7 +1046,7 @@ Status Snapshot::Validate(std::string_view file) {
        &num_properties_},
       {kSectionEntities, kSnapshotEntityEntrySize, "entities", &entities_,
        &num_entities_},
-      {kSectionEntitySlots, 4, "entity slots", &slots_, &num_slots},
+      {kSectionEntitySlots, 4, "entity slots", &slots_, num_slots},
       {kSectionBlocks, kSnapshotBlockEntrySize, "blocks", &blocks_,
        &num_blocks_},
       {kSectionRecords, kSnapshotRecordSize, "records", &records_,
@@ -676,38 +1084,27 @@ Status Snapshot::Validate(std::string_view file) {
                    std::to_string(num_opinions_) + " in " +
                    std::to_string(num_blocks_));
   }
-
-  SURVEYOR_RETURN_IF_ERROR(ValidateNames(types_, kSnapshotNameEntrySize,
-                                         num_types_, "type"));
-  SURVEYOR_RETURN_IF_ERROR(ValidateNames(properties_, kSnapshotNameEntrySize,
-                                         num_properties_, "property"));
-  SURVEYOR_RETURN_IF_ERROR(ValidateNames(entities_, kSnapshotEntityEntrySize,
-                                         num_entities_, "entity"));
-  if (!std::has_single_bit(num_slots) ||
-      num_slots < 2 * uint64_t{num_entities_}) {
-    return Invalid(
-        "entity slot table is not a power of two of at least 2 x entities "
-        "slots");
-  }
-  slot_mask_ = num_slots - 1;
-  SURVEYOR_RETURN_IF_ERROR(ValidateEntitySlots());
-  std::vector<BlockView> blocks;
-  SURVEYOR_RETURN_IF_ERROR(ValidateBlocks(&blocks));
-  SURVEYOR_RETURN_IF_ERROR(ValidatePairs(blocks));
-  return ValidateProvenance();
+  return Status::OK();
 }
 
 Status Snapshot::ValidateNames(std::string_view table, size_t entry_size,
-                               uint32_t count, const char* what) const {
-  std::string_view previous;
-  for (uint32_t i = 0; i < count; ++i) {
+                               const char* what, uint32_t begin,
+                               uint32_t end) const {
+  auto name_at = [&](uint32_t i) -> std::optional<std::string_view> {
     const uint32_t offset = Field(table, entry_size, i, 0);
     const uint32_t length = Field(table, entry_size, i, 1);
     if (offset > names_.size() || length > names_.size() - offset) {
-      return Invalid(std::string(what) + " name out of bounds");
+      return std::nullopt;
     }
-    const std::string_view name = names_.substr(offset, length);
-    if (i > 0 && CompareFolded(previous, name) >= 0) {
+    return names_.substr(offset, length);
+  };
+  // The name before the range; when it is out of bounds, its range fails.
+  std::optional<std::string_view> previous;
+  if (begin > 0) previous = name_at(begin - 1);
+  for (uint32_t i = begin; i < end; ++i) {
+    const std::optional<std::string_view> name = name_at(i);
+    if (!name) return Invalid(std::string(what) + " name out of bounds");
+    if (previous && CompareFolded(*previous, *name) >= 0) {
       return Invalid(std::string(what) +
                      " names are not sorted and unique (case-insensitive)");
     }
@@ -716,26 +1113,26 @@ Status Snapshot::ValidateNames(std::string_view table, size_t entry_size,
   return Status::OK();
 }
 
-Status Snapshot::ValidateEntitySlots() const {
+void Snapshot::ScanEntitySlots(uint32_t begin, uint32_t end, uint32_t* occupied,
+                               bool* out_of_range) const {
   // Empty and occupied slots interleave at random, so the scan counts
   // without branching on which is which.
-  uint32_t occupied = 0;
-  bool out_of_range = false;
-  for (uint32_t slot = 0; slot <= slot_mask_; ++slot) {
+  uint32_t used_slots = 0;
+  bool beyond = false;
+  for (uint32_t slot = begin; slot < end; ++slot) {
     const uint32_t entity = DecodeU32(slots_.data() + 4 * size_t{slot});
     const bool used = entity != kEmptySlot;
-    occupied += used ? 1 : 0;
-    out_of_range |= used & (entity >= num_entities_);
+    used_slots += used ? 1 : 0;
+    beyond |= used & (entity >= num_entities_);
   }
-  if (out_of_range) return Invalid("entity slot out of range");
-  if (occupied != num_entities_) {
-    return Invalid("entity slot table holds " + std::to_string(occupied) +
-                   " entities, the entity table " +
-                   std::to_string(num_entities_));
-  }
+  *occupied = used_slots;
+  *out_of_range = beyond;
+}
+
+Status Snapshot::ValidateEntitySlots(uint32_t begin, uint32_t end) const {
   // With one occupied slot per entity, reaching every entity from its home
   // slot also proves each is in the table exactly once.
-  for (uint32_t entity = 0; entity < num_entities_; ++entity) {
+  for (uint32_t entity = begin; entity < end; ++entity) {
     if (EntityType(entity) >= num_types_) {
       return Invalid("entity references a type beyond the type table");
     }
@@ -752,14 +1149,28 @@ Status Snapshot::ValidateEntitySlots() const {
   return Status::OK();
 }
 
-Status Snapshot::ValidateBlocks(std::vector<BlockView>* decoded) const {
-  decoded->reserve(num_blocks_);
+Status Snapshot::ValidateBlocks(uint32_t begin, uint32_t end,
+                                BlockView* decoded) const {
+  auto field = [this](uint32_t block, size_t f) {
+    return Field(blocks_, kSnapshotBlockEntrySize, block, f);
+  };
+  // The walk's running sums at `begin`: where the block before it ends.
+  // When that is past a section, the block before it, or one earlier,
+  // fails its tiling check in an earlier range, and this one stops before
+  // reading past the section.
   uint64_t record_end = 0;
   uint64_t posting_end = 0;
-  for (uint32_t b = 0; b < num_blocks_; ++b) {
-    auto field = [this](uint32_t block, size_t f) {
-      return Field(blocks_, kSnapshotBlockEntrySize, block, f);
-    };
+  if (begin > 0) {
+    record_end = uint64_t{field(begin - 1, 3)} + field(begin - 1, 4);
+    posting_end = uint64_t{field(begin - 1, 5)} + field(begin - 1, 6);
+    if (record_end > num_opinions_) {
+      return Invalid("block records do not tile the records section");
+    }
+    if (posting_end > num_postings_) {
+      return Invalid("block postings do not tile the postings section");
+    }
+  }
+  for (uint32_t b = begin; b < end; ++b) {
     if (field(b, 0) >= num_types_ || field(b, 1) >= num_properties_) {
       return Invalid("block references beyond its name tables");
     }
@@ -835,30 +1246,26 @@ Status Snapshot::ValidateBlocks(std::vector<BlockView>* decoded) const {
       previous_r = r;
       previous = record;
     }
-    decoded->push_back(block);
-  }
-  if (record_end != num_opinions_ || posting_end != num_postings_) {
-    return Invalid("blocks do not cover the records and postings sections");
+    decoded[b] = block;
   }
   return Status::OK();
 }
 
-Status Snapshot::ValidatePairs(const std::vector<BlockView>& blocks) const {
-  if (num_entities_ == 0 && num_pairs_ != 0) {
-    return Invalid("entity pair runs out of range or order");
-  }
-  for (uint32_t entity = 0; entity < num_entities_; ++entity) {
-    const uint32_t begin =
+Status Snapshot::ValidatePairs(uint32_t begin, uint32_t end,
+                               const BlockView* blocks) const {
+  for (uint32_t entity = begin; entity < end; ++entity) {
+    const uint32_t run_begin =
         Field(entities_, kSnapshotEntityEntrySize, entity, 3);
-    const uint32_t end =
+    const uint32_t run_end =
         entity + 1 < num_entities_
             ? Field(entities_, kSnapshotEntityEntrySize, entity + 1, 3)
             : num_pairs_;
-    if ((entity == 0 && begin != 0) || begin > end || end > num_pairs_) {
+    if ((entity == 0 && run_begin != 0) || run_begin > run_end ||
+        run_end > num_pairs_) {
       return Invalid("entity pair runs out of range or order");
     }
     uint32_t previous_property = 0;
-    for (uint32_t k = begin; k < end; ++k) {
+    for (uint32_t k = run_begin; k < run_end; ++k) {
       const char* pair = pairs_.data() + size_t{k} * kSnapshotPairEntrySize;
       const uint32_t property = DecodeU32(pair);
       const uint32_t b = DecodeU32(pair + 4);
@@ -876,7 +1283,7 @@ Status Snapshot::ValidatePairs(const std::vector<BlockView>& blocks) const {
       if (DecodeRecord(block.records, r).entity_index != entity) {
         return Invalid("pair-run entry points at another entity's record");
       }
-      if (k > begin && property <= previous_property) {
+      if (k > run_begin && property <= previous_property) {
         return Invalid("pair run is not sorted by property");
       }
       previous_property = property;
@@ -885,9 +1292,17 @@ Status Snapshot::ValidatePairs(const std::vector<BlockView>& blocks) const {
   return Status::OK();
 }
 
-Status Snapshot::ValidateProvenance() const {
+Status Snapshot::ValidateProvenance(uint32_t begin, uint32_t end) const {
+  auto field = [this](uint32_t i, size_t f) {
+    return Field(provenance_, kSnapshotProvenanceEntrySize, i, f);
+  };
+  // As for blocks: the running sum is where the entry before `begin` ends.
   uint64_t ref_end = 0;
-  for (uint32_t i = 0; i < num_provenance_; ++i) {
+  if (begin > 0) {
+    ref_end = uint64_t{field(begin - 1, 2)} + field(begin - 1, 3);
+    if (ref_end > num_refs_) return Invalid("provenance refs out of bounds");
+  }
+  for (uint32_t i = begin; i < end; ++i) {
     const ProvenanceKey key = ProvenanceKeyAt(i);
     if (key.entity_index >= num_entities_ ||
         key.property_index >= num_properties_) {
@@ -901,16 +1316,13 @@ Status Snapshot::ValidateProvenance() const {
             "provenance is not sorted and unique by (entity, property)");
       }
     }
-    const uint32_t begin =
-        Field(provenance_, kSnapshotProvenanceEntrySize, i, 2);
-    const uint32_t count =
-        Field(provenance_, kSnapshotProvenanceEntrySize, i, 3);
-    if (begin != ref_end || count > num_refs_ - ref_end) {
+    const uint32_t refs_begin = field(i, 2);
+    const uint32_t count = field(i, 3);
+    if (refs_begin != ref_end || count > num_refs_ - ref_end) {
       return Invalid("provenance refs out of bounds");
     }
     ref_end += count;
   }
-  if (ref_end != num_refs_) return Invalid("provenance refs out of bounds");
   return Status::OK();
 }
 

@@ -169,4 +169,41 @@ uint32_t Crc32Update(uint32_t state, std::string_view data) {
   return crc32_internal::UpdateTable(state, data);
 }
 
+namespace {
+
+/// a * b modulo the polynomial, both bit-reflected as the checksum is: bit
+/// 31 holds x^0 and bit 0 holds x^31.
+constexpr uint32_t MultiplyModPoly(uint32_t a, uint32_t b) {
+  uint32_t product = 0;
+  for (uint32_t term = 1u << 31; term != 0; term >>= 1) {
+    if ((a & term) != 0) product ^= b;
+    b = (b & 1u) != 0 ? (b >> 1) ^ 0xEDB88320u : b >> 1;  // b *= x
+  }
+  return product;
+}
+
+/// kPowers[k] = x^(2^k) modulo the polynomial, reflected, for every k a
+/// 64-bit byte count's bits reach: 8 * 2^63 = 2^66.
+constexpr std::array<uint32_t, 67> MakePowers() {
+  std::array<uint32_t, 67> powers{};
+  powers[0] = 1u << 30;  // x^1
+  for (size_t k = 1; k < powers.size(); ++k) {
+    powers[k] = MultiplyModPoly(powers[k - 1], powers[k - 1]);
+  }
+  return powers;
+}
+
+constexpr std::array<uint32_t, 67> kPowers = MakePowers();
+
+}  // namespace
+
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, uint64_t length_b) {
+  // x^(8 * length_b), one factor x^(2^k) per set bit of 8 * length_b.
+  uint32_t shift = 1u << 31;  // x^0
+  for (size_t k = 3; length_b != 0; length_b >>= 1, ++k) {
+    if ((length_b & 1u) != 0) shift = MultiplyModPoly(kPowers[k], shift);
+  }
+  return MultiplyModPoly(shift, crc_a) ^ crc_b;
+}
+
 }  // namespace surveyor

@@ -17,7 +17,8 @@ namespace surveyor {
 ///
 /// `Crc32(data)` checksums one buffer. For incremental use, seed with
 /// `kCrc32Init`, feed chunks through `Crc32Update`, and finalize with
-/// `Crc32Finalize` (the one-shot form composes exactly these).
+/// `Crc32Finalize` (the one-shot form composes exactly these). Chunks
+/// checksummed apart, on several threads say, join with `Crc32Combine`.
 inline constexpr uint32_t kCrc32Init = 0xFFFFFFFFu;
 
 /// Folds `data` into a running checksum started from kCrc32Init.
@@ -30,6 +31,13 @@ inline uint32_t Crc32Finalize(uint32_t state) { return state ^ 0xFFFFFFFFu; }
 inline uint32_t Crc32(std::string_view data) {
   return Crc32Finalize(Crc32Update(kCrc32Init, data));
 }
+
+/// The checksum of A followed by B, from `crc_a` = Crc32(A), `crc_b` =
+/// Crc32(B) and B's length, as zlib's crc32_combine(): crc_a moved past
+/// `length_b` zero bytes (a multiplication by x^(8 * length_b) modulo the
+/// polynomial, O(log length_b) of them), xor crc_b. Crc32 of no bytes is 0,
+/// so Crc32Combine(0, crc_b, n) == crc_b.
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, uint64_t length_b);
 
 }  // namespace surveyor
 

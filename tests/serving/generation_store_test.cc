@@ -157,6 +157,36 @@ TEST_F(GenerationStoreTest, RejectsACorruptImageWithoutPublishing) {
   EXPECT_EQ(entries, 0u);
 }
 
+TEST_F(GenerationStoreTest, PublishCheckRetriesATransientRead) {
+  obs::MetricRegistry metrics;
+  GenerationStoreOptions options;
+  options.metrics = &metrics;
+  GenerationStore store(FreshRoot("transient_read"), options);
+  ASSERT_TRUE(store.Open().ok());
+  ASSERT_TRUE(store.PublishImage(MakeImage("v1")).ok());
+  {
+    // The check's first read fails as a transient I/O error would.
+    ScopedFaults faults("snapshot_read:@1");
+    const auto second = store.PublishImage(MakeImage("v2"));
+    ASSERT_TRUE(second.ok()) << second.status();
+    EXPECT_EQ(*second, 2u);
+  }
+  const obs::Counter* failures =
+      metrics.GetCounter("surveyor_generation_publish_failures_total");
+  EXPECT_EQ(failures->Value(), 0);
+  EXPECT_EQ(LabelOf(store.SnapshotPath(2)), "v2");
+
+  // A corrupt image fails every read alike, and says why.
+  std::string image = MakeImage("v3");
+  image[image.size() / 2] ^= 0x5a;
+  const auto corrupt = store.PublishImage(image);
+  ASSERT_FALSE(corrupt.ok());
+  const std::string& message = corrupt.status().message();
+  EXPECT_NE(message.find("failed validation"), std::string::npos) << message;
+  EXPECT_EQ(failures->Value(), 1);
+  EXPECT_EQ(store.latest(), 2u);
+}
+
 TEST_F(GenerationStoreTest, CorruptManifestFailsOpenLoudly) {
   const std::string root = FreshRoot("corrupt_manifest");
   {

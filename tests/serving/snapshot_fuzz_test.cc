@@ -10,6 +10,9 @@
 //     property at limits 0, 1 and 10, prefix scans of every 1- and
 //     2-character prefix) without a sanitizer report, and the answers keep
 //     the invariants the validator promises.
+// A second case validates each mutant at 1, 2, 3 and 4 parts and asserts
+// one verdict and one message: the seed images are tiny, so their ranges
+// are a few entries each and every range boundary gets mutated.
 // The iteration count is fixed, so a run is reproducible; set
 // SURVEYOR_FUZZ_ITERATIONS to run longer.
 
@@ -26,6 +29,7 @@
 #include "gtest/gtest.h"
 #include "serving/opinion_index.h"
 #include "serving/snapshot.h"
+#include "serving/snapshot_internal.h"
 #include "tests/serving/snapshot_image.h"
 #include "util/fault.h"
 #include "util/status.h"
@@ -253,6 +257,25 @@ TEST(SnapshotFuzzTest, OpenRejectsOrServesEveryMutant) {
   EXPECT_GT(corrupt, 0);
   std::printf("snapshot fuzz: %d mutants, %d opened, %d invalid, %d corrupt\n",
               iterations, opened, structural, corrupt);
+}
+
+TEST(SnapshotFuzzTest, VerdictDoesNotDependOnThePartCount) {
+  const std::vector<std::string> seeds = SeedImages();
+  std::mt19937 rng(20150602);
+  const int iterations = Iterations();
+  int failed = 0;
+  for (int i = 0; i < iterations; ++i) {
+    const std::string bytes = Mutate(seeds, &rng);
+    const Status one = snapshot_internal::ValidateImage(bytes, 1);
+    failed += one.ok() ? 0 : 1;
+    for (const int parts : {2, 3, 4}) {
+      const Status split = snapshot_internal::ValidateImage(bytes, parts);
+      ASSERT_EQ(split.ToString(), one.ToString())
+          << "mutant " << i << " at " << parts << " parts";
+    }
+  }
+  EXPECT_GT(failed, 0);
+  EXPECT_LT(failed, iterations);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "serving/snapshot.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "serving/snapshot_internal.h"
 #include "tests/serving/snapshot_image.h"
 #include "util/fault.h"
 #include "util/status.h"
@@ -421,6 +423,95 @@ TEST_F(SnapshotTest, SnapshotReadFaultPointFiresAsInternal) {
   EXPECT_EQ(status.code(), StatusCode::kInternal);
 }
 
+/// 10,000 entities over ten types, each with an opinion on eight
+/// properties: 80 blocks of 1,000 records, enough opinions that Open
+/// splits its validation wherever more than one CPU is usable. Posteriors
+/// take 256 values, so most postings tie with the one before them.
+std::string LargeImage() {
+  SnapshotWriter writer;
+  writer.set_label("large");
+  uint32_t x = 1;
+  for (int e = 0; e < 10000; ++e) {
+    const std::string entity = "entity" + std::to_string(e);
+    const std::string type = "type" + std::to_string(e % 10);
+    for (int p = 0; p < 8; ++p) {
+      x = x * 1103515245u + 12345u;
+      const double posterior = static_cast<double>(x >> 24) / 255.0;
+      Polarity polarity = Polarity::kNegative;
+      if (posterior >= 0.5) polarity = Polarity::kPositive;
+      const std::string property = "property" + std::to_string(p);
+      const SnapshotOpinion opinion =
+          MakeOpinion(entity, type, property, posterior, polarity);
+      EXPECT_TRUE(writer.Add(opinion).ok());
+    }
+  }
+  return writer.Serialize();
+}
+
+TEST_F(SnapshotTest, LargeImageValidatesOnSeveralThreads) {
+  constexpr uint64_t kOpinions = 80000;
+  const uint64_t by_size = kOpinions / snapshot_internal::kOpinionsPerPart;
+  const int cpus = snapshot_internal::UsableCpus();
+  const int parts = snapshot_internal::DefaultParts(kOpinions);
+  EXPECT_EQ(parts, std::min<uint64_t>(by_size, cpus));
+  if (cpus > 1) {
+    EXPECT_GT(parts, 1);
+  }
+  Snapshot snapshot;
+  ASSERT_TRUE(snapshot.Open(WriteTempFile("large.surv", LargeImage())).ok());
+  EXPECT_EQ(snapshot.num_opinions(), kOpinions);
+  EXPECT_EQ(snapshot.blocks().size(), 80u);
+  const uint32_t entity = snapshot.FindEntity("entity5000");
+  const uint32_t property = snapshot.FindProperty("property7");
+  ASSERT_NE(entity, Snapshot::kNone);
+  EXPECT_NE(snapshot.FindPair(entity, property).block, Snapshot::kNone);
+}
+
+TEST_F(SnapshotTest, LargeImageRejectsAtRangeBoundariesAsInOneWalk) {
+  // Each edit adds `delta` to one u32 field at the first or last entry of
+  // a range that 2 or 4 parts make: entities split every 2,500 or 5,000,
+  // blocks (equal in size here) every 20 or 40. Open, at its own part
+  // count, and every split report what the one-range walk reports.
+  struct Edit {
+    const char* what;
+    uint32_t section;
+    size_t width;
+    size_t entry;
+    size_t field;
+    uint32_t delta;
+  };
+  const Edit edits[] = {
+      {"an empty name at a range's first entity", kSectionEntities,
+       kSnapshotEntityEntrySize, 5000, 1, 0u - 10},
+      {"a pair run start at a range's first entity", kSectionEntities,
+       kSnapshotEntityEntrySize, 2500, 3, 9},
+      {"a block type at a range's first block", kSectionBlocks,
+       kSnapshotBlockEntrySize, 20, 0, 0u - 1},
+      {"a block start at a range's first block", kSectionBlocks,
+       kSnapshotBlockEntrySize, 40, 3, 1},
+      {"a block count at a range's last block", kSectionBlocks,
+       kSnapshotBlockEntrySize, 39, 4, 1},
+  };
+  const std::string bytes = LargeImage();
+  for (const Edit& edit : edits) {
+    SCOPED_TRACE(edit.what);
+    std::string edited = bytes;
+    const size_t at = image::FindSection(bytes, edit.section).offset +
+                      edit.entry * edit.width + 4 * edit.field;
+    image::PutU32(&edited, at, image::GetU32(edited, at) + edit.delta);
+    image::RestampCrcs(&edited);
+    const Status one = snapshot_internal::ValidateImage(edited, 1);
+    EXPECT_EQ(one.code(), StatusCode::kInvalidArgument) << one.ToString();
+    for (const int parts : {2, 3, 4}) {
+      const Status split = snapshot_internal::ValidateImage(edited, parts);
+      EXPECT_EQ(split.ToString(), one.ToString()) << parts << " parts";
+    }
+    Snapshot snapshot;
+    const std::string path = WriteTempFile("large-edit.surv", edited);
+    EXPECT_EQ(snapshot.Open(path).ToString(), one.ToString());
+  }
+}
+
 // --- The validator checks what the index assumes ---------------------------
 // Each case hand-edits one field of a valid image, re-stamps the CRCs so
 // the structural pass (not the CRC) decides, and expects InvalidArgument
@@ -476,6 +567,11 @@ class SnapshotRuleTest : public SnapshotTest {
         << rule << ": " << status.ToString();
     EXPECT_NE(status.message().find(rule), std::string::npos)
         << rule << ": " << status.ToString();
+    // Split into ranges of an entry or two, the check finds the same rule.
+    for (const int parts : {1, 4}) {
+      const Status split = snapshot_internal::ValidateImage(bytes, parts);
+      EXPECT_EQ(split.ToString(), status.ToString()) << parts << " parts";
+    }
   }
 
   void SetField(std::string* bytes, uint32_t id, size_t width, size_t entry,

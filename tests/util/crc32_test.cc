@@ -94,6 +94,27 @@ TEST(Crc32Test, MatchesTheBitwiseReferenceAtEveryLengthAndOffset) {
   EXPECT_EQ(Crc32Finalize(state), Crc32(all));
 }
 
+TEST(Crc32Test, CombineJoinsChecksumsOfAdjacentChunks) {
+  const std::string bytes = PseudoRandomBytes(3000);
+  const std::string_view all(bytes);
+  // Every split of a short buffer, empty halves included.
+  const uint32_t whole = Crc32(all.substr(0, 300));
+  for (size_t split = 0; split <= 300; ++split) {
+    const std::string_view a = all.substr(0, split);
+    const std::string_view b = all.substr(split, 300 - split);
+    ASSERT_EQ(Crc32Combine(Crc32(a), Crc32(b), b.size()), whole) << split;
+  }
+  // Uneven chunks folded left to right, as a partitioned check joins them.
+  uint32_t crc = 0;
+  for (size_t at = 0, chunk = 1; at < all.size(); at += chunk, chunk *= 3) {
+    const std::string_view piece = all.substr(at, chunk);
+    crc = Crc32Combine(crc, Crc32(piece), piece.size());
+  }
+  EXPECT_EQ(crc, Crc32(all));
+  EXPECT_EQ(Crc32Combine(0, 0xCBF43926u, 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32Combine(0xCBF43926u, 0, 0), 0xCBF43926u);
+}
+
 TEST(Crc32Test, TableKernelMatchesTheBitwiseReference) {
   ExpectMatchesReferenceAtEveryLengthAndOffset(crc32_internal::UpdateTable);
   ExpectMatchesReferenceOnFourMebibytes(crc32_internal::UpdateTable);
