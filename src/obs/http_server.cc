@@ -295,8 +295,13 @@ ParseOutcome ParseOne(std::string_view in, size_t max_header_bytes,
 namespace {
 
 /// How often some serving thread walks the connections for idle ones; also
-/// the longest an idle thread blocks in epoll_wait.
+/// the longest an idle thread blocks in epoll_wait while no peer is busy.
 constexpr std::chrono::milliseconds kSweepInterval(500);
+
+/// The stall guard: how long a thread may spend on one event before an
+/// idle peer takes the ready events of its loop, and so the longest an
+/// idle thread blocks while a peer is busy.
+constexpr std::chrono::milliseconds kStallBound(1);
 
 }  // namespace
 
@@ -304,15 +309,17 @@ constexpr std::chrono::milliseconds kSweepInterval(500);
 // Serving threads
 // ---------------------------------------------------------------------------
 
-void HttpServer::ServeLoop() {
+void HttpServer::ServeLoop(Loop* self) {
   const bool sweep = options_.idle_timeout_seconds > 0;
-  const int timeout_ms = sweep ? static_cast<int>(kSweepInterval.count()) : -1;
+  const int idle_ms = sweep ? static_cast<int>(kSweepInterval.count()) : -1;
   for (;;) {
     epoll_event event{};
-    const int n = ::epoll_wait(epoll_fd_, &event, 1, timeout_ms);
+    const int n =
+        ::epoll_wait(self->epoll_fd, &event, 1, WaitMs(self, idle_ms));
+    self->waits_long.store(false, std::memory_order_relaxed);
     if (n < 0 && errno != EINTR) return;
+    const Clock::rep now = Clock::now().time_since_epoch().count();
     if (sweep) {
-      const Clock::rep now = Clock::now().time_since_epoch().count();
       Clock::rep due = next_sweep_.load(std::memory_order_relaxed);
       if (now >= due &&
           next_sweep_.compare_exchange_strong(
@@ -321,17 +328,94 @@ void HttpServer::ServeLoop() {
         SweepIdle();
       }
     }
-    if (n <= 0) continue;
-    if (event.data.ptr == &wake_fd_) return;  // Stop(): never drained
-    if (event.data.ptr == &listen_fd_) {
-      AcceptAll();
-      continue;
-    }
-    OnEvent(static_cast<Connection*>(event.data.ptr), event.events);
+    if (n == 0 && !ServeStalledPeers(self)) return;
+    if (n > 0 && !Dispatch(self, event.data.ptr, event.events, now)) return;
   }
 }
 
-void HttpServer::AcceptAll() {
+bool HttpServer::Dispatch(Loop* self, void* tag, uint32_t events,
+                          Clock::rep now) {
+  if (tag == &wake_fd_) return false;  // Stop(): never drained
+  if (tag == &nudge_fd_) return true;  // the next wait looks at the peers
+  // Sequentially consistent, with the loads and store it pairs with in
+  // WaitMs and NudgeBeforeHandler: of a thread turning busy and one
+  // about to block past the bound, at least one sees the other.
+  self->busy_since.store(now, std::memory_order_seq_cst);
+  if (tag == &listen_fd_) {
+    AcceptAll(self);
+  } else {
+    OnEvent(self, static_cast<Connection*>(tag), events);
+  }
+  self->busy_since.store(0, std::memory_order_relaxed);
+  return true;
+}
+
+int HttpServer::WaitMs(Loop* self, int idle_ms) const {
+  // Announced before looking: a peer turning busy either is seen here or
+  // sees the announcement (Dispatch, NudgeBeforeHandler).
+  self->waits_long.store(true, std::memory_order_seq_cst);
+  for (const auto& peer : loops_) {
+    if (peer.get() != self &&
+        peer->busy_since.load(std::memory_order_seq_cst) != 0) {
+      self->waits_long.store(false, std::memory_order_relaxed);
+      return static_cast<int>(kStallBound.count());
+    }
+  }
+  return idle_ms;
+}
+
+void HttpServer::NudgeBeforeHandler(const Loop* self,
+                                    const Connection* conn) const {
+  // Only connections homed here, other than `conn`, can wait on this
+  // thread; with one connection per loop this is the whole cost.
+  const size_t others = conn->home == self ? 1 : 0;
+  if (self->connections.load(std::memory_order_relaxed) <= others) return;
+  for (const auto& peer : loops_) {
+    if (peer.get() != self &&
+        peer->waits_long.load(std::memory_order_seq_cst)) {
+      const uint64_t one = 1;
+      ssize_t ignored = ::write(nudge_fd_, &one, sizeof(one));
+      (void)ignored;
+      return;
+    }
+  }
+}
+
+bool HttpServer::ServeStalledPeers(Loop* self) {
+  for (const auto& peer : loops_) {
+    if (peer.get() == self) continue;
+    for (;;) {
+      const Clock::rep now = Clock::now().time_since_epoch().count();
+      const Clock::rep since =
+          peer->busy_since.load(std::memory_order_relaxed);
+      if (since == 0 || now - since < Clock::duration(kStallBound).count()) {
+        break;
+      }
+      // One-shot arming makes the taker of an event its only owner, from
+      // whichever set it was taken; what it re-arms goes back home.
+      epoll_event event{};
+      if (::epoll_wait(peer->epoll_fd, &event, 1, 0) != 1) break;
+      if (!Dispatch(self, event.data.ptr, event.events, now)) return false;
+    }
+  }
+  return true;
+}
+
+HttpServer::Loop* HttpServer::Place(Loop* self) {
+  Loop* home = self;
+  size_t fewest = self->connections.load(std::memory_order_relaxed);
+  for (const auto& loop : loops_) {
+    const size_t open = loop->connections.load(std::memory_order_relaxed);
+    if (open < fewest) {
+      home = loop.get();
+      fewest = open;
+    }
+  }
+  home->connections.fetch_add(1, std::memory_order_relaxed);
+  return home;
+}
+
+void HttpServer::AcceptAll(Loop* self) {
   // Serialized once; every over-capacity connection gets the same bytes.
   static const std::string at_capacity = SimpleResponseBytes(
       503, "server at connection capacity\n", /*keep_alive=*/false,
@@ -373,6 +457,7 @@ void HttpServer::AcceptAll() {
     {
       MutexLock lock(conn->mutex);
       conn->fd = client;
+      conn->home = Place(self);
       conn->last_activity = Clock::now();
       armed = Arm(conn, EPOLL_CTL_ADD);
       if (!armed) Close(conn);
@@ -381,7 +466,8 @@ void HttpServer::AcceptAll() {
   }
 }
 
-void HttpServer::OnEvent(Connection* conn, uint32_t events) {
+void HttpServer::OnEvent(const Loop* self, Connection* conn,
+                         uint32_t events) {
   bool dequeued = false;
   while (conn != nullptr) {
     Connection* next = nullptr;
@@ -393,7 +479,7 @@ void HttpServer::OnEvent(Connection* conn, uint32_t events) {
         Close(conn);
         closed = true;
       } else {
-        closed = Serve(conn, dequeued, &next);
+        closed = Serve(self, conn, dequeued, &next);
       }
     }
     if (closed) Forget(conn);
@@ -404,7 +490,8 @@ void HttpServer::OnEvent(Connection* conn, uint32_t events) {
   }
 }
 
-bool HttpServer::Serve(Connection* conn, bool dequeued, Connection** next) {
+bool HttpServer::Serve(const Loop* self, Connection* conn, bool dequeued,
+                       Connection** next) {
   bool run = dequeued;  // conn's request holds a slot and runs first
   bool holding_slot = false;
   bool alive = true;
@@ -436,6 +523,7 @@ bool HttpServer::Serve(Connection* conn, bool dequeued, Connection** next) {
     if (run) {
       run = false;
       holding_slot = true;
+      NudgeBeforeHandler(self, conn);
       const HttpResponse response =
           handler_(conn->method, conn->target, conn->body);
       const bool keep_alive =
@@ -484,6 +572,7 @@ bool HttpServer::Serve(Connection* conn, bool dequeued, Connection** next) {
       break;
     }
     requests_total_->Increment();
+    if (conn->home != self) stolen_total_->Increment();
     conn->sent_continue = false;
     conn->method = request.method;
     conn->target = request.target;
@@ -609,7 +698,7 @@ bool HttpServer::Arm(Connection* conn, int op) {
   conn->armed = true;
   // From here another thread may take the event; it waits on conn->mutex
   // until this owner is done.
-  return ::epoll_ctl(epoll_fd_, op, conn->fd, &event) == 0;
+  return ::epoll_ctl(conn->home->epoll_fd, op, conn->fd, &event) == 0;
 }
 
 void HttpServer::Close(Connection* conn) {
@@ -618,8 +707,9 @@ void HttpServer::Close(Connection* conn) {
     unflushed_.fetch_sub(1, std::memory_order_acq_rel);
   }
   conn->armed = false;
+  conn->home->connections.fetch_sub(1, std::memory_order_relaxed);
   ReleaseConnection();
-  ::close(conn->fd);  // also drops it from the epoll set
+  ::close(conn->fd);  // also drops it from its loop
   conn->fd = -1;
 }
 
@@ -662,14 +752,18 @@ void HttpServer::ReleaseConnection() {
 }
 
 void HttpServer::CloseFds() {
-  for (int* fd : {&listen_fd_, &epoll_fd_, &wake_fd_}) {
+  for (const auto& loop : loops_) {
+    if (loop->epoll_fd >= 0) ::close(loop->epoll_fd);
+  }
+  loops_.clear();
+  for (int* fd : {&listen_fd_, &wake_fd_, &nudge_fd_}) {
     if (*fd >= 0) ::close(*fd);
     *fd = -1;
   }
 }
 
 Status HttpServer::Start() {
-  if (epoll_fd_ >= 0) {
+  if (!loops_.empty()) {
     return Status::FailedPrecondition("http server already started");
   }
   if (options_.port < 0 || options_.port > 65535) {
@@ -695,6 +789,7 @@ Status HttpServer::Start() {
         metrics_->GetCounter("surveyor_http_parse_errors_total");
     idle_timeouts_total_ =
         metrics_->GetCounter("surveyor_http_idle_timeouts_total");
+    stolen_total_ = metrics_->GetCounter("surveyor_http_stolen_total");
     connections_gauge_ = metrics_->GetGauge("surveyor_http_connections");
     queue_depth_gauge_ = metrics_->GetGauge("surveyor_http_queue_depth");
     metrics_->SetHelp("surveyor_http_accepted_total",
@@ -709,6 +804,9 @@ Status HttpServer::Start() {
                       "Connections dropped for malformed/oversized requests");
     metrics_->SetHelp("surveyor_http_idle_timeouts_total",
                       "Connections closed by the idle-timeout sweep");
+    metrics_->SetHelp("surveyor_http_stolen_total",
+                      "Requests read by a thread other than their "
+                      "connection's home");
     metrics_->SetHelp("surveyor_http_connections",
                       "Open connections across all workers");
     metrics_->SetHelp("surveyor_http_queue_depth",
@@ -749,21 +847,35 @@ Status HttpServer::Start() {
     port_ = ntohs(bound.sin_port);
   }
 
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) return fail("epoll_create1()");
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (wake_fd_ < 0) return fail("eventfd()");
-  // Tagged by the address of the member holding each fd.
-  epoll_event event{};
-  event.events = EPOLLIN | EPOLLET;
-  event.data.ptr = &listen_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &event) != 0) {
-    return fail("epoll_ctl(listen)");
-  }
-  event.events = EPOLLIN;
-  event.data.ptr = &wake_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &event) != 0) {
-    return fail("epoll_ctl(wake)");
+  nudge_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (nudge_fd_ < 0) return fail("eventfd()");
+  // One thread more than handler slots: a thread is always free to
+  // accept, read and shed, whatever the handlers are doing.
+  const int threads = options_.handler_threads + 1;
+  for (int i = 0; i < threads; ++i) {
+    Loop* loop = loops_.emplace_back(std::make_unique<Loop>()).get();
+    loop->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+    if (loop->epoll_fd < 0) return fail("epoll_create1()");
+    // Tagged by the address of the member holding each fd. An edge of the
+    // listening socket or of the nudge wakes one idle thread; the
+    // listener's drains accept4.
+    epoll_event event{};
+    event.events = EPOLLIN | EPOLLET | EPOLLEXCLUSIVE;
+    event.data.ptr = &listen_fd_;
+    if (::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, listen_fd_, &event) != 0) {
+      return fail("epoll_ctl(listen)");
+    }
+    event.data.ptr = &nudge_fd_;
+    if (::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, nudge_fd_, &event) != 0) {
+      return fail("epoll_ctl(nudge)");
+    }
+    event.events = EPOLLIN;
+    event.data.ptr = &wake_fd_;
+    if (::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, wake_fd_, &event) != 0) {
+      return fail("epoll_ctl(wake)");
+    }
   }
 
   draining_.store(false);
@@ -772,22 +884,21 @@ Status HttpServer::Start() {
   next_sweep_.store(0);
   connections_gauge_->Set(0);
   queue_depth_gauge_->Set(0);
-  // One thread more than handler slots: a thread is always free to
-  // accept, read and shed, whatever the handlers are doing.
-  const int threads = options_.handler_threads + 1;
-  threads_.reserve(static_cast<size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    threads_.emplace_back([this] { ServeLoop(); });
+  threads_.reserve(loops_.size());
+  for (const auto& loop : loops_) {
+    threads_.emplace_back([this, self = loop.get()] { ServeLoop(self); });
   }
   return Status::OK();
 }
 
 void HttpServer::Stop() {
-  if (epoll_fd_ < 0) return;
+  if (loops_.empty()) return;
   // 1. Stop admitting: new connections are refused, newly parsed
   //    requests answer 503.
   draining_.store(true, std::memory_order_release);
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+  for (const auto& loop : loops_) {
+    ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_DEL, listen_fd_, nullptr);
+  }
   ::shutdown(listen_fd_, SHUT_RDWR);
 
   // 2. Drain: wait (bounded) for queued and executing requests to write

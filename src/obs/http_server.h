@@ -79,12 +79,19 @@ struct HttpServerOptions {
 /// Dependency-free epoll-based HTTP/1.1 server — the serving tier under
 /// the admin plane and the /v1 query API:
 ///
-///   - `handler_threads + 1` identical threads block on one epoll set
-///     that holds the listening socket and every connection. A thread
+///   - `handler_threads + 1` identical threads, each blocking on an epoll
+///     set of its own (a loop) that holds the listening socket and the
+///     connections homed there. A connection's home is the loop with the
+///     fewest open connections when it is accepted, so the thread that
+///     answered its last request is the one woken for its next. A thread
 ///     takes one event at a time; connections are armed EPOLLONESHOT, so
 ///     the thread that receives a connection's event owns it until it
-///     re-arms it, and reads, parses, runs the handler, and writes the
-///     response itself — a request never changes thread;
+///     re-arms it in its home loop, and reads, parses, runs the handler,
+///     and writes the response itself — a request never changes thread;
+///   - a stall guard: a thread with nothing to do takes the ready events
+///     of a loop whose thread has spent a fixed bound (1 ms) on one
+///     event, so a slow handler delays the other connections homed on its
+///     thread by about that bound, not by the handler's whole run;
 ///   - keep-alive with an idle-timeout sweep, write back-pressure through
 ///     EPOLLOUT, pipelined requests answered in order;
 ///   - admission control: at most `handler_threads` handlers run at once;
@@ -128,12 +135,28 @@ class HttpServer {
   int64_t shed_count() const;
 
  private:
+  /// One serving thread's epoll set. Aligned to a cache line: every
+  /// thread reads every loop's `busy_since` before it blocks.
+  struct alignas(64) Loop {
+    int epoll_fd = -1;
+    /// Open connections homed here.
+    std::atomic<size_t> connections{0};
+    /// When this loop's thread took the event it is serving (steady_clock
+    /// ticks); 0 while it waits.
+    std::atomic<std::chrono::steady_clock::rep> busy_since{0};
+    /// Its thread blocks past the stall bound: no peer was busy when it
+    /// looked. A peer that turns busy with connections to strand nudges it.
+    std::atomic<bool> waits_long{false};
+  };
+
   /// One accepted socket. Its owner — the thread that took the
   /// connection's epoll event or its FIFO entry — holds `mutex` until it
   /// re-arms or closes the connection; the idle sweep only try-locks it.
   struct Connection {
     Mutex mutex;
     int fd SURVEYOR_GUARDED_BY(mutex) = -1;
+    /// The loop it is armed in; set once, at accept.
+    Loop* home SURVEYOR_GUARDED_BY(mutex) = nullptr;
     /// Raw bytes read, not yet consumed by the parser.
     std::string in SURVEYOR_GUARDED_BY(mutex);
     /// Response bytes not yet written; `out_pos` is the write cursor so
@@ -164,18 +187,38 @@ class HttpServer {
   /// What Admit() decided for a parsed request.
   enum class Admission { kRun, kQueued, kShed };
 
-  void ServeLoop();
-  void AcceptAll();
+  /// The serving thread of `self`: waits on its loop, and takes over the
+  /// ready events of stalled peers while it has nothing else to do.
+  void ServeLoop(Loop* self);
+  /// Serves one event taken from `self`'s loop or a stalled peer's;
+  /// false for the wake event, which ends the thread.
+  bool Dispatch(Loop* self, void* tag, uint32_t events,
+                std::chrono::steady_clock::rep now);
+  /// How long `self` may block: the stall bound while a peer is busy,
+  /// else `idle_ms`, announced in `waits_long`.
+  int WaitMs(Loop* self, int idle_ms) const;
+  /// Before `self`'s thread runs a handler for `conn`: if other
+  /// connections homed on `self` could wait on it and a peer blocks past
+  /// the stall bound, wakes an idle thread to watch.
+  void NudgeBeforeHandler(const Loop* self, const Connection* conn) const
+      SURVEYOR_REQUIRES(conn->mutex);
+  /// Serves the ready events of every peer stalled for the bound; false
+  /// once the wake event was among them.
+  bool ServeStalledPeers(Loop* self);
+  void AcceptAll(Loop* self);
+  /// The loop with the fewest open connections, `self` on a tie; counts
+  /// the new connection there.
+  Loop* Place(Loop* self);
   /// Reads, parses and serves `conn` after its epoll event, then serves
   /// the connections whose queued requests this thread's finished
   /// handlers took over.
-  void OnEvent(Connection* conn, uint32_t events);
-  /// Serves `conn` under its lock; returns true when it must be freed.
-  /// `dequeued`: `conn` comes off the FIFO with a handler slot, to run
-  /// its waiting request first. `*next` receives a queued connection the
-  /// slot passed to.
-  bool Serve(Connection* conn, bool dequeued, Connection** next)
-      SURVEYOR_REQUIRES(conn->mutex);
+  void OnEvent(const Loop* self, Connection* conn, uint32_t events);
+  /// Serves `conn` under its lock on `self`'s thread; returns true when
+  /// it must be freed. `dequeued`: `conn` comes off the FIFO with a
+  /// handler slot, to run its waiting request first. `*next` receives a
+  /// queued connection the slot passed to.
+  bool Serve(const Loop* self, Connection* conn, bool dequeued,
+             Connection** next) SURVEYOR_REQUIRES(conn->mutex);
   /// Takes a handler slot for `conn`'s parsed request, or queues or sheds
   /// it. `holding_slot`: this thread still holds the slot of the handler
   /// it just ran; queueing `conn` then hands that slot to the FIFO head,
@@ -189,8 +232,8 @@ class HttpServer {
   void Read(Connection* conn) SURVEYOR_REQUIRES(conn->mutex);
   /// Writes pending output; false when the socket failed.
   bool Flush(Connection* conn) SURVEYOR_REQUIRES(conn->mutex);
-  /// Parks the connection in epoll, one-shot, for what it waits on next:
-  /// its output to drain, else its next request.
+  /// Parks the connection in its home loop, one-shot, for what it waits
+  /// on next: its output to drain, else its next request.
   bool Arm(Connection* conn, int op) SURVEYOR_REQUIRES(conn->mutex);
   void Close(Connection* conn) SURVEYOR_REQUIRES(conn->mutex);
   void SweepIdle() SURVEYOR_EXCLUDES(registry_mutex_);
@@ -213,6 +256,7 @@ class HttpServer {
   Counter* shed_total_ = nullptr;
   Counter* parse_errors_total_ = nullptr;
   Counter* idle_timeouts_total_ = nullptr;
+  Counter* stolen_total_ = nullptr;
   Gauge* connections_gauge_ = nullptr;
   Gauge* queue_depth_gauge_ = nullptr;
 
@@ -230,11 +274,15 @@ class HttpServer {
   int running_ SURVEYOR_GUARDED_BY(admit_mutex_) = 0;
   std::deque<Connection*> waiting_ SURVEYOR_GUARDED_BY(admit_mutex_);
 
+  /// One per serving thread, `handler_threads + 1`; empty when stopped.
+  std::vector<std::unique_ptr<Loop>> loops_;
   int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  /// Never drained once written: level-triggered, it wakes every thread
-  /// for shutdown.
+  /// Never drained once written: level-triggered and in every loop, it
+  /// wakes every thread for shutdown.
   int wake_fd_ = -1;
+  /// Never read: edge-triggered and exclusive in every loop, each write
+  /// wakes one idle thread (NudgeBeforeHandler).
+  int nudge_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> draining_{false};
   /// Connections parked with response bytes the socket has not taken

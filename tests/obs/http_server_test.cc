@@ -3,7 +3,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
+#include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -461,6 +464,231 @@ TEST(HttpServerTest, SlowHandlerDoesNotStallOtherConnections) {
 
   latch.Release();
   EXPECT_NE(wedged.ReadResponse().find("200 OK"), std::string::npos);
+  server.Stop();
+}
+
+TEST(HttpServerTest, RequestsStayOnTheirConnectionsThread) {
+  // Each connection is homed on one serving thread's loop, and only the
+  // stall guard reads its requests elsewhere, counting each one it does.
+  MetricRegistry metrics;
+  HttpServerOptions options;
+  options.metrics = &metrics;
+  constexpr int kConnections = 4;
+  constexpr int kRequestsEach = 50;
+  std::mutex mutex;
+  std::vector<std::map<std::thread::id, int>> served(kConnections);
+  HttpServer server(
+      [&](std::string_view method, std::string_view target,
+          std::string_view body) {
+        const int connection = target[2] - '0';  // "/c<i>?r=<j>"
+        {
+          std::lock_guard<std::mutex> lock(mutex);
+          ++served[connection][std::this_thread::get_id()];
+        }
+        return EchoHandler(method, target, body);
+      },
+      options);
+  ASSERT_TRUE(server.Start().ok());
+  const auto request = [](int connection, int r) {
+    return "/c" + std::to_string(connection) + "?r=" + std::to_string(r);
+  };
+
+  // Each connection is answered once before the next connects, so every
+  // placement counts the connections placed before it.
+  std::vector<std::unique_ptr<RawClient>> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    clients.push_back(std::make_unique<RawClient>(server.port()));
+    ASSERT_TRUE(clients[c]->Send("GET " + request(c, 0) +
+                                 " HTTP/1.1\r\nHost: t\r\n\r\n"));
+    ASSERT_NE(clients[c]->ReadResponse().find("200 OK"), std::string::npos);
+  }
+  std::atomic<int> ok{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kConnections; ++c) {
+    threads.emplace_back([&, c] {
+      for (int r = 1; r < kRequestsEach; ++r) {
+        const std::string target = request(c, r);
+        if (!clients[c]->Send("GET " + target +
+                              " HTTP/1.1\r\nHost: t\r\n\r\n")) {
+          return;
+        }
+        if (clients[c]->ReadResponse().find("GET " + target) !=
+            std::string::npos) {
+          ok.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(ok.load(), kConnections * (kRequestsEach - 1));
+
+  // A connection's home thread is the one that served most of its
+  // requests; the rest were read off it.
+  std::set<std::thread::id> homes;
+  int64_t off_home = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    for (const auto& by_thread : served) {
+      auto home = by_thread.begin();
+      int total = 0;
+      for (auto it = by_thread.begin(); it != by_thread.end(); ++it) {
+        total += it->second;
+        if (it->second > home->second) home = it;
+      }
+      ASSERT_EQ(total, kRequestsEach);
+      homes.insert(home->first);
+      off_home += total - home->second;
+    }
+  }
+  EXPECT_EQ(homes.size(), static_cast<size_t>(kConnections));
+  EXPECT_LE(off_home,
+            metrics.GetCounter("surveyor_http_stolen_total")->Value());
+  server.Stop();
+}
+
+TEST(HttpServerTest, WedgedThreadStrandsNoConnection) {
+  // One handler slot, a one-deep queue, two serving threads. The wedged
+  // handler holds the slot and its thread, and new connections are homed
+  // on both loops in turn; those on the wedged thread's loop must still
+  // be read, then queued or shed, by the other thread within the stall
+  // bound.
+  MetricRegistry metrics;
+  HttpServerOptions options;
+  options.handler_threads = 1;
+  options.queue_high_water = 1;
+  options.metrics = &metrics;
+  HandlerLatch latch;
+  HttpServer server(
+      [&](std::string_view, std::string_view, std::string_view) {
+        latch.Hold();
+        HttpResponse response;
+        response.body = "done\n";
+        return response;
+      },
+      options);
+  ASSERT_TRUE(server.Start().ok());
+  RawClient wedged(server.port());
+  ASSERT_TRUE(wedged.Send("GET /wedge HTTP/1.1\r\nHost: t\r\n\r\n"));
+  ASSERT_TRUE(latch.WaitEntered());
+
+  constexpr int kClients = 6;
+  std::vector<std::unique_ptr<RawClient>> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.push_back(std::make_unique<RawClient>(server.port()));
+    ASSERT_TRUE(clients[i]->Send("GET /r" + std::to_string(i) +
+                                 " HTTP/1.1\r\nHost: t\r\n\r\n"));
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(250);
+  int shed = 0;
+  std::vector<RawClient*> waiting;
+  for (const auto& client : clients) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    const int left_ms = static_cast<int>(std::max<int64_t>(0, left.count()));
+    const std::string response = client->ReadResponse(left_ms);
+    if (response.find("HTTP/1.1 429") != std::string::npos) {
+      ++shed;
+    } else {
+      EXPECT_EQ(response, "");
+      waiting.push_back(client.get());
+    }
+  }
+  EXPECT_EQ(shed, kClients - 1);
+  ASSERT_EQ(waiting.size(), 1u);
+  EXPECT_EQ(metrics.GetGauge("surveyor_http_queue_depth")->Value(), 1);
+  EXPECT_GT(metrics.GetCounter("surveyor_http_stolen_total")->Value(), 0);
+
+  latch.Release();
+  EXPECT_NE(wedged.ReadResponse().find("200 OK"), std::string::npos);
+  EXPECT_NE(waiting[0]->ReadResponse().find("200 OK"), std::string::npos);
+  server.Stop();
+}
+
+TEST(HttpServerTest, IdleThreadIsWokenToWatchAStalledLoop) {
+  // With the sweep off, an idle thread blocks until something wakes it. A
+  // handler that starts while another connection is homed on its thread
+  // wakes one, which reads that connection's request once the handler has
+  // run for the stall bound.
+  MetricRegistry metrics;
+  HttpServerOptions options;
+  options.handler_threads = 1;
+  options.queue_high_water = 1;
+  options.idle_timeout_seconds = 0;
+  options.metrics = &metrics;
+  HandlerLatch latch;
+  constexpr int kConnections = 3;
+  std::mutex mutex;
+  std::vector<std::map<std::thread::id, int>> served(kConnections);
+  HttpServer server(
+      [&](std::string_view method, std::string_view target,
+          std::string_view body) {
+        if (target == "/wedge") {
+          latch.Hold();
+        } else if (target.substr(0, 2) == "/c") {
+          std::lock_guard<std::mutex> lock(mutex);
+          ++served[target[2] - '0'][std::this_thread::get_id()];
+        }
+        return EchoHandler(method, target, body);
+      },
+      options);
+  ASSERT_TRUE(server.Start().ok());
+
+  // Three connections over two loops: two share a home thread, the one
+  // that serves most of each one's requests.
+  std::vector<std::unique_ptr<RawClient>> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    clients.push_back(std::make_unique<RawClient>(server.port()));
+    for (int r = 0; r < 5; ++r) {
+      ASSERT_TRUE(clients[c]->Send("GET /c" + std::to_string(c) +
+                                   " HTTP/1.1\r\nHost: t\r\n\r\n"));
+      ASSERT_NE(clients[c]->ReadResponse().find("200 OK"),
+                std::string::npos);
+    }
+  }
+  std::vector<std::thread::id> homes;
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    for (const auto& by_thread : served) {
+      auto home = by_thread.begin();
+      for (auto it = by_thread.begin(); it != by_thread.end(); ++it) {
+        if (it->second > home->second) home = it;
+      }
+      homes.push_back(home->first);
+    }
+  }
+  RawClient* wedged = nullptr;
+  RawClient* stranded = nullptr;
+  for (int a = 0; a < kConnections && wedged == nullptr; ++a) {
+    for (int b = a + 1; b < kConnections; ++b) {
+      if (homes[a] == homes[b]) {
+        wedged = clients[a].get();
+        stranded = clients[b].get();
+        break;
+      }
+    }
+  }
+  ASSERT_NE(wedged, nullptr);
+  // Both threads go back to their unbounded waits.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const Counter* stolen = metrics.GetCounter("surveyor_http_stolen_total");
+  const int64_t stolen_before = stolen->Value();
+
+  ASSERT_TRUE(wedged->Send("GET /wedge HTTP/1.1\r\nHost: t\r\n\r\n"));
+  ASSERT_TRUE(latch.WaitEntered());
+  ASSERT_TRUE(stranded->Send("GET /next HTTP/1.1\r\nHost: t\r\n\r\n"));
+  const Gauge* depth = metrics.GetGauge("surveyor_http_queue_depth");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(250);
+  while (depth->Value() != 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(depth->Value(), 1);
+  EXPECT_EQ(stolen->Value() - stolen_before, 1);
+
+  latch.Release();
+  EXPECT_NE(wedged->ReadResponse().find("GET /wedge"), std::string::npos);
+  EXPECT_NE(stranded->ReadResponse().find("GET /next"), std::string::npos);
   server.Stop();
 }
 

@@ -1,8 +1,7 @@
 // check_hotpath: hot-path hygiene linter for annotated regions in src/.
 //
 //   check_hotpath [--root DIR] [--json FILE] [--baseline FILE]
-//                 [--write-baseline FILE] [--audit-unused-status]
-//                 [--fail-on-stale-baseline]
+//                 [--write-baseline FILE] [--fail-on-stale-baseline]
 //
 // Exit codes: 0 clean, 1 violations (or stale baseline entries with
 // --fail-on-stale-baseline), 2 usage or I/O error. Violations print to
@@ -24,8 +23,7 @@ namespace {
 int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--root DIR] [--json FILE] [--baseline FILE]"
-               " [--write-baseline FILE] [--audit-unused-status]"
-               " [--fail-on-stale-baseline]\n";
+               " [--write-baseline FILE] [--fail-on-stale-baseline]\n";
   return 2;
 }
 
@@ -38,7 +36,6 @@ int main(int argc, char** argv) {
   using surveyor::hotpath::BaselineResult;
   using surveyor::hotpath::BaselineToJson;
   using surveyor::hotpath::FormatViolations;
-  using surveyor::hotpath::Options;
   using surveyor::hotpath::ParseBaselineFile;
   using surveyor::hotpath::Violation;
   using surveyor::hotpath::ViolationsToJson;
@@ -48,7 +45,6 @@ int main(int argc, char** argv) {
   std::string baseline_path;
   std::string write_baseline_path;
   bool fail_on_stale_baseline = false;
-  Options options;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -61,8 +57,6 @@ int main(int argc, char** argv) {
       baseline_path = argv[++i];
     } else if (arg == "--write-baseline" && has_value) {
       write_baseline_path = argv[++i];
-    } else if (arg == "--audit-unused-status") {
-      options.audit_unused_status = true;
     } else if (arg == "--fail-on-stale-baseline") {
       fail_on_stale_baseline = true;
     } else {
@@ -75,7 +69,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::vector<Violation> all = AnalyzeTree(root, options);
+  const std::vector<Violation> all = AnalyzeTree(root);
 
   if (!write_baseline_path.empty()) {
     std::ofstream out(write_baseline_path);

@@ -484,91 +484,10 @@ struct Scanner {
               "' constructed without reserve in hot region");
     }
   }
-
-  // -- unused-status audit --------------------------------------------------
-
-  /// Function names the token stream declares as returning Status or
-  /// StatusOr (pattern: [util::]Status[Or<...>] Qualified::Name `(`).
-  void CollectStatusReturners(std::set<std::string>* names) const {
-    for (size_t t = 0; t < toks.size(); ++t) {
-      const std::string& text = Text(t);
-      if (text != "Status" && text != "StatusOr") continue;
-      if (t > 0 && (Text(t - 1) == "." || Text(t - 1) == "->")) continue;
-      size_t j = t + 1;
-      if (text == "StatusOr") {
-        if (Text(j) != "<") continue;
-        j = SkipAngles(j);
-      }
-      if (Text(j) == "::") continue;  // Status::OK(...) expression
-      // Qualified id: IDENT (:: IDENT)*
-      std::string last;
-      while (j < toks.size() && IsIdentStart(Text(j)[0])) {
-        last = Text(j);
-        if (Text(j + 1) == "::") {
-          j += 2;
-        } else {
-          ++j;
-          break;
-        }
-      }
-      if (last.empty() || Text(j) != "(") continue;
-      names->insert(last);
-    }
-  }
-
-  void ScanUnusedStatus(const std::set<std::string>& status_returners) {
-    // A statement that is exactly a call chain `a.b()->c(...)...;` whose
-    // outermost callee returns Status discards the result.
-    size_t t = 0;
-    while (t < toks.size()) {
-      // Find a statement start.
-      if (t > 0 && Text(t - 1) != ";" && Text(t - 1) != "{" &&
-          Text(t - 1) != "}") {
-        ++t;
-        continue;
-      }
-      if (!IsIdentStart(Text(t).empty() ? ';' : Text(t)[0])) {
-        ++t;
-        continue;
-      }
-      // Match: IDENT ((. | -> | ::) IDENT)* `(` balanced `)` `;`
-      size_t j = t;
-      std::string callee = Text(j);
-      ++j;
-      while ((Text(j) == "." || Text(j) == "->" || Text(j) == "::") &&
-             !Text(j + 1).empty() && IsIdentStart(Text(j + 1)[0])) {
-        callee = Text(j + 1);
-        j += 2;
-      }
-      if (Text(j) != "(") {
-        ++t;
-        continue;
-      }
-      int depth = 0;
-      while (j < toks.size()) {
-        if (Text(j) == "(") ++depth;
-        if (Text(j) == ")") {
-          --depth;
-          if (depth == 0) break;
-        }
-        ++j;
-      }
-      if (Text(j) == ")" && Text(j + 1) == ";" &&
-          status_returners.count(callee) > 0) {
-        Add(t, "unused-status",
-            "result of status-returning '" + callee + "' is discarded");
-        t = j + 2;
-        continue;
-      }
-      ++t;
-    }
-  }
 };
 
-std::vector<Violation> AnalyzeStripped(
-    const std::string& relative_path, const StrippedFile& stripped,
-    const Options& options,
-    const std::set<std::string>* tree_status_returners) {
+std::vector<Violation> AnalyzeStripped(const std::string& relative_path,
+                                       const StrippedFile& stripped) {
   const std::vector<Tok> toks = Lex(stripped.code);
   const Regions regions = FindRegions(relative_path, stripped, toks);
 
@@ -576,14 +495,6 @@ std::vector<Violation> AnalyzeStripped(
   Scanner scanner{relative_path, toks, regions, &violations, {}};
   scanner.CollectReserves();
   scanner.ScanHotRules();
-  if (options.audit_unused_status) {
-    std::set<std::string> local;
-    if (tree_status_returners == nullptr) {
-      scanner.CollectStatusReturners(&local);
-      tree_status_returners = &local;
-    }
-    scanner.ScanUnusedStatus(*tree_status_returners);
-  }
 
   // NOLINT_HOTPATH / NOLINTNEXTLINE_HOTPATH line suppressions.
   violations.erase(
@@ -633,13 +544,11 @@ std::string JsonEscape(const std::string& s) {
 }  // namespace
 
 std::vector<Violation> AnalyzeFile(const std::string& relative_path,
-                                   const std::string& contents,
-                                   const Options& options) {
-  return AnalyzeStripped(relative_path, Strip(contents), options, nullptr);
+                                   const std::string& contents) {
+  return AnalyzeStripped(relative_path, Strip(contents));
 }
 
-std::vector<Violation> AnalyzeTree(const std::string& root,
-                                   const Options& options) {
+std::vector<Violation> AnalyzeTree(const std::string& root) {
   std::vector<std::pair<std::string, StrippedFile>> files;
   for (const auto& entry : fs::recursive_directory_iterator(root)) {
     if (!entry.is_regular_file()) continue;
@@ -654,23 +563,9 @@ std::vector<Violation> AnalyzeTree(const std::string& root,
   std::sort(files.begin(), files.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  // The audit needs the status-returning names of the whole tree: a
-  // discarded call usually targets a function declared in another file.
-  std::set<std::string> status_returners;
-  if (options.audit_unused_status) {
-    for (const auto& [path, stripped] : files) {
-      const std::vector<Tok> toks = Lex(stripped.code);
-      const Regions regions = FindRegions(path, stripped, toks);
-      Scanner scanner{path, toks, regions, nullptr, {}};
-      scanner.CollectStatusReturners(&status_returners);
-    }
-  }
-
   std::vector<Violation> violations;
   for (const auto& [path, stripped] : files) {
-    std::vector<Violation> file_violations = AnalyzeStripped(
-        path, stripped, options,
-        options.audit_unused_status ? &status_returners : nullptr);
+    std::vector<Violation> file_violations = AnalyzeStripped(path, stripped);
     violations.insert(violations.end(),
                       std::make_move_iterator(file_violations.begin()),
                       std::make_move_iterator(file_violations.end()));

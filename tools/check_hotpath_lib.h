@@ -20,9 +20,6 @@
 //                    stdio/fstream I/O.
 //   region           malformed annotations (END without BEGIN,
 //                    unterminated BEGIN).
-//   unused-status    (audit mode) a bare statement discarding the result
-//                    of a function the tree declares as returning
-//                    util::Status / StatusOr.
 //
 // Findings are suppressed per line with `// NOLINT_HOTPATH(rule)` or
 // `// NOLINTNEXTLINE_HOTPATH(rule)` (tools/lint_util.h), or
@@ -47,11 +44,6 @@ struct Violation {
   }
 };
 
-struct Options {
-  /// Also run the repo-wide unused-status audit (not region-limited).
-  bool audit_unused_status = false;
-};
-
 /// One grandfathered finding; matches a Violation on (file, line, rule).
 struct BaselineEntry {
   std::string file;
@@ -71,14 +63,12 @@ struct BaselineResult {
 /// `relative_path` is used in findings and for the util/hotpath.h
 /// self-exclusion.
 std::vector<Violation> AnalyzeFile(const std::string& relative_path,
-                                   const std::string& contents,
-                                   const Options& options = {});
+                                   const std::string& contents);
 
 /// Lints every .h/.cc/.cpp file under `root`, returning violations sorted
 /// by file, line, then rule. NOLINT_HOTPATH suppressions are already
 /// applied; baseline subtraction is the caller's job (ApplyBaseline).
-std::vector<Violation> AnalyzeTree(const std::string& root,
-                                   const Options& options = {});
+std::vector<Violation> AnalyzeTree(const std::string& root);
 
 /// Splits findings into (not in baseline, stale baseline entries).
 BaselineResult ApplyBaseline(const std::vector<Violation>& violations,

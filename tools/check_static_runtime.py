@@ -1,35 +1,51 @@
 #!/usr/bin/env python3
-"""Fails when an executable needs a shared C++ runtime.
+"""Fails when an executable needs a shared C++ runtime, or exports its own.
 
 Usage: check_static_runtime.py EXECUTABLE
 
-Reads the DT_NEEDED entries of the executable's ELF dynamic section, with
-the standard library alone, and exits 1 if one names libstdc++.so or
-libgcc_s.so: surveyor_cli links both runtimes statically
-(tools/CMakeLists.txt), which saves each `serve` start the mapping and
-initialisation of libstdc++.so.
+Reads the executable's ELF file with the standard library alone and exits 1
+if a DT_NEEDED entry of its dynamic section names libstdc++.so or
+libgcc_s.so, or if its dynamic symbol table defines a symbol of the C++
+runtime: surveyor_cli links both runtimes statically (tools/CMakeLists.txt),
+which saves each `serve` start the mapping and initialisation of
+libstdc++.so, and keeps their symbols out of the table that -rdynamic fills
+for the profiler.
 """
 
 import struct
 import sys
 
 FORBIDDEN = ("libstdc++.so", "libgcc_s.so")
+# Symbols every statically linked libstdc++ defines: exported, they make the
+# executable an interposer for the shared runtime of any library it loads.
+RUNTIME_SYMBOLS = ("__cxa_throw", "_ZSt4cout", "__gxx_personality_v0")
 PT_LOAD = 1
 PT_DYNAMIC = 2
 DT_NULL = 0
 DT_NEEDED = 1
 DT_STRTAB = 5
+SHT_DYNSYM = 11
+SHN_UNDEF = 0
 
 
-def needed_libraries(path):
-    """The DT_NEEDED names of an ELF64 file, in order."""
+def read_elf64(path):
+    """The bytes of an ELF64 file and the struct byte-order prefix."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != b"\x7fELF":
         raise ValueError(f"{path} is not an ELF file")
     if data[4] != 2:
         raise ValueError(f"{path} is not a 64-bit ELF file")
-    order = "<" if data[5] == 1 else ">"
+    return data, "<" if data[5] == 1 else ">"
+
+
+def cstring(data, start):
+    return data[start:data.index(b"\0", start)].decode()
+
+
+def needed_libraries(path):
+    """The DT_NEEDED names of an ELF64 file, in order."""
+    data, order = read_elf64(path)
     (phoff,) = struct.unpack_from(order + "Q", data, 0x20)
     phentsize, phnum = struct.unpack_from(order + "HH", data, 0x36)
     loads = []
@@ -64,10 +80,26 @@ def needed_libraries(path):
             base = offset + strtab - vaddr
     if base is None:
         raise ValueError(f"{path}: dynamic string table is not in the file")
-    names = []
-    for name_offset in needed:
-        start = base + name_offset
-        names.append(data[start:data.index(b"\0", start)].decode())
+    return [cstring(data, base + name_offset) for name_offset in needed]
+
+
+def exported_symbols(path):
+    """The names the ELF64 file's dynamic symbol table defines."""
+    data, order = read_elf64(path)
+    (shoff,) = struct.unpack_from(order + "Q", data, 0x28)
+    shentsize, shnum = struct.unpack_from(order + "HH", data, 0x3A)
+    sections = [struct.unpack_from(order + "IIQQQQIIQQ", data,
+                                   shoff + i * shentsize)
+                for i in range(shnum)]
+    names = set()
+    for _, sh_type, _, _, offset, size, link, _, _, entsize in sections:
+        if sh_type != SHT_DYNSYM or entsize == 0:
+            continue
+        strtab = sections[link][4]  # the linked string table's offset
+        for at in range(offset, offset + size, entsize):
+            name, _, _, shndx = struct.unpack_from(order + "IBBH", data, at)
+            if shndx != SHN_UNDEF:
+                names.add(cstring(data, strtab + name))
     return names
 
 
@@ -80,6 +112,12 @@ def main():
     shared = [n for n in names if n.startswith(FORBIDDEN)]
     if shared:
         print("shared C++ runtime: " + ", ".join(shared), file=sys.stderr)
+        return 1
+    exported = sorted(exported_symbols(sys.argv[1]).intersection(
+        RUNTIME_SYMBOLS))
+    if exported:
+        print("exports the C++ runtime: " + ", ".join(exported),
+              file=sys.stderr)
         return 1
     return 0
 
