@@ -285,8 +285,8 @@ void BM_ObsHistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsHistogramRecord);
 
+// A span outside any request, as at snapshot load: one thread-local read.
 void BM_ObsSpanDisabled(benchmark::State& state) {
-  obs::Tracer::Global().SetEnabled(false);
   for (auto _ : state) {
     obs::ScopedSpan span("bench.disabled");
     benchmark::DoNotOptimize(span);
@@ -294,20 +294,6 @@ void BM_ObsSpanDisabled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ObsSpanDisabled);
-
-void BM_ObsSpanEnabled(benchmark::State& state) {
-  obs::Tracer& tracer = obs::Tracer::Global();
-  tracer.Clear();
-  tracer.SetEnabled(true);
-  for (auto _ : state) {
-    obs::ScopedSpan span("bench.enabled");
-    benchmark::DoNotOptimize(span);
-  }
-  tracer.SetEnabled(false);
-  tracer.Clear();
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ObsSpanEnabled);
 
 // Log-ring appends ride on every SURVEYOR_LOG through the global tee;
 // once the ring is full each append overwrites a slot in place (reusing
@@ -355,7 +341,6 @@ BENCHMARK(BM_RequestScopeSampled);
 // A span inside a disarmed request scope: the TLS-read + null-check cost
 // the serving layer pays per SURVEYOR_SPAN when nobody is tracing.
 void BM_SpanUnderDisarmedScope(benchmark::State& state) {
-  obs::Tracer::Global().SetEnabled(false);
   obs::RequestTracerOptions options;
   options.sample_rate = 0.0;
   options.slow_threshold_seconds = 0.0;

@@ -9,7 +9,6 @@
 #include "obs/build_info.h"
 #include "obs/json_writer.h"
 #include "obs/profiler.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/statusor.h"
 #include "util/string_util.h"
@@ -305,23 +304,6 @@ AdminResponse AdminServer::Statusz() const {
     }
     writer.EndObject();
   }
-  // The live span stack per thread: what every worker is doing right now.
-  writer.Key("active_spans").BeginArray();
-  for (const ActiveSpan& span : Tracer::Global().ActiveSpans()) {
-    writer.BeginObject()
-        .Key("thread")
-        .Value(static_cast<int64_t>(span.thread_index))
-        .Key("name")
-        .Value(span.name)
-        .Key("id")
-        .Value(span.id)
-        .Key("parent_id")
-        .Value(span.parent_id)
-        .Key("start_seconds")
-        .Value(span.start_seconds)
-        .EndObject();
-  }
-  writer.EndArray();
   if (log_ring_ != nullptr) {
     writer.Key("log_messages").BeginObject();
     for (const LogSeverity severity :
@@ -560,8 +542,7 @@ AdminResponse AdminServer::Index() const {
       "  /metrics.json  metrics as JSON\n"
       "  /healthz       liveness\n"
       "  /readyz        pipeline-stage readiness\n"
-      "  /statusz       build info, stage, stage seconds, live spans, "
-      "log counters\n"
+      "  /statusz       build info, stage, stage seconds, log counters\n"
       "  /logz          recent log lines\n"
       "  /tracez        retained request traces (?format=text)\n"
       "  /requestz      recent requests (?slowest=N, ?format=text)\n"

@@ -109,8 +109,8 @@ using MetricsHook = std::function<void()>;
 ///   /healthz       liveness — 200 whenever the process can answer
 ///   /readyz        readiness — 200 once the stage machine reaches
 ///                  serving/done, 503 (with the stage name) before
-///   /statusz       JSON snapshot: stage, stage seconds, uptime, live
-///                  span stack per thread, log counters
+///   /statusz       JSON snapshot: build info, stage, stage seconds,
+///                  uptime, log counters
 ///   /logz          recent log lines from the LogRing
 ///   /tracez        retained request traces as span trees (?format=text)
 ///   /requestz      recent access-log entries (?slowest=N)

@@ -1,7 +1,6 @@
 #include "obs/report.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "obs/json_writer.h"
 
@@ -52,33 +51,6 @@ void WriteMetric(const MetricSnapshot& metric, JsonWriter& writer) {
     for (const double bound : metric.bucket_bounds) writer.Value(bound);
     writer.EndArray().Key("buckets").BeginArray();
     for (const int64_t count : metric.bucket_counts) writer.Value(count);
-    writer.EndArray();
-  }
-  writer.EndObject();
-}
-
-void WriteSpanTree(const std::vector<TraceSpan>& spans, size_t index,
-                   const std::unordered_map<uint64_t, std::vector<size_t>>&
-                       children_of,
-                   JsonWriter& writer) {
-  const TraceSpan& span = spans[index];
-  writer.BeginObject()
-      .Key("name")
-      .Value(span.name)
-      .Key("id")
-      .Value(span.id)
-      .Key("thread")
-      .Value(static_cast<int64_t>(span.thread_index))
-      .Key("start_seconds")
-      .Value(span.start_seconds)
-      .Key("duration_seconds")
-      .Value(span.duration_seconds);
-  const auto children = children_of.find(span.id);
-  if (children != children_of.end()) {
-    writer.Key("children").BeginArray();
-    for (const size_t child : children->second) {
-      WriteSpanTree(spans, child, children_of, writer);
-    }
     writer.EndArray();
   }
   writer.EndObject();
@@ -178,27 +150,6 @@ std::string RunReport::ToJson() const {
   writer.EndArray().Key("notes").BeginArray();
   for (const std::string& note : degradation.notes) writer.Value(note);
   writer.EndArray().EndObject();
-
-  // Spans come sorted by start time, so parents appear before children;
-  // roots are spans whose parent is 0 or missing (dropped).
-  std::unordered_map<uint64_t, std::vector<size_t>> children_of;
-  std::unordered_map<uint64_t, bool> present;
-  for (const TraceSpan& span : spans) present[span.id] = true;
-  std::vector<size_t> roots;
-  for (size_t i = 0; i < spans.size(); ++i) {
-    const TraceSpan& span = spans[i];
-    if (span.parent_id != 0 && present.count(span.parent_id) > 0) {
-      children_of[span.parent_id].push_back(i);
-    } else {
-      roots.push_back(i);
-    }
-  }
-  writer.Key("dropped_spans").Value(dropped_spans);
-  writer.Key("spans").BeginArray();
-  for (const size_t root : roots) {
-    WriteSpanTree(spans, root, children_of, writer);
-  }
-  writer.EndArray();
 
   writer.EndObject();
   return writer.str();

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace surveyor {
 namespace obs {
@@ -85,19 +84,16 @@ struct DegradationReport {
   std::vector<std::string> notes;
 };
 
-/// Machine-readable artifact of one pipeline run: every metric, the span
-/// tree, per-stage seconds, EM diagnostics and a mirror of PipelineStats.
+/// Machine-readable artifact of one pipeline run: every metric, per-stage
+/// seconds, EM diagnostics and a mirror of PipelineStats.
 /// `surveyor_cli mine --report FILE` serializes it with ToJson().
 struct RunReport {
   /// Free-form label (the CLI stores the workspace directory).
   std::string label;
-  /// Stage wall times, keyed by span name ("extract", "group", "em").
+  /// Stage wall times, keyed by stage name ("extract", "group", "em").
   std::map<std::string, double> stage_seconds;
   /// Every metric of the run's registry, sorted by name.
   std::vector<MetricSnapshot> metrics;
-  /// Completed spans ordered by start time; parent_id links the tree.
-  std::vector<TraceSpan> spans;
-  int64_t dropped_spans = 0;
   EmAggregateDiagnostics em;
   DegradationReport degradation;
   /// PipelineStats mirrored as name -> value, for exact cross-checking

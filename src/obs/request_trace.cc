@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "obs/access_log.h"
-#include "obs/metrics.h"
 
 namespace surveyor {
 namespace obs {
@@ -179,8 +178,6 @@ RequestTrace RequestContext::ToTrace(double duration_seconds,
   trace.dropped_spans = dropped_spans;
   trace.stats = stats;
   trace.spans.reserve(num_spans);
-  // Every span of a request ran on the thread that keeps it.
-  const uint32_t thread_index = CurrentThreadIndex();
   for (size_t i = 0; i < num_spans; ++i) {
     const SpanRecord& record =
         i < spans.size() ? spans[i] : more_spans[i - spans.size()];
@@ -188,7 +185,6 @@ RequestTrace RequestContext::ToTrace(double duration_seconds,
     span.id = record.id;
     span.parent_id = record.parent_id;
     span.name.assign(record.name);
-    span.thread_index = thread_index;
     span.start_seconds =
         std::chrono::duration<double>(record.start - start).count();
     span.duration_seconds = record.duration_seconds;

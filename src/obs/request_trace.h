@@ -27,6 +27,17 @@ struct RequestStats {
   int64_t retries = 0;
 };
 
+/// One closed span of a retained request trace. Times are relative to the
+/// request start; ids count from 1 within the trace, and parent_id 0
+/// marks the root.
+struct TraceSpan {
+  uint64_t id = 0;
+  uint64_t parent_id = 0;
+  std::string name;
+  double start_seconds = 0.0;
+  double duration_seconds = 0.0;
+};
+
 /// One completed, retained request trace: the request envelope plus the
 /// span tree collected underneath it. Span start times are relative to the
 /// request start, so a trace is self-contained.
@@ -88,10 +99,10 @@ struct SpanRecord {
 };
 
 /// Thread-local state of the request currently being served. Bridge
-/// between RequestScope (owner) and ScopedSpan (trace.cc routes spans of
-/// an armed request here instead of the global Tracer). Nothing in it
-/// allocates for a request that opens at most kInlineSpans spans; the
-/// strings of a RequestTrace are built only when the tracer keeps it.
+/// between RequestScope (owner) and ScopedSpan (trace.cc records the
+/// spans of an armed request here). Nothing in it allocates for a
+/// request that opens at most kInlineSpans spans; the strings of a
+/// RequestTrace are built only when the tracer keeps it.
 /// Internal: use RequestScope / CurrentRequestStats() /
 /// CurrentSampledTraceId().
 struct RequestContext {

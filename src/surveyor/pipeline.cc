@@ -11,7 +11,6 @@
 #include "model/diagnostics.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
-#include "obs/trace.h"
 #include "util/fault.h"
 #include "util/logging.h"
 #include "util/mutex.h"
@@ -93,6 +92,13 @@ size_t EffectiveThreads(int configured) {
   if (configured > 0) return static_cast<size_t>(configured);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 4 : hw;
+}
+
+/// Wall seconds from `start` to now: how the run times its stages.
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
 }
 
 /// Advances the admin plane's readiness machine when one is attached.
@@ -301,14 +307,11 @@ std::map<std::string, double> StatsToMap(const PipelineStats& stats) {
   return map;
 }
 
-/// Final report assembly: metric snapshot, span tree, stage seconds and
-/// the PipelineStats mirror.
-void AssembleReport(obs::MetricRegistry& registry,
-                    const obs::TraceSession& trace,
-                    const PipelineStats& stats, obs::RunReport* report) {
+/// Final report assembly: metric snapshot, stage seconds and the
+/// PipelineStats mirror.
+void AssembleReport(obs::MetricRegistry& registry, const PipelineStats& stats,
+                    obs::RunReport* report) {
   report->metrics = registry.Snapshot();
-  report->spans = trace.Snapshot();
-  report->dropped_spans = trace.dropped_spans();
   report->stage_seconds = {{"extract", stats.extraction_seconds},
                            {"group", stats.grouping_seconds},
                            {"em", stats.em_seconds}};
@@ -326,7 +329,7 @@ void AssembleReport(obs::MetricRegistry& registry,
 
 /// What every Run* entry point sets up and finishes the same way: the
 /// registry the run counts into (the live one when attached, else a
-/// run-local one), its trace session, its report and its fault scope.
+/// run-local one), its report and its fault scope.
 class RunContext {
  public:
   explicit RunContext(const SurveyorConfig& config)
@@ -344,7 +347,7 @@ class RunContext {
   void Finish(PipelineResult* result) {
     faults_.MeterInjected();
     FillDegradationStats(registry_, &result->stats);
-    AssembleReport(registry_, trace_, result->stats, &report_);
+    AssembleReport(registry_, result->stats, &report_);
     result->report = std::move(report_);
     EnterStage(config_.stage_tracker, obs::PipelineStage::kDone);
     if (config_.stage_tracker != nullptr) {
@@ -356,7 +359,6 @@ class RunContext {
   const SurveyorConfig& config_;
   obs::MetricRegistry local_registry_;
   obs::MetricRegistry& registry_;
-  obs::TraceSession trace_;
   obs::RunReport report_;
   RunFaultScope faults_;
 };
@@ -418,10 +420,8 @@ EvidenceAggregator SurveyorPipeline::Extract(DocumentSource& source,
   // source runs dry and counts into its own shard, and the shards merge at
   // the end — the paper's map-reduce at thread scale. The source is the
   // only point of coordination.
-  const uint64_t parent_span = obs::CurrentSpanId();
   for (size_t shard = 0; shard < num_threads; ++shard) {
-    pool.Submit([&, shard, parent_span] {
-      obs::ScopedSpan span("extract.shard", parent_span);
+    pool.Submit([&, shard] {
       EvidenceAggregator& aggregator = shards[shard];
       for (;;) {
         std::optional<RawDocument> doc = source.Next();
@@ -459,7 +459,7 @@ StatusOr<PipelineResult> SurveyorPipeline::GroupAndFit(
     obs::MetricRegistry& registry, obs::RunReport& report) const {
   std::vector<PropertyTypeEvidence> kept;
   {
-    obs::ScopedSpan span("group");
+    const auto start = std::chrono::steady_clock::now();
     std::vector<PropertyTypeEvidence> all_pairs =
         aggregator.GroupByType(*kb_, /*min_statements=*/1);
     obs::Counter* total_pairs =
@@ -481,8 +481,7 @@ StatusOr<PipelineResult> SurveyorPipeline::GroupAndFit(
       }
     }
     stats.num_property_type_pairs = total_pairs->Value();
-    span.End();
-    stats.grouping_seconds = span.ElapsedSeconds();
+    stats.grouping_seconds = SecondsSince(start);
   }
 
   SURVEYOR_ASSIGN_OR_RETURN(
@@ -508,20 +507,13 @@ StatusOr<PipelineResult> SurveyorPipeline::RunStreaming(
     DocumentSource& source) const {
   SURVEYOR_RETURN_IF_ERROR(config_.Validate());
   RunContext run(config_);
-  StatusOr<PipelineResult> result = [&]() -> StatusOr<PipelineResult> {
-    obs::ScopedSpan root("pipeline.run");
-    PipelineStats stats;
-    EvidenceAggregator aggregator = [&] {
-      EnterStage(config_.stage_tracker, obs::PipelineStage::kExtracting);
-      obs::ScopedSpan span("extract");
-      EvidenceAggregator extracted = Extract(source, run.registry(), &stats);
-      span.End();
-      stats.extraction_seconds = span.ElapsedSeconds();
-      return extracted;
-    }();
-    return GroupAndFit(std::move(aggregator), stats, run.registry(),
-                       run.report());
-  }();
+  PipelineStats stats;
+  EnterStage(config_.stage_tracker, obs::PipelineStage::kExtracting);
+  const auto extract_start = std::chrono::steady_clock::now();
+  EvidenceAggregator aggregator = Extract(source, run.registry(), &stats);
+  stats.extraction_seconds = SecondsSince(extract_start);
+  StatusOr<PipelineResult> result = GroupAndFit(
+      std::move(aggregator), stats, run.registry(), run.report());
   if (!result.ok()) return result;
   // A source that ends with an error mid-stream means the corpus was only
   // partially read; warn rather than pretend the numbers are complete.
@@ -572,11 +564,9 @@ StatusOr<PipelineResult> SurveyorPipeline::RunFromEvidenceWithRegistry(
   // Written by workers under error_mutex; read single-threaded after Wait.
   std::vector<obs::DegradedPairInfo> degraded_infos;
 
-  obs::ScopedSpan em_span("em");
-  const uint64_t em_parent = obs::CurrentSpanId();
+  const auto em_start = std::chrono::steady_clock::now();
   // Property-type combinations are independent: one EM per combination.
   ParallelFor(pool, evidence.size(), [&](size_t i) {
-    obs::ScopedSpan span("em.fit", em_parent);
     PropertyTypeResult& pair = result.pairs[i];
     pair.evidence = std::move(evidence[i]);
     // A failed fit degrades this pair, not the run: an injected "em_fit"
@@ -644,7 +634,7 @@ StatusOr<PipelineResult> SurveyorPipeline::RunFromEvidenceWithRegistry(
     }
   });
   if (!first_error.ok()) return first_error;
-  em_span.End();
+  result.stats.em_seconds = SecondsSince(em_start);
   RecordPoolMetrics(registry, pool, "em");
 
   if (!degraded_infos.empty()) {
@@ -672,7 +662,6 @@ StatusOr<PipelineResult> SurveyorPipeline::RunFromEvidenceWithRegistry(
     report.em.Add(std::move(diagnostics));
   }
 
-  result.stats.em_seconds = em_span.ElapsedSeconds();
   result.stats.num_kept_property_type_pairs =
       static_cast<int64_t>(result.pairs.size());
   obs::Counter* opinions =

@@ -129,8 +129,8 @@ struct PipelineStats {
 struct PipelineResult {
   std::vector<PropertyTypeResult> pairs;
   PipelineStats stats;
-  /// Machine-readable run artifact: every metric, the span tree, stage
-  /// seconds and aggregate EM diagnostics (see DESIGN.md §7).
+  /// Machine-readable run artifact: every metric, stage seconds and
+  /// aggregate EM diagnostics (see DESIGN.md §7).
   obs::RunReport report;
   /// Supporting-statement samples per (entity, property); populated only
   /// when SurveyorConfig::max_provenance_samples > 0. These are the

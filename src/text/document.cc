@@ -66,10 +66,4 @@ Status SaveCorpusToFile(const std::vector<RawDocument>& corpus,
   return SaveCorpus(corpus, os);
 }
 
-StatusOr<std::vector<RawDocument>> LoadCorpusFromFile(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) return Status::NotFound("cannot open '" + path + "'");
-  return LoadCorpus(is);
-}
-
 }  // namespace surveyor

@@ -37,7 +37,6 @@ StatusOr<std::vector<RawDocument>> LoadCorpus(std::istream& is);
 
 Status SaveCorpusToFile(const std::vector<RawDocument>& corpus,
                         const std::string& path);
-StatusOr<std::vector<RawDocument>> LoadCorpusFromFile(const std::string& path);
 
 }  // namespace surveyor
 

@@ -349,10 +349,19 @@ TEST(HttpServerTest, ExtraResponseHeadersAreWrittenVerbatim) {
 }
 
 /// A handler latch: `Hold()` parks handlers until `Release()`, and
-/// `WaitEntered()` returns once one is parked. A hold gives up after 10 s,
-/// so a failed assertion cannot leave a handler wedged under Stop().
+/// `WaitEntered()` returns once one is parked. A hold gives up after 10 s
+/// as a last resort; a ReleaseOnExit declared after the server frees it
+/// first.
 class HandlerLatch {
  public:
+  /// Releases the latch when the test's scope ends, also through an
+  /// ASSERT_* that returns early. Declared after the server, it runs
+  /// before the server's destructor drains the parked handler.
+  struct ReleaseOnExit {
+    ~ReleaseOnExit() { latch.Release(); }
+    HandlerLatch& latch;
+  };
+
   void Hold() {
     std::unique_lock<std::mutex> lock(mutex_);
     entered_ = true;
@@ -398,6 +407,7 @@ TEST(HttpServerTest, QueueOverflowIsShedWith429RetryAfter) {
         return response;
       },
       options);
+  const HandlerLatch::ReleaseOnExit release{latch};
   ASSERT_TRUE(server.Start().ok());
 
   // Each request is in place before the next one is sent, so the probe
@@ -445,6 +455,7 @@ TEST(HttpServerTest, SlowHandlerDoesNotStallOtherConnections) {
         return EchoHandler(method, target, body);
       },
       options);
+  const HandlerLatch::ReleaseOnExit release{latch};
   ASSERT_TRUE(server.Start().ok());
 
   RawClient wedged(server.port());
@@ -566,6 +577,7 @@ TEST(HttpServerTest, WedgedThreadStrandsNoConnection) {
         return response;
       },
       options);
+  const HandlerLatch::ReleaseOnExit release{latch};
   ASSERT_TRUE(server.Start().ok());
   RawClient wedged(server.port());
   ASSERT_TRUE(wedged.Send("GET /wedge HTTP/1.1\r\nHost: t\r\n\r\n"));
@@ -632,6 +644,7 @@ TEST(HttpServerTest, IdleThreadIsWokenToWatchAStalledLoop) {
         return EchoHandler(method, target, body);
       },
       options);
+  const HandlerLatch::ReleaseOnExit release{latch};
   ASSERT_TRUE(server.Start().ok());
 
   // Three connections over two loops: two share a home thread, the one

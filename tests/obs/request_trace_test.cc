@@ -259,30 +259,6 @@ TEST(RequestTracerTest, ConcurrentHammeringStaysBounded) {
   EXPECT_EQ(log.total_requests(), kThreads * kRequestsPerThread);
 }
 
-TEST(RequestScopeTest, GlobalTracerStillWorksOutsideRequests) {
-  // A request scope must not capture spans that belong to a concurrent
-  // pipeline trace session on another thread — and the global path keeps
-  // working when no scope is installed.
-  TraceSession session;
-  {
-    SURVEYOR_SPAN("pipeline.work");
-  }
-  EXPECT_EQ(session.Snapshot().size(), 1u);
-}
-
-TEST(RequestScopeTest, RequestSpansDoNotLeakIntoGlobalTracer) {
-  TraceSession session;  // Global tracing on.
-  RequestTracer tracer(AlwaysSample());
-  {
-    RequestScope scope(&tracer, nullptr, "GET", "/query");
-    SURVEYOR_SPAN("request.work");
-  }
-  // The request's spans went to the request trace, not the session.
-  EXPECT_TRUE(session.Snapshot().empty());
-  ASSERT_EQ(tracer.Snapshot().size(), 1u);
-  EXPECT_EQ(tracer.Snapshot()[0].spans.size(), 2u);
-}
-
 }  // namespace
 }  // namespace obs
 }  // namespace surveyor

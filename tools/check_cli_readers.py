@@ -2,11 +2,15 @@
 """Checks surveyor_cli's readers end to end on a freshly mined world.
 
 Usage: check_cli_readers.py CLI WORKDIR SCENARIO --only-snapshot
+       check_cli_readers.py CLI WORKDIR SCENARIO --domain D
        check_cli_readers.py CLI WORKDIR SCENARIO EXPECTED [STDIN] -- CMD [ARG..]
 
 Generates SCENARIO's world into WORKDIR (emptied first, so each check owns
 its directory) and mines it with a bare `mine WORKDIR`. --only-snapshot
 then asserts that the mine left one opinion file, WORKDIR/opinions.surv.
+--domain D instead tags every even-numbered document with domain D, puts
+one malformed line into the corpus and mines with `--domain D`: the run
+must exit 0, mine exactly the tagged documents and quarantine one.
 Otherwise `CLI CMD WORKDIR ARG..` runs with the file STDIN (if given) as
 its input, and its stdout must equal the file EXPECTED byte for byte.
 """
@@ -28,11 +32,33 @@ def run(*args, stdin=b""):
     return out.stdout.decode()
 
 
+def check_domain(cli, workdir, domain):
+    corpus = workdir / "corpus.tsv"
+    lines = []
+    tagged = 0
+    for line in corpus.read_text().splitlines(True):
+        fields = line.split("\t", 2)
+        if len(fields) == 3 and fields[0].isdigit() and int(fields[0]) % 2 == 0:
+            fields[1] = domain
+            tagged += 1
+        lines.append("\t".join(fields))
+    lines.insert(5, "not a document\n")
+    corpus.write_text("".join(lines))
+    out = run(cli, "mine", workdir, "--domain", domain)
+    for want in (f" from {tagged} documents ",
+                 "run degraded: 1 docs quarantined,"):
+        if want not in out:
+            sys.exit(f"mine --domain {domain} printed no '{want}':\n{out}")
+    return 0
+
+
 def main(cli, workdir, scenario, *check):
     workdir = Path(workdir)
     shutil.rmtree(workdir, ignore_errors=True)
     workdir.mkdir(parents=True)
     run(cli, "worldgen", scenario, workdir)
+    if check[0] == "--domain":
+        return check_domain(cli, workdir, check[1])
     run(cli, "mine", workdir)
     if check == ("--only-snapshot",):
         mined = sorted({p.name for p in workdir.iterdir()} - WORLD_FILES)

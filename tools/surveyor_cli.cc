@@ -16,10 +16,10 @@
 //       it as the next generation of DIR's store, keeping --retain N (default
 //       4; only with --publish), and --out FILE also exports the opinions as
 //       TSV. --provenance N keeps up to N supporting document references per
-//       pair in the snapshot. Without --domain the corpus is streamed with
-//       corrupt lines quarantined (counted, not fatal); with --domain it is
-//       loaded and filtered in memory. --report FILE writes the JSON run report
-//       (metrics, spans, EM diagnostics, degradation; DESIGN.md §7, §9).
+//       pair in the snapshot. The corpus is streamed with corrupt lines
+//       quarantined (counted, not fatal); --domain D mines only the documents
+//       of domain D. --report FILE writes the JSON run report (metrics,
+//       stage seconds, EM diagnostics, degradation; DESIGN.md §7, §9).
 //       --admin-port N (0 = off, the default) serves the live admin plane on
 //       127.0.0.1:N for the run: /metrics, /metrics.json, /healthz, /readyz,
 //       /statusz, /logz. --faults SPEC (or SURVEYOR_FAULTS) arms fault
@@ -73,11 +73,13 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "corpus/generator.h"
@@ -400,6 +402,32 @@ int RunServe(const std::vector<std::string>& args) {
   });
 }
 
+/// The documents of one domain (every document when `domain` is empty),
+/// streamed from `inner`. Status and fault counters are the inner
+/// source's, so a quarantined line counts whatever its domain.
+class DomainSource : public DocumentSource {
+ public:
+  DomainSource(DocumentSource* inner, std::string domain)
+      : inner_(inner), domain_(std::move(domain)) {}
+
+  std::optional<RawDocument> Next() override {
+    for (;;) {
+      std::optional<RawDocument> doc = inner_->Next();
+      if (!doc.has_value() || domain_.empty() || doc->domain == domain_) {
+        return doc;
+      }
+    }
+  }
+  Status status() const override { return inner_->status(); }
+  DocumentSourceCounters counters() const override {
+    return inner_->counters();
+  }
+
+ private:
+  DocumentSource* inner_;
+  const std::string domain_;
+};
+
 /// `mine`: runs the pipeline over a workspace and writes the opinion
 /// snapshot, plus whatever else the flags ask for.
 int RunMine(const std::vector<std::string>& args) {
@@ -525,20 +553,15 @@ int RunMine(const std::vector<std::string>& args) {
 
   SurveyorPipeline pipeline(&*kb, &*lexicon, config);
   StatusOr<PipelineResult> result = [&]() -> StatusOr<PipelineResult> {
-    if (domain.empty()) {
-      // Stream the corpus from disk — the snapshot posture: corrupt lines
-      // are quarantined and counted instead of failing the run, and the
-      // file never needs to fit in memory.
-      FileDocumentSourceOptions source_options;
-      source_options.quarantine_corrupt = true;
-      FileDocumentSource source(dir + "/corpus.tsv", source_options);
-      SURVEYOR_RETURN_IF_ERROR(source.status());
-      return pipeline.RunStreaming(source);
-    }
-    // Domain filtering needs the documents in hand; load and filter.
-    SURVEYOR_ASSIGN_OR_RETURN(const std::vector<RawDocument> corpus,
-                              LoadCorpusFromFile(dir + "/corpus.tsv"));
-    return pipeline.Run(FilterByDomain(corpus, domain));
+    // Stream the corpus from disk — the snapshot posture: corrupt lines
+    // are quarantined and counted instead of failing the run, and the
+    // file never needs to fit in memory.
+    FileDocumentSourceOptions source_options;
+    source_options.quarantine_corrupt = true;
+    FileDocumentSource file(dir + "/corpus.tsv", source_options);
+    SURVEYOR_RETURN_IF_ERROR(file.status());
+    DomainSource source(&file, domain);
+    return pipeline.RunStreaming(source);
   }();
 
   if (!profile_path.empty()) {
