@@ -179,11 +179,13 @@ ParseOutcome ParseError(ParsedRequest* out, int status,
 /// before closing).
 ParseOutcome ParseOne(std::string_view in, size_t max_header_bytes,
                       size_t max_body_bytes, ParsedRequest* out) {
-  // Find the end of the head; tolerate bare-LF line endings.
+  // Find the end of the head; tolerate bare-LF line endings. A bare-LF
+  // terminator ends the head only if it starts before the CRLF one, so
+  // only the bytes before that are searched for it, never the body.
   size_t head_end = std::string_view::npos;
   size_t body_start = 0;
   const size_t crlf = in.find("\r\n\r\n");
-  const size_t lf = in.find("\n\n");
+  const size_t lf = in.substr(0, crlf).find("\n\n");
   if (crlf != std::string_view::npos &&
       (lf == std::string_view::npos || crlf < lf)) {
     head_end = crlf;

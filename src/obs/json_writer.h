@@ -1,6 +1,7 @@
 #ifndef SURVEYOR_OBS_JSON_WRITER_H_
 #define SURVEYOR_OBS_JSON_WRITER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -59,10 +60,28 @@ class JsonWriter {
 /// (UTF-8 included) is copied as is.
 void AppendJsonEscaped(std::string_view text, std::string* out);
 
+/// The bytes AppendJsonEscaped appends for `text`.
+size_t JsonEscapedSize(std::string_view text);
+
+/// Writes what AppendJsonEscaped appends for `text` to `out`, which holds
+/// JsonEscapedSize(text) bytes; returns the end of what it wrote.
+char* WriteJsonEscaped(std::string_view text, char* out);
+
 /// Appends a double the way JSON expects: integral values as integers,
 /// others with 10 significant digits (printf's "%.10g"), non-finite
 /// values as null.
 void AppendJsonNumber(double value, std::string* out);
+
+/// Room FormatJsonNumber needs.
+inline constexpr size_t kJsonNumberBufferSize = 32;
+
+/// Writes what AppendJsonNumber appends for `value` to `buffer`, which
+/// holds kJsonNumberBufferSize bytes; returns its length. A finite value
+/// in [1e-10, 1), where a mined posterior almost always lies, is printed
+/// from its exact binary value by integer arithmetic; every other value
+/// goes through std::to_chars. Both give the same bytes
+/// (tests/obs/json_writer_test.cc).
+size_t FormatJsonNumber(double value, char* buffer);
 
 /// AppendJsonNumber into a fresh string.
 std::string JsonNumber(double value);

@@ -7,21 +7,10 @@
 #include "obs/trace.h"
 #include "util/fault.h"
 #include "util/hotpath.h"
-#include "util/string_util.h"
 
 namespace surveyor {
 namespace serving {
 namespace {
-
-/// Lower-cases into a reused thread-local buffer. Point lookups are the
-/// serving fast path; after warm-up this never allocates. The reference
-/// is valid until the next call on the same thread.
-const std::string& LowerScratch(std::string_view text) {
-  thread_local std::string scratch;
-  scratch.resize(text.size());
-  for (size_t i = 0; i < text.size(); ++i) scratch[i] = AsciiLower(text[i]);
-  return scratch;
-}
 
 /// The one decode: a record of `block` as an answer whose names and
 /// provenance are views into the mapping.
@@ -141,16 +130,23 @@ StatusOr<Snapshot::RecordLoc> OpinionIndex::Locate(
   if (generation == nullptr) {
     return Status::FailedPrecondition("no snapshot loaded");
   }
-  // The scratch is reused for the property find below; only the found
-  // index survives each find, never the key string.
   const Snapshot& snapshot = generation->snapshot();
-  const uint32_t entity_index = snapshot.FindEntity(LowerScratch(entity));
+  const uint32_t entity_index = snapshot.FindEntity(entity);
+  return Located(entity, property, entity_index,
+                 entity_index == Snapshot::kNone
+                     ? Snapshot::RecordLoc{}
+                     : snapshot.FindPair(entity_index,
+                                         snapshot.FindProperty(property)));
+}
+
+SURVEYOR_HOT_FUNCTION
+StatusOr<Snapshot::RecordLoc> OpinionIndex::Located(
+    std::string_view entity, std::string_view property,
+    uint32_t entity_index, Snapshot::RecordLoc loc) const {
   if (entity_index == Snapshot::kNone) {
     not_found_->Increment();
     return Status::NotFound("unknown entity '" + std::string(entity) + "'");
   }
-  const Snapshot::RecordLoc loc = snapshot.FindPair(
-      entity_index, snapshot.FindProperty(LowerScratch(property)));
   if (loc.block == Snapshot::kNone) {
     not_found_->Increment();
     return Status::NotFound("no opinion for entity '" + std::string(entity) +
@@ -173,14 +169,30 @@ StatusOr<ServedOpinion> OpinionIndex::Lookup(const GenerationPtr& generation,
 }
 
 SURVEYOR_HOT_FUNCTION
-StatusOr<ServedOpinion> OpinionIndex::Find(const GenerationPtr& generation,
-                                           std::string_view entity,
-                                           std::string_view property) const {
-  const StatusOr<Snapshot::RecordLoc> loc =
-      Locate(generation, entity, property);
-  if (!loc.ok()) return loc.status();
+void OpinionIndex::FindGroup(
+    const GenerationPtr& generation, const Snapshot::NamePair* pairs,
+    size_t count, std::optional<StatusOr<ServedOpinion>>* answers) const {
+  lookups_->Increment(static_cast<int64_t>(count));
+  if (generation == nullptr) {
+    for (size_t i = 0; i < count; ++i) {
+      answers[i].emplace(Status::FailedPrecondition("no snapshot loaded"));
+    }
+    return;
+  }
   const Snapshot& snapshot = generation->snapshot();
-  return ReadOpinion(snapshot, snapshot.blocks()[loc->block], loc->record);
+  uint32_t entities[Snapshot::kPairGroup];
+  Snapshot::RecordLoc locs[Snapshot::kPairGroup];
+  snapshot.FindPairs(pairs, count, entities, locs);
+  for (size_t i = 0; i < count; ++i) {
+    const StatusOr<Snapshot::RecordLoc> loc =
+        Located(pairs[i].first, pairs[i].second, entities[i], locs[i]);
+    if (loc.ok()) {
+      answers[i].emplace(
+          ReadOpinion(snapshot, snapshot.blocks()[loc->block], loc->record));
+    } else {
+      answers[i].emplace(loc.status());
+    }
+  }
 }
 
 SURVEYOR_HOT_FUNCTION
@@ -190,9 +202,9 @@ ScanRange OpinionIndex::QueryType(const GenerationPtr& generation,
                                   size_t limit) const {
   if (generation == nullptr) return {};
   const Snapshot& snapshot = generation->snapshot();
-  const uint32_t type_index = snapshot.FindType(LowerScratch(type));
+  const uint32_t type_index = snapshot.FindType(type);
   const uint32_t b = snapshot.FindBlock(
-      type_index, snapshot.FindProperty(LowerScratch(property)));
+      type_index, snapshot.FindProperty(property));
   if (b == Snapshot::kNone) return {};
   // The block's posting list is already in scan order: a scan is a slice.
   const Snapshot::BlockView block = snapshot.blocks()[b];
@@ -207,7 +219,7 @@ NameRange OpinionIndex::PrefixScan(const GenerationPtr& generation,
                                    size_t limit) const {
   if (generation == nullptr) return {};
   const Snapshot& snapshot = generation->snapshot();
-  const auto [begin, end] = snapshot.EntityPrefixRange(LowerScratch(prefix));
+  const auto [begin, end] = snapshot.EntityPrefixRange(prefix);
   const uint32_t count =
       limit == 0 ? end - begin
                  : static_cast<uint32_t>(std::min<size_t>(limit, end - begin));
@@ -228,8 +240,17 @@ Pinned<std::vector<StatusOr<ServedOpinion>>> OpinionIndex::BatchLookup(
   GenerationPtr generation = this->generation();
   std::vector<StatusOr<ServedOpinion>> answers;
   answers.reserve(pairs.size());
-  for (const auto& [entity, property] : pairs) {
-    answers.push_back(Find(generation, entity, property));
+  Snapshot::NamePair group[Snapshot::kPairGroup];
+  std::optional<StatusOr<ServedOpinion>> found[Snapshot::kPairGroup];
+  for (size_t first = 0; first < pairs.size();
+       first += Snapshot::kPairGroup) {
+    const size_t count =
+        std::min(Snapshot::kPairGroup, pairs.size() - first);
+    for (size_t i = 0; i < count; ++i) {
+      group[i] = {pairs[first + i].first, pairs[first + i].second};
+    }
+    FindGroup(generation, group, count, found);
+    for (size_t i = 0; i < count; ++i) answers.push_back(std::move(*found[i]));
   }
   return {std::move(generation), std::move(answers)};
 }

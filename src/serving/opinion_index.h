@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -208,11 +209,14 @@ class OpinionIndex {
                                  std::string_view entity,
                                  std::string_view property) const;
 
-  /// Lookup without spans of its own: one entry of a batch, which is
-  /// traced as one span however many pairs it holds.
-  StatusOr<ServedOpinion> Find(const GenerationPtr& generation,
-                               std::string_view entity,
-                               std::string_view property) const;
+  /// Lookup for each of `count` (at most Snapshot::kPairGroup) pairs,
+  /// into answers[0, count), without spans of its own: a batch is traced
+  /// as one span however many pairs it holds, and answered a group at a
+  /// time. The answers and counts are those of one Lookup per pair; the
+  /// pairs' reads of the snapshot overlap (Snapshot::FindPairs).
+  void FindGroup(const GenerationPtr& generation,
+                 const Snapshot::NamePair* pairs, size_t count,
+                 std::optional<StatusOr<ServedOpinion>>* answers) const;
 
   /// Subjective query ("safe cities") on `generation`: entities of `type`
   /// whose dominant opinion affirms `property`, strongest posterior first
@@ -233,9 +237,9 @@ class OpinionIndex {
   Pinned<StatusOr<ServedOpinion>> Lookup(std::string_view entity,
                                          std::string_view property) const;
 
-  /// One Find per pair, preserving order; individual misses are per-entry
-  /// kNotFound, never a whole-batch failure. The whole batch is answered
-  /// from one pin.
+  /// One answer per pair, preserving order, found a group at a time
+  /// (FindGroup); individual misses are per-entry kNotFound, never a
+  /// whole-batch failure. The whole batch is answered from one pin.
   Pinned<std::vector<StatusOr<ServedOpinion>>> BatchLookup(
       const std::vector<std::pair<std::string, std::string>>& pairs) const;
 
@@ -256,6 +260,12 @@ class OpinionIndex {
   StatusOr<Snapshot::RecordLoc> Locate(const GenerationPtr& generation,
                                        std::string_view entity,
                                        std::string_view property) const;
+  /// A found pair's record, or its miss, counted: `entity_index` and
+  /// `loc` are what the snapshot's finds gave for the names.
+  StatusOr<Snapshot::RecordLoc> Located(std::string_view entity,
+                                        std::string_view property,
+                                        uint32_t entity_index,
+                                        Snapshot::RecordLoc loc) const;
 
   OpinionIndexOptions options_;
   /// Fallback registry when options_.metrics is null.

@@ -4,6 +4,8 @@
 #include <charconv>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -12,12 +14,139 @@
 #include "obs/request_trace.h"
 #include "obs/trace.h"
 #include "serving/api_envelope.h"
+#include "serving/query_service_internal.h"
 #include "util/hotpath.h"
 #include "util/profile_tag.h"
 
 namespace surveyor {
 namespace serving {
+namespace query_service_internal {
+
+SURVEYOR_HOT_FUNCTION
+bool BatchParser::Parse(size_t expected, std::vector<Query>* out) {
+  // A query object takes at least three bytes ("{}" and a separator),
+  // which bounds the count without a pass over the body.
+  out->reserve(std::min(expected, text_.size() / 3));
+  SkipWs();
+  if (!Consume('{')) return false;
+  SkipWs();
+  std::string_view key;
+  if (!ParseString(&key) || key != "queries") return false;
+  SkipWs();
+  if (!Consume(':')) return false;
+  SkipWs();
+  if (!Consume('[')) return false;
+  SkipWs();
+  if (!Consume(']')) {
+    for (;;) {
+      Query query;
+      if (!ParseQueryObject(&query)) return false;
+      out->push_back(query);
+      SkipWs();
+      if (Consume(',')) {
+        SkipWs();
+        continue;
+      }
+      if (Consume(']')) break;
+      return false;
+    }
+  }
+  SkipWs();
+  if (!Consume('}')) return false;
+  SkipWs();
+  return pos_ == text_.size();
+}
+
+void BatchParser::SkipWs() {
+  while (pos_ < text_.size() &&
+         (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
+          text_[pos_] == '\r')) {
+    ++pos_;
+  }
+}
+
+bool BatchParser::Consume(char c) {
+  if (pos_ < text_.size() && text_[pos_] == c) {
+    ++pos_;
+    return true;
+  }
+  return false;
+}
+
+SURVEYOR_HOT_FUNCTION
+bool BatchParser::ParseString(std::string_view* out) {
+  if (!Consume('"')) return false;
+  // The string ends at the first quote unless an escape comes before it,
+  // which may escape that quote: then it is decoded byte by byte.
+  const char* begin = text_.data() + pos_;
+  const size_t rest = text_.size() - pos_;
+  const auto* quote = static_cast<const char*>(std::memchr(begin, '"', rest));
+  if (quote == nullptr) return false;
+  const auto length = static_cast<size_t>(quote - begin);
+  if (std::memchr(begin, '\\', length) != nullptr) return DecodeString(out);
+  *out = std::string_view(begin, length);
+  pos_ += length + 1;
+  return true;
+}
+
+SURVEYOR_HOT_FUNCTION
+bool BatchParser::DecodeString(std::string_view* out) {
+  // Decoded strings are shorter than their text, so one reservation for
+  // the whole body holds every one of them.
+  if (scratch_->capacity() < text_.size()) scratch_->reserve(text_.size());
+  const size_t begin = scratch_->size();
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_++];
+    if (c == '"') {
+      *out = std::string_view(*scratch_).substr(begin);
+      return true;
+    }
+    if (c != '\\') {
+      scratch_->push_back(c);
+      continue;
+    }
+    if (pos_ >= text_.size()) return false;
+    switch (text_[pos_++]) {
+      case '"': scratch_->push_back('"'); break;
+      case '\\': scratch_->push_back('\\'); break;
+      case '/': scratch_->push_back('/'); break;
+      case 'n': scratch_->push_back('\n'); break;
+      case 't': scratch_->push_back('\t'); break;
+      case 'r': scratch_->push_back('\r'); break;
+      default: return false;  // \uXXXX et al.: not needed for names
+    }
+  }
+  return false;
+}
+
+bool BatchParser::ParseQueryObject(Query* query) {
+  SkipWs();
+  if (!Consume('{')) return false;
+  SkipWs();
+  if (Consume('}')) return true;  // empty object -> empty names -> 404s
+  for (;;) {
+    std::string_view key, value;
+    if (!ParseString(&key)) return false;
+    SkipWs();
+    if (!Consume(':')) return false;
+    SkipWs();
+    if (!ParseString(&value)) return false;
+    if (key == "entity") query->first = value;
+    if (key == "property") query->second = value;
+    SkipWs();
+    if (Consume(',')) {
+      SkipWs();
+      continue;
+    }
+    return Consume('}');
+  }
+}
+
+}  // namespace query_service_internal
+
 namespace {
+
+using query_service_internal::BatchParser;
 
 /// Body bytes reserved per answer and for the envelope around them: an
 /// answer without provenance renders to 100-150 bytes for typical names,
@@ -119,151 +248,6 @@ size_t ParseLimit(std::string_view raw, size_t fallback) {
   return static_cast<size_t>(std::min<uint64_t>(fallback, value));
 }
 
-/// Strict scanner for the one JSON shape /v1/query/batch accepts:
-/// {"queries":[{"entity":"..","property":".."}, ...]}. Unknown string
-/// keys inside a query object are ignored; anything else is a parse
-/// error — a query API should reject what it would silently drop. Strings
-/// come back as views into the body; one holding an escape is decoded
-/// onto the end of `scratch`, reserved for the whole body on first use,
-/// so no earlier view moves.
-class BatchParser {
- public:
-  using Query = std::pair<std::string_view, std::string_view>;
-
-  BatchParser(std::string_view text, std::string* scratch)
-      : text_(text), scratch_(scratch) {}
-
-  /// Parses the whole body into `out`, reserving room for up to
-  /// `expected` queries.
-  SURVEYOR_HOT_FUNCTION
-  bool Parse(size_t expected, std::vector<Query>* out) {
-    // A query object opens with '{', so the braces bound the count.
-    out->reserve(std::min<size_t>(
-        expected, std::count(text_.begin(), text_.end(), '{')));
-    SkipWs();
-    if (!Consume('{')) return false;
-    SkipWs();
-    std::string_view key;
-    if (!ParseString(&key) || key != "queries") return false;
-    SkipWs();
-    if (!Consume(':')) return false;
-    SkipWs();
-    if (!Consume('[')) return false;
-    SkipWs();
-    if (!Consume(']')) {
-      for (;;) {
-        Query query;
-        if (!ParseQueryObject(&query)) return false;
-        out->push_back(query);
-        SkipWs();
-        if (Consume(',')) {
-          SkipWs();
-          continue;
-        }
-        if (Consume(']')) break;
-        return false;
-      }
-    }
-    SkipWs();
-    if (!Consume('}')) return false;
-    SkipWs();
-    return pos_ == text_.size();
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  SURVEYOR_HOT_FUNCTION
-  bool ParseString(std::string_view* out) {
-    if (!Consume('"')) return false;
-    const size_t begin = pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        *out = text_.substr(begin, pos_ - 1 - begin);
-        return true;
-      }
-      if (c == '\\') {
-        pos_ = begin;
-        return DecodeString(out);
-      }
-    }
-    return false;
-  }
-
-  /// ParseString for a string holding an escape, from its first byte.
-  SURVEYOR_HOT_FUNCTION
-  bool DecodeString(std::string_view* out) {
-    // Decoded strings are shorter than their text, so one reservation for
-    // the whole body holds every one of them.
-    if (scratch_->capacity() < text_.size()) scratch_->reserve(text_.size());
-    const size_t begin = scratch_->size();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        *out = std::string_view(*scratch_).substr(begin);
-        return true;
-      }
-      if (c != '\\') {
-        scratch_->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) return false;
-      switch (text_[pos_++]) {
-        case '"': scratch_->push_back('"'); break;
-        case '\\': scratch_->push_back('\\'); break;
-        case '/': scratch_->push_back('/'); break;
-        case 'n': scratch_->push_back('\n'); break;
-        case 't': scratch_->push_back('\t'); break;
-        case 'r': scratch_->push_back('\r'); break;
-        default: return false;  // \uXXXX et al.: not needed for names
-      }
-    }
-    return false;
-  }
-
-  bool ParseQueryObject(Query* query) {
-    SkipWs();
-    if (!Consume('{')) return false;
-    SkipWs();
-    if (Consume('}')) return true;  // empty object -> empty names -> 404s
-    for (;;) {
-      std::string_view key, value;
-      if (!ParseString(&key)) return false;
-      SkipWs();
-      if (!Consume(':')) return false;
-      SkipWs();
-      if (!ParseString(&value)) return false;
-      if (key == "entity") query->first = value;
-      if (key == "property") query->second = value;
-      SkipWs();
-      if (Consume(',')) {
-        SkipWs();
-        continue;
-      }
-      return Consume('}');
-    }
-  }
-
-  std::string_view text_;
-  std::string* scratch_;
-  size_t pos_ = 0;
-};
-
 int HttpStatusOf(const Status& status) {
   return status.code() == StatusCode::kNotFound ? 404 : 500;
 }
@@ -282,37 +266,68 @@ void AppendInteger(int64_t value, std::string* out) {
   out->append(buffer, static_cast<size_t>(result.ptr - buffer));
 }
 
+char* Put(std::string_view text, char* out) {
+  std::memcpy(out, text.data(), text.size());
+  return out + text.size();
+}
+
+/// `text` JSON-escaped at `out`, given its escaped size: a plain copy when
+/// no byte of it needs an escape, as is usual for a name.
+char* PutEscaped(std::string_view text, size_t escaped_size, char* out) {
+  return escaped_size == text.size() ? Put(text, out)
+                                     : obs::WriteJsonEscaped(text, out);
+}
+
 /// Appends one answer: {"entity","type","property","posterior",
 /// "polarity","degraded"} plus "provenance" when the pair has samples.
+/// All but the provenance is sized first and then written with one
+/// capacity check, the literals copied at their compile-time lengths.
 SURVEYOR_HOT_FUNCTION
 void AppendOpinion(const ServedOpinion& opinion, std::string* out) {
-  out->append("{\"entity\":\"");
-  obs::AppendJsonEscaped(opinion.entity, out);
-  out->append("\",\"type\":\"");
-  obs::AppendJsonEscaped(opinion.type, out);
-  out->append("\",\"property\":\"");
-  obs::AppendJsonEscaped(opinion.property, out);
-  out->append("\",\"posterior\":");
-  obs::AppendJsonNumber(opinion.posterior, out);
-  out->append(",\"polarity\":\"");
-  obs::AppendJsonEscaped(PolarityName(opinion.polarity), out);
-  out->append(opinion.degraded ? "\",\"degraded\":true"
-                               : "\",\"degraded\":false");
-  if (!opinion.provenance.empty()) {
-    out->append(",\"provenance\":[");
-    for (size_t i = 0; i < opinion.provenance.size(); ++i) {
-      const StatementRef ref = opinion.provenance[i];
-      out->append(i == 0 ? "{\"doc_id\":" : ",{\"doc_id\":");
-      AppendInteger(ref.doc_id, out);
-      out->append(",\"sentence\":");
-      AppendInteger(ref.sentence_index, out);
-      out->append(ref.positive ? ",\"positive\":true}"
-                               : ",\"positive\":false}");
-    }
-    out->append("]}");
+  static constexpr std::string_view kEntity = "{\"entity\":\"";
+  static constexpr std::string_view kType = "\",\"type\":\"";
+  static constexpr std::string_view kProperty = "\",\"property\":\"";
+  static constexpr std::string_view kPosterior = "\",\"posterior\":";
+  static constexpr std::string_view kPolarity = ",\"polarity\":\"";
+  char number[obs::kJsonNumberBufferSize];
+  const size_t number_size = obs::FormatJsonNumber(opinion.posterior, number);
+  const std::string_view polarity = PolarityName(opinion.polarity);
+  const std::string_view degraded = opinion.degraded
+                                        ? "\",\"degraded\":true"
+                                        : "\",\"degraded\":false";
+  const bool closed = opinion.provenance.empty();
+  const size_t entity_size = obs::JsonEscapedSize(opinion.entity);
+  const size_t type_size = obs::JsonEscapedSize(opinion.type);
+  const size_t property_size = obs::JsonEscapedSize(opinion.property);
+  const size_t polarity_size = obs::JsonEscapedSize(polarity);
+  const size_t size = kEntity.size() + entity_size + kType.size() +
+                      type_size + kProperty.size() + property_size +
+                      kPosterior.size() + number_size + kPolarity.size() +
+                      polarity_size + degraded.size() + (closed ? 1 : 0);
+  const size_t start = out->size();
+  out->resize(start + size);
+  char* p = out->data() + start;
+  p = PutEscaped(opinion.entity, entity_size, Put(kEntity, p));
+  p = PutEscaped(opinion.type, type_size, Put(kType, p));
+  p = PutEscaped(opinion.property, property_size, Put(kProperty, p));
+  p = Put({number, number_size}, Put(kPosterior, p));
+  p = PutEscaped(polarity, polarity_size, Put(kPolarity, p));
+  p = Put(degraded, p);
+  if (closed) {
+    *p = '}';
     return;
   }
-  out->append("}");
+  out->append(",\"provenance\":[");
+  for (size_t i = 0; i < opinion.provenance.size(); ++i) {
+    const StatementRef ref = opinion.provenance[i];
+    out->append(i == 0 ? "{\"doc_id\":" : ",{\"doc_id\":");
+    AppendInteger(ref.doc_id, out);
+    out->append(",\"sentence\":");
+    AppendInteger(ref.sentence_index, out);
+    out->append(ref.positive ? ",\"positive\":true}"
+                             : ",\"positive\":false}");
+  }
+  out->append("]}");
 }
 
 }  // namespace
@@ -484,25 +499,32 @@ obs::AdminResponse QueryService::HandleBatch(std::string_view method,
     return ApiError(400, "batch too large (max " +
                              std::to_string(options_.max_batch) + ")");
   }
-  // One span for the whole batch, however many pairs it holds: each
-  // answer is rendered as it is found, from one pin.
+  // One span for the whole batch, however many pairs it holds: the
+  // answers are found a group at a time, from one pin, and each group is
+  // rendered before the next is found.
   SURVEYOR_SPAN("query_service.batch");
   const GenerationPtr generation = index_->generation();
   obs::AdminResponse response = JsonResponse();
   response.body.reserve(kEnvelopeBytes + queries.size() * kAnswerBytes);
   BeginApiData(&response.body);
   response.body.append("{\"results\":[");
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (i > 0) response.body.push_back(',');
-    const StatusOr<ServedOpinion> answer =
-        index_->Find(generation, queries[i].first, queries[i].second);
-    if (answer.ok()) {
-      AppendOpinion(*answer, &response.body);
-    } else {
-      // Per-entry misses reuse the envelope's error object so batch
-      // entries parse exactly like top-level failures.
-      AppendApiErrorJson(ApiErrorCode(HttpStatusOf(answer.status())),
-                         answer.status().message(), &response.body);
+  std::optional<StatusOr<ServedOpinion>> answers[Snapshot::kPairGroup];
+  for (size_t first = 0; first < queries.size();
+       first += Snapshot::kPairGroup) {
+    const size_t count =
+        std::min(Snapshot::kPairGroup, queries.size() - first);
+    index_->FindGroup(generation, queries.data() + first, count, answers);
+    for (size_t i = 0; i < count; ++i) {
+      if (first + i > 0) response.body.push_back(',');
+      const StatusOr<ServedOpinion>& answer = *answers[i];
+      if (answer.ok()) {
+        AppendOpinion(*answer, &response.body);
+      } else {
+        // Per-entry misses reuse the envelope's error object so batch
+        // entries parse exactly like top-level failures.
+        AppendApiErrorJson(ApiErrorCode(HttpStatusOf(answer.status())),
+                           answer.status().message(), &response.body);
+      }
     }
   }
   response.body.append("]}");

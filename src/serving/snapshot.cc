@@ -15,6 +15,7 @@
 #include <thread>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "obs/trace.h"
 #include "serving/snapshot_internal.h"
@@ -103,6 +104,42 @@ int CompareFolded(std::string_view a, std::string_view b) {
   return a.size() < b.size() ? -1 : 1;
 }
 
+/// Fold applied to each byte of an 8-byte word at once: a byte in
+/// 'A'..'Z' gains 0x20. The sums stay within their bytes because each
+/// adds at most 0x3F to a byte below 0x80, and a byte of 0x80 or more is
+/// never upper case.
+uint64_t FoldWord(uint64_t word) {
+  constexpr uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr uint64_t kHigh = 0x8080808080808080ULL;
+  const uint64_t low = word & ~kHigh;
+  const uint64_t from_a = low + (0x80 - 'A') * kOnes;     // top bit: >= 'A'
+  const uint64_t past_z = low + (0x80 - 'Z' - 1) * kOnes;  // top bit: > 'Z'
+  const uint64_t upper = from_a & ~past_z & ~word & kHigh;
+  return word | (upper >> 2);
+}
+
+uint64_t LoadWord(const char* p) {
+  uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
+/// Whether `a` and `b` are equal ASCII-lowercased: a slot probe's
+/// confirmation, eight bytes a step.
+bool EqualsFolded(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  size_t i = 0;
+  for (; i + 8 <= a.size(); i += 8) {
+    if (FoldWord(LoadWord(a.data() + i)) != FoldWord(LoadWord(b.data() + i))) {
+      return false;
+    }
+  }
+  for (; i < a.size(); ++i) {
+    if (Fold(a[i]) != Fold(b[i])) return false;
+  }
+  return true;
+}
+
 /// Name `i` of a name table whose entries start {offset, length}.
 std::string_view NameAt(std::string_view names, std::string_view table,
                         size_t width, uint32_t i) {
@@ -125,15 +162,50 @@ uint32_t PartitionPoint(uint32_t lo, uint32_t hi, Before before) {
   return lo;
 }
 
-/// Binary search of a name table for `lower`; kNone on a miss.
-uint32_t FindName(std::string_view names, std::string_view table,
-                  size_t width, uint32_t count, std::string_view lower) {
-  const uint32_t i = PartitionPoint(0, count, [&](uint32_t mid) {
-    return CompareFolded(NameAt(names, table, width, mid), lower) < 0;
-  });
-  return i < count && CompareFolded(NameAt(names, table, width, i), lower) == 0
-             ? i
-             : Snapshot::kNone;
+/// The index a slot table leads `name` to, or kNone: a walk from the
+/// name's home slot to the slot naming it or to the first empty one.
+/// `slot_at(s)` reads slot s and `name_of(i)` name i; the table must hold
+/// an empty slot, which Open proves of the entity slots and builds into
+/// the others.
+template <typename SlotAt, typename NameOf>
+uint32_t Probe(std::string_view name, uint32_t home, uint32_t mask,
+               SlotAt slot_at, NameOf name_of) {
+  for (uint32_t slot = home;; slot = (slot + 1) & mask) {
+    const uint32_t index = slot_at(slot);
+    if (index == kEmptySlot) return Snapshot::kNone;
+    if (EqualsFolded(name_of(index), name)) return index;
+  }
+}
+
+/// Where the probe for `name` starts in a table of mask + 1 slots.
+uint32_t HomeSlot(std::string_view name, uint32_t mask) {
+  return static_cast<uint32_t>(SnapshotNameHash(name) & mask);
+}
+
+/// Probe of a slot table Open built; kNone from the empty table of a
+/// snapshot that was never opened.
+template <typename NameOf>
+uint32_t ProbeBuilt(const std::vector<uint32_t>& slots, std::string_view name,
+                    NameOf name_of) {
+  if (slots.empty()) return Snapshot::kNone;
+  const auto mask = static_cast<uint32_t>(slots.size() - 1);
+  return Probe(
+      name, HomeSlot(name, mask), mask,
+      [&slots](uint32_t slot) { return slots[slot]; }, name_of);
+}
+
+/// A slot table over names 0..count-1 as Probe reads it: linear probing
+/// from SnapshotNameHash & mask, at most half full.
+template <typename NameOf>
+std::vector<uint32_t> BuildSlots(uint32_t count, NameOf name_of) {
+  std::vector<uint32_t> slots(std::bit_ceil(2 * size_t{count}), kEmptySlot);
+  const size_t mask = slots.size() - 1;
+  for (uint32_t i = 0; i < count; ++i) {
+    size_t slot = SnapshotNameHash(name_of(i)) & mask;
+    while (slots[slot] != kEmptySlot) slot = (slot + 1) & mask;
+    slots[slot] = i;
+  }
+  return slots;
 }
 
 Status Invalid(const std::string& rule) {
@@ -453,34 +525,49 @@ Snapshot::BlockView Snapshot::Block(uint32_t index) const {
   return view;
 }
 
-uint32_t Snapshot::FindType(std::string_view lower) const {
-  return FindName(names_, types_, kSnapshotNameEntrySize, num_types_, lower);
+void Snapshot::BuildNameSlots() {
+  type_slots_ = BuildSlots(num_types_, [this](uint32_t t) {
+    return TypeName(t);
+  });
+  property_slots_ = BuildSlots(num_properties_, [this](uint32_t p) {
+    return PropertyName(p);
+  });
 }
 
-uint32_t Snapshot::FindProperty(std::string_view lower) const {
-  return FindName(names_, properties_, kSnapshotNameEntrySize,
-                  num_properties_, lower);
+uint32_t Snapshot::FindType(std::string_view name) const {
+  return ProbeBuilt(type_slots_, name,
+                    [this](uint32_t t) { return TypeName(t); });
 }
 
-uint32_t Snapshot::FindEntity(std::string_view lower) const {
+uint32_t Snapshot::FindProperty(std::string_view name) const {
+  return ProbeBuilt(property_slots_, name,
+                    [this](uint32_t p) { return PropertyName(p); });
+}
+
+uint32_t Snapshot::EntitySlot(uint32_t slot) const {
+  return DecodeU32(slots_.data() + 4 * size_t{slot});
+}
+
+uint32_t Snapshot::ProbeEntity(std::string_view name, uint32_t home) const {
   // Open proved every entity reachable from its home slot and at least
   // one slot empty, so this probe ends.
-  for (auto slot = static_cast<uint32_t>(SnapshotNameHash(lower) & slot_mask_);;
-       slot = (slot + 1) & slot_mask_) {
-    const uint32_t entity = DecodeU32(slots_.data() + 4 * size_t{slot});
-    if (entity == kEmptySlot) return kNone;
-    if (CompareFolded(EntityName(entity), lower) == 0) return entity;
-  }
+  return Probe(
+      name, home, slot_mask_,
+      [this](uint32_t slot) { return EntitySlot(slot); },
+      [this](uint32_t e) { return EntityName(e); });
+}
+
+uint32_t Snapshot::FindEntity(std::string_view name) const {
+  return ProbeEntity(name, HomeSlot(name, slot_mask_));
 }
 
 std::pair<uint32_t, uint32_t> Snapshot::EntityPrefixRange(
-    std::string_view lower_prefix) const {
+    std::string_view prefix) const {
   // Names are sorted lowercased, so their first |prefix| bytes are too.
-  auto head_order = [this, lower_prefix](uint32_t entity) {
+  auto head_order = [this, prefix](uint32_t entity) {
     const std::string_view name = EntityName(entity);
-    return CompareFolded(
-        name.substr(0, std::min(name.size(), lower_prefix.size())),
-        lower_prefix);
+    return CompareFolded(name.substr(0, std::min(name.size(), prefix.size())),
+                         prefix);
   };
   return {PartitionPoint(0, num_entities_,
                          [&](uint32_t e) { return head_order(e) < 0; }),
@@ -523,6 +610,42 @@ Snapshot::RecordLoc Snapshot::FindPair(uint32_t entity,
   if (k == end || key(k) != property) return {};
   return {Field(pairs_, kSnapshotPairEntrySize, k, 1),
           Field(pairs_, kSnapshotPairEntrySize, k, 2)};
+}
+
+void Snapshot::FindPairs(const NamePair* pairs, size_t count,
+                         uint32_t* entities, RecordLoc* locs) const {
+  // Each pass reads what the pass before it requested: the home slot, the
+  // first entity there, and that entity's name and pair run. A probe past
+  // the home slot, or to another entity, waits as FindEntity would.
+  uint32_t home[kPairGroup];
+  for (size_t i = 0; i < count; ++i) {
+    home[i] = HomeSlot(pairs[i].first, slot_mask_);
+    __builtin_prefetch(slots_.data() + 4 * size_t{home[i]});
+  }
+  for (size_t i = 0; i < count; ++i) {
+    const uint32_t entity = EntitySlot(home[i]);
+    if (entity == kEmptySlot) continue;
+    __builtin_prefetch(entities_.data() +
+                       size_t{entity} * kSnapshotEntityEntrySize);
+  }
+  for (size_t i = 0; i < count; ++i) {
+    const uint32_t entity = EntitySlot(home[i]);
+    if (entity == kEmptySlot) continue;
+    __builtin_prefetch(EntityName(entity).data());
+    __builtin_prefetch(
+        pairs_.data() +
+        size_t{Field(entities_, kSnapshotEntityEntrySize, entity, 3)} *
+            kSnapshotPairEntrySize);
+  }
+  for (size_t i = 0; i < count; ++i) {
+    entities[i] = ProbeEntity(pairs[i].first, home[i]);
+    locs[i] = entities[i] == kNone
+                  ? RecordLoc{}
+                  : FindPair(entities[i], FindProperty(pairs[i].second));
+    if (locs[i].block == kNone) continue;
+    __builtin_prefetch(Block(locs[i].block).records +
+                       size_t{locs[i].record} * kSnapshotRecordSize);
+  }
 }
 
 Snapshot::ProvenanceKey Snapshot::ProvenanceKeyAt(size_t i) const {
@@ -569,6 +692,7 @@ Status Snapshot::Open(const std::string& path) {
   Snapshot fresh;
   fresh.file_ = std::move(file);
   SURVEYOR_RETURN_IF_ERROR(fresh.Validate(fresh.file_.data(), 0));
+  fresh.BuildNameSlots();
   *this = std::move(fresh);
   return Status::OK();
 }

@@ -27,7 +27,8 @@ namespace serving {
 /// durable hand-off between the offline mining run (the paper's 5000-node
 /// extraction) and the online query engine that outlives it. Its sections
 /// are the lookup structures themselves, so opening one is a map, a CRC
-/// check and one validation pass: nothing is sorted, hashed or copied.
+/// check, one validation pass and two small slot tables over the type and
+/// property names: nothing else is sorted, hashed or copied.
 ///
 /// File layout (format version 2, little-endian, every section 8-byte
 /// aligned, all indices u32):
@@ -65,8 +66,9 @@ namespace serving {
 ///
 /// Types, properties and entities are each sorted by ASCII-lowercased
 /// name, strictly: names are case-insensitive identifiers, so a table
-/// index is also the rank of the lowercased name, and a name lookup is a
-/// binary search (types, properties) or one slot probe (entities).
+/// index is also the rank of the lowercased name. A name lookup is one
+/// probe of a slot table: the entity slots of section 6, or the type and
+/// property slots Open builds in memory from the validated name tables.
 ///
 /// Open checks every section's CRC-32, then every index, offset and count
 /// and every order a binary search, slot probe or slice relies on, so bit
@@ -115,8 +117,9 @@ inline constexpr size_t kSnapshotPairEntrySize = 12;
 inline constexpr size_t kSnapshotProvenanceEntrySize = 16;
 inline constexpr size_t kSnapshotRefSize = 16;
 
-/// The entity slot table's hash: FNV-1a 64 over the ASCII-lowercased
-/// bytes of `name` (offset basis 0xcbf29ce484222325, prime 0x100000001b3).
+/// The slot tables' hash: FNV-1a 64 over the ASCII-lowercased bytes of
+/// `name` (offset basis 0xcbf29ce484222325, prime 0x100000001b3), folding
+/// each byte as it hashes it.
 uint64_t SnapshotNameHash(std::string_view name);
 
 /// One mined opinion as the snapshot stores it, with names resolved — a
@@ -241,8 +244,8 @@ Status ValidateImage(std::string_view image, int parts);
 
 /// Read side: validates the whole file at Open and then answers from the
 /// mapping. A Snapshot is immutable once open; concurrent readers need no
-/// synchronization. The Find* methods take names already ASCII-lowercased
-/// and return kNone on a miss.
+/// synchronization. The Find* methods take names in any ASCII case, fold
+/// them as they hash and compare, and return kNone on a miss.
 class Snapshot {
  public:
   static constexpr uint32_t kNone = 0xFFFFFFFFu;
@@ -251,13 +254,13 @@ class Snapshot {
   Snapshot(Snapshot&&) = default;
   Snapshot& operator=(Snapshot&&) = default;
 
-  /// Maps and validates `path`. InvalidArgument for format problems (bad
-  /// magic, version mismatch, truncation, malformed tables, any broken
-  /// index, count or order, each naming its rule); Internal for payload
-  /// corruption (CRC mismatch). The "snapshot_read" fault point fires here
-  /// as a simulated transient I/O failure (Internal), which OpinionIndex
-  /// absorbs with bounded retries. A failed Open leaves the snapshot as it
-  /// was.
+  /// Maps and validates `path`, then builds the type and property slot
+  /// tables. InvalidArgument for format problems (bad magic, version
+  /// mismatch, truncation, malformed tables, any broken index, count or
+  /// order, each naming its rule); Internal for payload corruption (CRC
+  /// mismatch). The "snapshot_read" fault point fires here as a simulated
+  /// transient I/O failure (Internal), which OpinionIndex absorbs with
+  /// bounded retries. A failed Open leaves the snapshot as it was.
   Status Open(const std::string& path);
 
   std::string_view label() const { return label_; }
@@ -312,14 +315,14 @@ class Snapshot {
   /// The block-local record index of a block's i-th positive record.
   static uint32_t ReadPosting(const char* postings, size_t i);
 
-  /// Table index of the name, or kNone.
-  uint32_t FindType(std::string_view lower) const;
-  uint32_t FindProperty(std::string_view lower) const;
-  uint32_t FindEntity(std::string_view lower) const;
-  /// [begin, end) of the entities whose lowercased names start with
-  /// `lower_prefix`, in name order.
+  /// Table index of the name, or kNone: one slot probe each.
+  uint32_t FindType(std::string_view name) const;
+  uint32_t FindProperty(std::string_view name) const;
+  uint32_t FindEntity(std::string_view name) const;
+  /// [begin, end) of the entities whose names start with `prefix`, both
+  /// ASCII-lowercased, in name order.
   std::pair<uint32_t, uint32_t> EntityPrefixRange(
-      std::string_view lower_prefix) const;
+      std::string_view prefix) const;
   /// Index of the (type, property) block, or kNone.
   uint32_t FindBlock(uint32_t type, uint32_t property) const;
   /// Index of `entity`'s record within `block`, or kNone: a binary
@@ -335,6 +338,20 @@ class Snapshot {
     uint32_t record = 0;
   };
   RecordLoc FindPair(uint32_t entity, uint32_t property) const;
+
+  /// An (entity, property) pair of names.
+  using NamePair = std::pair<std::string_view, std::string_view>;
+  /// The most pairs FindPairs resolves at once.
+  static constexpr size_t kPairGroup = 16;
+  /// For each of `count` (at most kPairGroup) name pairs, the entity's
+  /// index (kNone when unknown) into entities[i] and, for a known entity,
+  /// FindPair of it and the property into locs[i] (block kNone for an
+  /// unknown entity too): the answers of FindEntity and FindPair one pair
+  /// at a time. The loads of each step are started for every pair before
+  /// any pair waits on one, so the pairs' cache misses overlap, and the
+  /// line of each found record is requested for the caller's read.
+  void FindPairs(const NamePair* pairs, size_t count, uint32_t* entities,
+                 RecordLoc* locs) const;
 
   /// Provenance entries, sorted by (entity, property).
   struct ProvenanceKey {
@@ -397,6 +414,12 @@ class Snapshot {
   Status ValidatePairs(uint32_t begin, uint32_t end,
                        const BlockView* blocks) const;
   Status ValidateProvenance(uint32_t begin, uint32_t end) const;
+  /// Fills type_slots_ and property_slots_ from the validated name tables.
+  void BuildNameSlots();
+  /// The entity slot probe for `name` from its home slot.
+  uint32_t ProbeEntity(std::string_view name, uint32_t home) const;
+  /// The u32 in entity slot `slot`.
+  uint32_t EntitySlot(uint32_t slot) const;
 
   MmapFile file_;
   std::string_view label_;
@@ -413,6 +436,12 @@ class Snapshot {
   uint32_t num_provenance_ = 0;
   uint32_t num_refs_ = 0;
   uint32_t slot_mask_ = 0;
+  /// Type and property indices by slot, probed as the entity slots are: a
+  /// power-of-two table of at least 2 x names slots (one for none), kNone
+  /// for empty. Built by Open; empty on a snapshot that was never opened,
+  /// which finds no type or property.
+  std::vector<uint32_t> type_slots_;
+  std::vector<uint32_t> property_slots_;
 };
 
 }  // namespace serving

@@ -204,6 +204,33 @@ TEST(HttpServerTest, PipelinedRequestsAnswerInOrder) {
   server.Stop();
 }
 
+TEST(HttpServerTest, HeadEndsAtItsFirstTerminatorCrlfOrBareLf) {
+  // A blank line in a CRLF request's body is body, and a bare-LF request
+  // pipelined behind it still parses, as does a bare-LF head whose body
+  // holds a CRLF blank line.
+  HttpServer server(EchoHandler, SmallOptions());
+  ASSERT_TRUE(server.Start().ok());
+  RawClient client(server.port());
+  const std::string lf_body = "line one\n\nline two";
+  const std::string crlf_body = "line one\r\n\r\nline two";
+  ASSERT_TRUE(client.Send(
+      "POST /crlf HTTP/1.1\r\nHost: t\r\nContent-Length: " +
+      std::to_string(lf_body.size()) + "\r\n\r\n" + lf_body +
+      "GET /bare HTTP/1.1\nHost: t\n\n"
+      "POST /bare-body HTTP/1.1\nContent-Length: " +
+      std::to_string(crlf_body.size()) + "\n\n" + crlf_body));
+  const std::string r1 = client.ReadResponse();
+  const std::string r2 = client.ReadResponse();
+  const std::string r3 = client.ReadResponse();
+  EXPECT_NE(r1.find("HTTP/1.1 200 OK"), std::string::npos) << r1;
+  EXPECT_NE(r1.find("POST /crlf body=" + lf_body), std::string::npos) << r1;
+  EXPECT_NE(r2.find("HTTP/1.1 200 OK"), std::string::npos) << r2;
+  EXPECT_NE(r2.find("GET /bare\n"), std::string::npos) << r2;
+  EXPECT_NE(r3.find("POST /bare-body body=" + crlf_body), std::string::npos)
+      << r3;
+  server.Stop();
+}
+
 TEST(HttpServerTest, SlowLorisPartialRequestIsAnswered408AndClosed) {
   MetricRegistry metrics;
   HttpServerOptions options = SmallOptions();

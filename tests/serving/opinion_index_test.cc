@@ -130,6 +130,51 @@ TEST_F(OpinionIndexTest, BatchLookupAnswersPerEntryInOrder) {
   EXPECT_EQ(results[2]->entity, "Lisbon");
 }
 
+// A batch is found sixteen pairs at a time; across group boundaries, with
+// hits and both miss shapes interleaved and names in any case, it answers
+// and counts exactly as one Lookup per pair.
+TEST_F(OpinionIndexTest, BatchLookupAnswersAsOneLookupPerPair) {
+  obs::MetricRegistry batch_metrics, single_metrics;
+  OpinionIndexOptions batch_options, single_options;
+  batch_options.metrics = &batch_metrics;
+  single_options.metrics = &single_metrics;
+  OpinionIndex batched(batch_options), single(single_options);
+  const std::string path = WriteTestSnapshot("groups.surv");
+  ASSERT_TRUE(batched.Load(path).ok());
+  ASSERT_TRUE(single.Load(path).ok());
+  const std::vector<std::pair<std::string, std::string>> kinds = {
+      {"kitten", "cute"},  {"KITTEN", "Cute"}, {"nobody", "cute"},
+      {"kitten", "haunted"}, {"Lisbon", "hilly"}, {"", ""},
+      {"spider", "CUTE"}};
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (size_t i = 0; i < 2 * Snapshot::kPairGroup + 5; ++i) {
+    pairs.push_back(kinds[(i * 5) % kinds.size()]);
+  }
+  const auto batch = batched.BatchLookup(pairs);
+  ASSERT_EQ(batch->size(), pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto alone = single.Lookup(pairs[i].first, pairs[i].second);
+    const StatusOr<ServedOpinion>& answer = (*batch)[i];
+    ASSERT_EQ(answer.ok(), alone->ok()) << i;
+    if (answer.ok()) {
+      EXPECT_EQ(answer->entity, (*alone)->entity);
+      EXPECT_EQ(answer->type, (*alone)->type);
+      EXPECT_EQ(answer->property, (*alone)->property);
+      EXPECT_EQ(answer->posterior, (*alone)->posterior);
+      EXPECT_EQ(answer->polarity, (*alone)->polarity);
+      EXPECT_EQ(answer->provenance.size(), (*alone)->provenance.size());
+    } else {
+      EXPECT_EQ(answer.status().ToString(), alone->status().ToString());
+    }
+  }
+  for (const char* counter :
+       {"surveyor_query_lookups_total", "surveyor_query_not_found_total"}) {
+    EXPECT_EQ(batch_metrics.GetCounter(counter)->Value(),
+              single_metrics.GetCounter(counter)->Value())
+        << counter;
+  }
+}
+
 TEST_F(OpinionIndexTest, QueryTypeIsPositiveOnlyStrongestFirst) {
   OpinionIndex index;
   ASSERT_TRUE(index.Load(WriteTestSnapshot("scan.surv")).ok());

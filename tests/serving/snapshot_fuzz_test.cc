@@ -179,18 +179,34 @@ void QueryEverything(const std::string& path, const Snapshot& snapshot) {
   OpinionIndex index(options);
   ASSERT_TRUE(index.Load(path).ok());
   std::set<char> alphabet = {'~'};
+  // Every pair is asked once alone and once in one batch, which finds its
+  // pairs a group at a time and must answer as the lookups did.
+  std::vector<std::pair<std::string, std::string>> pairs = {{"~", "~"}};
+  std::vector<std::pair<StatusCode, double>> alone = {
+      {StatusCode::kNotFound, 0.0}};
   for (uint32_t e = 0; e < snapshot.num_entities(); ++e) {
     const std::string entity(snapshot.EntityName(e));
     for (const char c : ToLower(entity)) alphabet.insert(c);
     for (uint32_t p = 0; p < snapshot.num_properties(); ++p) {
-      const auto pinned =
-          index.Lookup(entity, std::string(snapshot.PropertyName(p)));
+      pairs.emplace_back(entity, snapshot.PropertyName(p));
+      const auto pinned = index.Lookup(pairs.back().first, pairs.back().second);
       const StatusOr<ServedOpinion>& answer = *pinned;
       if (answer.ok()) {
         EXPECT_EQ(ToLower(answer->entity), ToLower(entity));
+        alone.emplace_back(StatusCode::kOk, answer->posterior);
       } else {
         EXPECT_EQ(answer.status().code(), StatusCode::kNotFound);
+        alone.emplace_back(answer.status().code(), 0.0);
       }
+    }
+  }
+  const auto batch = index.BatchLookup(pairs);
+  ASSERT_EQ(batch->size(), pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const StatusOr<ServedOpinion>& answer = (*batch)[i];
+    EXPECT_EQ(answer.status().code(), alone[i].first);
+    if (answer.ok()) {
+      EXPECT_EQ(answer->posterior, alone[i].second);
     }
   }
   for (uint32_t t = 0; t < snapshot.num_types(); ++t) {

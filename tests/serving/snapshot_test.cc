@@ -6,6 +6,7 @@
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -13,6 +14,7 @@
 #include "tests/serving/snapshot_image.h"
 #include "util/fault.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace surveyor {
 namespace serving {
@@ -364,6 +366,72 @@ TEST_F(SnapshotTest, NamesAreCaseInsensitiveAndKeepTheSmallestSpelling) {
   EXPECT_EQ(snapshot.PropertyName(0), "CUTE");
   EXPECT_EQ(snapshot.FindEntity("kitten"), 0u);
   EXPECT_EQ(snapshot.FindEntity("puppy"), Snapshot::kNone);
+}
+
+// Every find folds the caller's bytes as it hashes and compares, so a
+// name in any ASCII case resolves as its lower-case form does.
+TEST_F(SnapshotTest, MixedCaseNamesResolveAsTheirLowerCaseForms) {
+  const std::string path =
+      WriteTempFile("mixed_case.surv", MakeWriter().Serialize());
+  Snapshot snapshot;
+  ASSERT_TRUE(snapshot.Open(path).ok());
+  const uint32_t kitten = snapshot.FindEntity("kitten");
+  const uint32_t cute = snapshot.FindProperty("cute");
+  const uint32_t animal = snapshot.FindType("animal");
+  ASSERT_NE(kitten, Snapshot::kNone);
+  ASSERT_NE(cute, Snapshot::kNone);
+  ASSERT_NE(animal, Snapshot::kNone);
+  EXPECT_EQ(snapshot.FindEntity("KiTTen"), kitten);
+  EXPECT_EQ(snapshot.FindEntity("KITTEN"), kitten);
+  EXPECT_EQ(snapshot.FindProperty("CUTE"), cute);
+  EXPECT_EQ(snapshot.FindType("Animal"), animal);
+  EXPECT_EQ(snapshot.EntityPrefixRange("KI"), snapshot.EntityPrefixRange("ki"));
+  EXPECT_EQ(snapshot.EntityPrefixRange("KI"), std::pair(kitten, kitten + 1));
+  // Folding is ASCII only, and a name must match whole.
+  EXPECT_EQ(snapshot.FindEntity("KITTEN "), Snapshot::kNone);
+  EXPECT_EQ(snapshot.FindEntity("kitte"), Snapshot::kNone);
+  EXPECT_EQ(snapshot.FindProperty("CUTE\xC3\x89"), Snapshot::kNone);
+  EXPECT_EQ(snapshot.FindType("Animals"), Snapshot::kNone);
+  EXPECT_EQ(snapshot.FindType(""), Snapshot::kNone);
+  EXPECT_EQ(snapshot.FindProperty(""), Snapshot::kNone);
+  EXPECT_EQ(snapshot.FindEntity(""), Snapshot::kNone);
+}
+
+// Names stored in mixed case, longer than the eight bytes a folded
+// compare takes at a step, resolve from any case, and only whole.
+TEST_F(SnapshotTest, LongNamesResolveFromAnyCase) {
+  SnapshotWriter writer;
+  const std::vector<std::string> names = {
+      "San Francisco Bay Area", "SAN FRANCISCO", "San-Francisco-Bay",
+      "Zürich Altstadt", "x"};
+  for (const std::string& name : names) {
+    ASSERT_TRUE(writer
+                    .Add(MakeOpinion(name, "Metro Area Kind",
+                                     "Walkable At Night", 0.7,
+                                     Polarity::kPositive))
+                    .ok());
+  }
+  Snapshot snapshot;
+  ASSERT_TRUE(
+      snapshot.Open(WriteTempFile("long_names.surv", writer.Serialize()))
+          .ok());
+  for (const std::string& name : names) {
+    const uint32_t entity = snapshot.FindEntity(name);
+    ASSERT_NE(entity, Snapshot::kNone) << name;
+    EXPECT_EQ(snapshot.EntityName(entity), name);
+    EXPECT_EQ(snapshot.FindEntity(ToLower(name)), entity) << name;
+    std::string upper = name;
+    for (char& c : upper) {
+      if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
+    }
+    EXPECT_EQ(snapshot.FindEntity(upper), entity) << name;
+  }
+  EXPECT_EQ(snapshot.FindEntity("san francisco bay are"), Snapshot::kNone);
+  EXPECT_EQ(snapshot.FindEntity("san francisco bay areA!"), Snapshot::kNone);
+  EXPECT_EQ(snapshot.FindEntity("ZÜRICH ALTSTADT"), Snapshot::kNone);
+  EXPECT_EQ(snapshot.FindType("METRO AREA KIND"), 0u);
+  EXPECT_EQ(snapshot.FindProperty("walkable at night"), 0u);
+  EXPECT_EQ(snapshot.FindProperty("walkable at nigh"), Snapshot::kNone);
 }
 
 TEST_F(SnapshotTest, FindRecordHitsAndMisses) {

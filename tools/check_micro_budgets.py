@@ -25,9 +25,13 @@ Budgets:
      blocks) answers >= 1/25 of BM_OpinionIndexHotLookup's items/s: a scan
      reads its slice of the block's posting list, not the whole block.
   6. Batches: BM_AdminBatch/1, a 32-pair /v1/query/batch through
-     AdminServer::Handle with production defaults, costs <= 4 hot point
+     AdminServer::Handle with production defaults, costs <= 3.5 hot point
      lookups per pair (items are pairs): parsing, tracing and rendering
-     add at most three lookups' worth to each pair's own lookup.
+     add at most 2.5 lookups' worth to each pair's own lookup. Two CI-style
+     runs (9 interleaved repetitions each) on a 4-vCPU Xeon VM read a
+     median of 2.21 after names resolved by one slot probe and posteriors
+     printed by integer arithmetic (2.53 before); the bound is 1.5 x that,
+     rounded up to the next 0.5.
 
 Each budget prints its value next to its threshold; the exit status is 1
 when any budget fails or any of the gated benchmarks is missing.
@@ -96,7 +100,7 @@ def main():
         ("type scans / hot lookups", f"{scans / lookups:.4f}", ">= 0.04",
          scans * 25 >= lookups),
         ("batch pair / hot lookup", f"{lookups / batch_pairs:.2f}x",
-         "<= 4x", lookups <= 4 * batch_pairs),
+         "<= 3.5x", lookups <= 3.5 * batch_pairs),
     ]
     for name, value, threshold, ok in budgets:
         print(f"{'OK  ' if ok else 'FAIL'} {name:30} {value:>14}  {threshold}")

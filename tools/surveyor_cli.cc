@@ -681,8 +681,8 @@ struct SnapshotEntity {
 SnapshotEntity Resolve(const Snapshot& snapshot, const KnowledgeBase& kb,
                        EntityId id) {
   const Entity& entity = kb.entity(id);
-  return {snapshot.FindEntity(ToLower(entity.canonical_name)),
-          snapshot.FindType(ToLower(kb.TypeName(entity.most_notable_type)))};
+  return {snapshot.FindEntity(entity.canonical_name),
+          snapshot.FindType(kb.TypeName(entity.most_notable_type))};
 }
 
 /// One row of an entity profile.
@@ -846,7 +846,7 @@ int RunScore(const std::vector<std::string>& args) {
     ++overall.total;
     const SnapshotEntity entity = Resolve(snapshot, *kb, key.first);
     const uint32_t b = snapshot.FindBlock(
-        entity.type, snapshot.FindProperty(ToLower(key.second)));
+        entity.type, snapshot.FindProperty(key.second));
     if (b == Snapshot::kNone) continue;
     const Snapshot::BlockView block = snapshot.blocks()[b];
     const uint32_t r = Snapshot::FindRecord(block, entity.name);
